@@ -48,6 +48,8 @@ class Timeline:
             raise ValueError("total horizon must be a multiple of the formation step")
         if self.schedule_lookahead_minutes % self.schedule_slot_minutes:
             raise ValueError("schedule lookahead must be a multiple of the slot")
+        if self.schedule_lookahead_minutes < self.formation_step_minutes:
+            raise ValueError("schedule lookahead must cover the formation step")
 
     @property
     def n_steps(self) -> int:

@@ -6,6 +6,14 @@ explicitly maintained basis inverse is both fast enough and easy to audit.
 No presolve, no cutting planes; faulted or otherwise dead binaries are fixed
 through their bounds by the caller.
 
+Each pivot updates the inverse sparsely: the rank-1 term is applied only on
+the rows and columns where it is nonzero, which is a few percent of the
+entries on the formation models. The pivot path is reproducible bit for bit:
+for a given numpy and BLAS build, a model yields the same pivot sequence and
+the same floats on every run. The fixture's ``microgrids.csv`` records
+``repr`` of each objective, so a change that moves an objective's last bits
+changes that file.
+
 Minimization throughout. Integer variables must carry integral finite bounds.
 """
 
@@ -262,97 +270,106 @@ class _Simplex:
         self.xb = self.binv @ rhs
         self.values[self.basis] = self.xb
 
-    def _entering(self, d: np.ndarray) -> tuple[int, int] | None:
-        movable = (self.hi - self.lo) > 0
-        nonbasic = self.stat != _BASIC
-        free = ~np.isfinite(self.lo) & ~np.isfinite(self.hi)
-        up_ok = nonbasic & movable & ((self.stat == _AT_LOWER) | free)
-        dn_ok = nonbasic & movable & ((self.stat == _AT_UPPER) | free)
-        up_viol = np.where(up_ok, -d, 0.0)
-        dn_viol = np.where(dn_ok, d, 0.0)
-        if self.bland:
-            cand = np.nonzero((up_viol > DUAL_TOL) | (dn_viol > DUAL_TOL))[0]
-            if cand.size == 0:
-                return None
-            q = int(cand[0])
-            return q, (1 if up_viol[q] > DUAL_TOL else -1)
-        best = np.maximum(up_viol, dn_viol)
-        q = int(np.argmax(best))
-        if best[q] <= DUAL_TOL:
-            return None
-        return q, (1 if up_viol[q] >= dn_viol[q] else -1)
+    def _pivot(self, r: int, q: int, w: np.ndarray) -> None:
+        """Column ``q`` replaces ``basis[r]``; ``w`` is B^-1 times column q.
+
+        The rank-1 update of the inverse touches only rows where ``w`` is
+        nonzero and columns where the pivot row is nonzero: every other
+        entry would change by a product equal to zero.
+        """
+        piv_row = self.binv[r] / w[r]
+        rows, cols = np.flatnonzero(w), np.flatnonzero(piv_row)
+        self.binv[np.ix_(rows, cols)] -= np.outer(w[rows], piv_row[cols])
+        self.binv[r] = piv_row
+        self.basis[r] = q
+        self.stat[q] = _BASIC
 
     def _run(self, cost: np.ndarray) -> str:
-        m = self.m
-        while True:
-            if self.pivots >= self.pivot_cap:
-                return "limit"
-            y = cost[self.basis] @ self.binv
-            d = cost - y @ self.full
-            pick = self._entering(d)
-            if pick is None:
-                return "optimal"
-            q, sigma = pick
+        m, n, art0 = self.m, self.n, self.art0
+        # reduced costs by block: y @ A for structurals, identity slacks,
+        # one signed (or empty) artificial column per row
+        a = np.ascontiguousarray(self.full[:, :n])
+        art_sign = self.full[np.arange(m), art0 + np.arange(m)]
+        # entering score is d * sign: +1 for a movable column at its upper
+        # bound, -1 at its lower bound, 0 when basic or fixed; free columns
+        # may move either way and score |d|
+        sign = np.where(self.stat == _AT_UPPER, 1.0, -1.0)
+        sign[(self.stat == _BASIC) | ~((self.hi - self.lo) > 0)] = 0.0
+        free = np.flatnonzero(~np.isfinite(self.lo) & ~np.isfinite(self.hi))
+        lo_b, hi_b = self.lo[self.basis], self.hi[self.basis]
+        with np.errstate(invalid="ignore"):
+            while True:
+                if self.pivots >= self.pivot_cap:
+                    return "limit"
+                y = cost[self.basis] @ self.binv
+                d = np.concatenate((cost[:n] - y @ a, cost[n:art0] - y,
+                                    cost[art0:] - y * art_sign))
+                score = d * sign
+                score[free] = np.abs(score[free])
+                # Bland's rule takes the lowest eligible index, Dantzig's the
+                # largest score (ties to the lowest index)
+                q = int(np.argmax(score > DUAL_TOL) if self.bland
+                        else np.argmax(score))
+                if not score[q] > DUAL_TOL:
+                    return "optimal"
+                sigma = 1 if d[q] < 0 else -1
 
-            w = self.binv @ self.full[:, q]
-            rate = -sigma * w  # basic values move by t * rate
+                w = self.binv @ self.full[:, q]
+                rate = -sigma * w  # basic values move by t * rate
 
-            # ratio test: own bound span, then each basic variable's slack
-            span = self.hi[q] - self.lo[q]
-            t_best = span if np.isfinite(span) else np.inf
-            limits = np.full(m, np.inf)
-            dec = rate < -PIVOT_TOL
-            inc = rate > PIVOT_TOL
-            lo_b = self.lo[self.basis]
-            hi_b = self.hi[self.basis]
-            with np.errstate(invalid="ignore"):
+                # ratio test: own bound span, then each basic variable's slack
+                span = self.hi[q] - self.lo[q]
+                t_best = span if np.isfinite(span) else np.inf
+                limits = np.full(m, np.inf)
+                dec = rate < -PIVOT_TOL
+                inc = rate > PIVOT_TOL
                 limits[dec] = (self.xb[dec] - lo_b[dec]) / -rate[dec]
                 limits[inc] = (hi_b[inc] - self.xb[inc]) / rate[inc]
-            limits = np.where(np.isnan(limits), np.inf, limits)
-            t_rows = limits.min() if m else np.inf
-            t_star = min(t_best, t_rows)
-            if not np.isfinite(t_star):
-                raise SolverError("LP is unbounded")
-            t_star = max(t_star, 0.0)
+                limits = np.where(np.isnan(limits), np.inf, limits)
+                t_rows = limits.min() if m else np.inf
+                t_star = min(t_best, t_rows)
+                if not np.isfinite(t_star):
+                    raise SolverError("LP is unbounded")
+                t_star = max(t_star, 0.0)
 
-            if t_star <= DEGEN_STEP:
-                self.degenerate += 1
-                if self.degenerate >= BLAND_AFTER:
-                    self.bland = True
+                if t_star <= DEGEN_STEP:
+                    self.degenerate += 1
+                    if self.degenerate >= BLAND_AFTER:
+                        self.bland = True
 
-            self.pivots += 1
-            if t_rows > t_star + 1e-12:
-                # entering variable swings to its other bound; basis unchanged
+                self.pivots += 1
                 self.xb += t_star * rate
                 self.values[self.basis] = self.xb
-                self.values[q] = self.hi[q] if sigma > 0 else self.lo[q]
-                self.stat[q] = _AT_UPPER if sigma > 0 else _AT_LOWER
-                continue
+                if t_rows > t_star + 1e-12:
+                    # entering variable swings to its other bound; basis unchanged
+                    self.values[q] = self.hi[q] if sigma > 0 else self.lo[q]
+                    self.stat[q] = _AT_UPPER if sigma > 0 else _AT_LOWER
+                    sign[q] = sigma
+                    continue
 
-            # leaving row: among tight rows take the largest pivot magnitude
-            tight = np.nonzero(limits <= t_star + 1e-12)[0]
-            order = sorted(tight, key=lambda i: (-abs(w[i]), self.basis[i]))
-            r = int(order[0])
-            if abs(w[r]) <= PIVOT_TOL:
-                raise SolverError("pivot element vanished in ratio test")
+                # leaving row: among tight rows take the largest pivot
+                # magnitude, ties to the lowest basic column
+                tight = np.flatnonzero(limits <= t_star + 1e-12)
+                mag = np.abs(w[tight])
+                tight = tight[mag == mag.max()]
+                r = int(tight[np.argmin(self.basis[tight])])
+                if abs(w[r]) <= PIVOT_TOL:
+                    raise SolverError("pivot element vanished in ratio test")
 
-            leave = self.basis[r]
-            self.xb += t_star * rate
-            self.values[self.basis] = self.xb
-            self.values[leave] = lo_b[r] if rate[r] < 0 else hi_b[r]
-            self.stat[leave] = _AT_LOWER if rate[r] < 0 else _AT_UPPER
-            enter_val = self.values[q] + sigma * t_star
+                leave = self.basis[r]
+                at_upper = rate[r] >= 0
+                self.values[leave] = hi_b[r] if at_upper else lo_b[r]
+                self.stat[leave] = _AT_UPPER if at_upper else _AT_LOWER
+                sign[leave] = (1.0 if at_upper else -1.0) \
+                    if self.hi[leave] - self.lo[leave] > 0 else 0.0
+                self.values[q] += sigma * t_star
+                self._pivot(r, q, w)
+                self.xb[r] = self.values[q]
+                sign[q] = 0.0
+                lo_b[r], hi_b[r] = self.lo[q], self.hi[q]
 
-            piv_row = self.binv[r] / w[r]
-            self.binv -= np.outer(w, piv_row)
-            self.binv[r] = piv_row
-            self.basis[r] = q
-            self.stat[q] = _BASIC
-            self.values[q] = enter_val
-            self.xb = self.values[self.basis].copy()
-
-            if self.pivots % REFACTOR_EVERY == 0:
-                self._refactor()
+                if self.pivots % REFACTOR_EVERY == 0:
+                    self._refactor()
 
     def _evict_artificials(self) -> None:
         # swap any basic artificial for a real column sharing its row; rows
@@ -362,22 +379,15 @@ class _Simplex:
             if j < self.art0:
                 continue
             row = self.binv[r] @ self.full[:, :self.art0]
-            cands = [k for k in np.nonzero(np.abs(row) > 1e-7)[0]
-                     if self.stat[k] != _BASIC]
-            if not cands:
+            cands = np.flatnonzero((np.abs(row) > 1e-7)
+                                   & (self.stat[:self.art0] != _BASIC))
+            if not cands.size:
                 continue
             q = int(cands[0])
-            w = self.binv @ self.full[:, q]
-            piv_row = self.binv[r] / w[r]
-            self.binv -= np.outer(w, piv_row)
-            self.binv[r] = piv_row
+            self._pivot(r, q, self.binv @ self.full[:, q])
             self.stat[j] = _AT_LOWER
             self.values[j] = 0.0
-            self.basis[r] = q
-            self.stat[q] = _BASIC
-            self.xb = self.values[self.basis].copy()
             self.xb[r] = self.values[q]
-            self.values[self.basis] = self.xb
 
     def solve(self) -> tuple[str, np.ndarray]:
         phase1 = np.zeros_like(self.cost)

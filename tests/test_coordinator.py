@@ -24,6 +24,25 @@ from gridsplit import (
 
 QUIET_CLOSED = {1, 2, 3, 5, 6, 7, 9, 10}     # both ties in, one mid-span out each side
 FAULTED_CLOSED = {1, 2, 3, 4, 5, 6, 7, 10}   # tie 9 out, zone 5 back on feeder 1
+# exact objectives of the 16 formation events of the fixture's flexible run
+FLEX_OBJECTIVES = [
+    74.99999999953434,
+    75.00000000093132,
+    74.99999999720603,
+    75.00000000139698,
+    94.20000000065193,
+    93.99999999720603,
+    93.99999999627471,
+    94.00000000046566,
+    94.00000000093132,
+    75.20000000111759,
+    75.00000000046566,
+    75.00000000093132,
+    75.00000000046566,
+    75.00000000046566,
+    74.99999999720603,
+    75.00000000093132,
+]
 
 
 def closed_set(sol):
@@ -63,8 +82,21 @@ class TestTimeline:
         with pytest.raises(ValueError, match="must be positive"):
             Timeline(dispatch_step_minutes=0)
 
+    def test_schedule_lookahead_must_cover_the_formation_step(self):
+        # a shorter plan has no slot for the later steps of an event
+        with pytest.raises(ValueError, match="cover the formation step"):
+            Timeline(schedule_lookahead_minutes=60)
+        Timeline(schedule_lookahead_minutes=180)
+
 
 class TestFlexibleRun:
+    def test_objectives_are_reproduced_bit_for_bit(self, flex_run):
+        # microgrids.csv writes repr(objective), so the committed fixture
+        # outputs hold these exact floats; any change to the simplex pivot
+        # path moves their last bits and fails here
+        assert [ev.solution.objective_value for ev in flex_run.events] \
+            == FLEX_OBJECTIVES
+
     def test_event_grid(self, flex_run):
         assert [ev.time_min for ev in flex_run.events] \
             == list(range(0, 2880, 180))

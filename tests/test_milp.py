@@ -10,6 +10,7 @@ from gridsplit import (
     solve_lp,
     solve_milp,
 )
+from gridsplit import milp
 
 
 def test_single_bound_constraint():
@@ -148,11 +149,10 @@ def _scipy_parts(model):
     return a, lb, ub, lower, upper, cost
 
 
-def test_lp_fuzz_matches_linprog():
-    rng = np.random.default_rng(20240817)
+def _check_against_linprog(models):
+    """Solve each LP here and with HiGHS; return how many were optimal."""
     checked = 0
-    for _ in range(60):
-        model = _random_model(rng, with_integers=False)
+    for model in models:
         a, senses, b, lower, upper, cost = model.dense()
         rows_ub, rhs_ub, rows_eq, rhs_eq = [], [], [], []
         for i, s in enumerate(senses):
@@ -175,7 +175,71 @@ def test_lp_fuzz_matches_linprog():
         assert res.status == 0 and rep.status is SolveStatus.OPTIMAL
         assert rep.objective == pytest.approx(res.fun, abs=1e-6, rel=1e-6)
         checked += 1
-    assert checked >= 20  # the draw must keep exercising the optimal path
+    return checked
+
+
+def test_lp_fuzz_matches_linprog():
+    rng = np.random.default_rng(20240817)
+    models = [_random_model(rng, with_integers=False) for _ in range(60)]
+    # the draw must keep exercising the optimal path
+    assert _check_against_linprog(models) >= 20
+
+
+def test_lp_fuzz_matches_linprog_under_blands_rule(monkeypatch):
+    # The fuzz draws with every right-hand side zeroed: the starting vertex
+    # is then degenerate, and with BLAND_AFTER = 0 the first degenerate pivot
+    # switches to Bland's rule. The draws as they are make no degenerate
+    # pivot, so the rule would never switch on.
+    monkeypatch.setattr(milp, "BLAND_AFTER", 0)
+    switched = []
+    solve = milp._Simplex.solve
+
+    def spy(self):
+        out = solve(self)
+        switched.append(self.bland)
+        return out
+
+    monkeypatch.setattr(milp._Simplex, "solve", spy)
+    rng = np.random.default_rng(20240817)
+    models = [_random_model(rng, with_integers=False) for _ in range(60)]
+    for model in models:
+        for row in model.rows:
+            row.rhs = 0.0
+    assert _check_against_linprog(models) >= 20
+    assert sum(switched) >= 30
+
+
+def test_free_columns_enter_the_basis_both_ways():
+    # A nonbasic free column is parked at 0, so the nonzero optimum
+    # x = -2, z = 4 means x entered falling and z entered rising.
+    m = MilpModel()
+    x = m.add_variable("x", -np.inf, np.inf, objective=1.0)
+    z = m.add_variable("z", -np.inf, np.inf, objective=-1.0)
+    y = m.add_variable("y", 0, 3, objective=2.0)
+    m.add_constraint({x: 1.0, y: 1.0}, ">=", -2.0)
+    m.add_constraint({x: 1.0, y: -1.0}, "<=", 1.0)
+    m.add_constraint({z: 1.0, y: 1.0}, "<=", 4.0)
+    m.add_constraint({z: 1.0, x: -1.0}, "<=", 7.0)
+    assert _check_against_linprog([m]) == 1
+    rep = solve_lp(m)
+    assert rep.objective == pytest.approx(-6.0, abs=1e-9)
+    assert rep.values == pytest.approx([-2.0, 4.0, 0.0], abs=1e-9)
+
+
+def test_redundant_equality_rows_match_linprog():
+    # Each model's first row becomes an equality and gets an exact double
+    # as a second equality row. Phase 1 then ends with an artificial basic
+    # at zero on one of the pair, which _evict_artificials swaps out.
+    rng = np.random.default_rng(4242)
+    models = []
+    for _ in range(60):
+        model = _random_model(rng, with_integers=False)
+        row = model.rows[0]
+        row.sense = "=="
+        model.add_constraint({j: 2.0 * v for j, v in row.coeffs.items()},
+                             "==", 2.0 * row.rhs)
+        models.append(model)
+    assert _check_against_linprog(models) >= 10
 
 
 def test_milp_fuzz_matches_scipy_branch_and_bound():
