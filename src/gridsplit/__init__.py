@@ -17,6 +17,7 @@ from .coordinator import (
     diff_topologies,
     formation_inputs,
     run,
+    solve_partition,
 )
 from .ems import (
     MicrogridState,
@@ -121,6 +122,7 @@ __all__ = [
     "service_order",
     "solve_lp",
     "solve_milp",
+    "solve_partition",
     "summarize",
     "warm_values_from_topology",
     "write_outputs",

@@ -69,8 +69,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     sc = _load(args.scenario)
+    tl = coordinator.Timeline()
     try:
-        g, snap = coordinator.formation_inputs(sc, None, args.step)
+        g, snap = coordinator.formation_inputs(sc, tl, args.step)
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
     wts = FormationWeights()
@@ -80,7 +81,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         print(f"wrote {args.dump_lp}")
     sol = enumerate_optimal(g, snap, wts)
     closed = sorted(e for e, on in sol.switch_status.items() if on)
-    print(f"step {args.step} t={args.step * 180}min "
+    print(f"step {args.step} t={args.step * tl.formation_step_minutes}min "
           f"faulted={';'.join(str(e) for e in sorted(g.faulted_edges)) or '-'}")
     print(f"objective {sol.objective_value!r}")
     print(f"closed {';'.join(str(e) for e in closed)}")

@@ -9,16 +9,17 @@ node it belongs to, whatever zones come or go around it.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from .ems import MicrogridState, build_schedule, dispatch_window, service_order
-from .formation import (SWITCH_CHANGE_PENALTY, FormationSnapshot,
-                        FormationSolution, FormationWeights, build_milp,
-                        decode, fixed_topology_solution,
+from .formation import (SWITCH_CHANGE_PENALTY, FormationProblem,
+                        FormationSnapshot, FormationSolution, FormationWeights,
+                        build_milp, decode, fixed_topology_solution,
                         warm_values_from_topology)
-from .milp import SolverError, SolveStatus, solve_milp
+from .milp import SolveReport, SolverError, SolveStatus, solve_milp
+from .netmodel import ZoneGraph
 from .scenario import Scenario, ValidationError
 
 MODES = ("flexible", "fixed")
@@ -26,19 +27,16 @@ MODES = ("flexible", "fixed")
 
 @dataclass(frozen=True)
 class Timeline:
-    """Clock structure of a run; all fields are minutes."""
+    """Clock structure of a run, in minutes: one partition per formation
+    step, each planned in schedule slots and dispatched in steps.
+    """
     total_minutes: int = 2880
     formation_step_minutes: int = 180
-    formation_lookahead_minutes: int = 1440
     schedule_slot_minutes: int = 30
-    schedule_lookahead_minutes: int = 1440
     dispatch_step_minutes: int = 5
 
     def __post_init__(self):
-        vals = (self.total_minutes, self.formation_step_minutes,
-                self.formation_lookahead_minutes, self.schedule_slot_minutes,
-                self.schedule_lookahead_minutes, self.dispatch_step_minutes)
-        if any(v <= 0 for v in vals):
+        if any(v <= 0 for v in astuple(self)):
             raise ValueError("timeline entries must be positive")
         if self.schedule_slot_minutes % self.dispatch_step_minutes:
             raise ValueError("slot length must be a multiple of the dispatch step")
@@ -46,10 +44,6 @@ class Timeline:
             raise ValueError("formation step must be a multiple of the slot")
         if self.total_minutes % self.formation_step_minutes:
             raise ValueError("total horizon must be a multiple of the formation step")
-        if self.schedule_lookahead_minutes % self.schedule_slot_minutes:
-            raise ValueError("schedule lookahead must be a multiple of the slot")
-        if self.schedule_lookahead_minutes < self.formation_step_minutes:
-            raise ValueError("schedule lookahead must cover the formation step")
 
     @property
     def n_steps(self) -> int:
@@ -120,10 +114,28 @@ class RestorationRun:
         return len(self.time_min)
 
 
-def _slot_means(series: np.ndarray, start_step: int, n_slots: int,
-                steps_per_slot: int) -> np.ndarray:
-    stop = start_step + n_slots * steps_per_slot
-    return series[start_step:stop].reshape(n_slots, steps_per_slot).mean(axis=1)
+def _slot_means(table: dict[int, np.ndarray], s0: int, s1: int,
+                n_slots: int) -> dict[int, np.ndarray]:
+    """Per-zone means of steps ``s0:s1`` over ``n_slots`` equal slots."""
+    return {z: a[s0:s1].reshape(n_slots, -1).mean(axis=1)
+            for z, a in table.items()}
+
+
+def _event_inputs(scenario: Scenario, tl: Timeline, event_index: int,
+                  forecast: tuple[dict[int, np.ndarray], dict[int, np.ndarray]]):
+    """Faulted graph and forecast-mean snapshot of one formation event."""
+    fc_load, fc_pv = forecast
+    t = event_index * tl.formation_step_minutes
+    g0 = scenario.graph
+    g_t = g0.with_faulted(g0.faulted_edges | scenario.faulted_at(t))
+    s0 = t // tl.dispatch_step_minutes
+    s1 = s0 + tl.formation_step_minutes // tl.dispatch_step_minutes
+    zones = sorted(fc_load)
+    snap = FormationSnapshot(
+        step_index=event_index,
+        load_kw={z: float(fc_load[z][s0:s1].mean()) for z in zones},
+        pv_kw={z: float(fc_pv[z][s0:s1].mean()) for z in zones})
+    return g_t, snap
 
 
 def formation_inputs(scenario: Scenario, timeline: Timeline | None,
@@ -137,17 +149,26 @@ def formation_inputs(scenario: Scenario, timeline: Timeline | None,
     if not 0 <= event_index < tl.n_formation_events:
         raise ValueError(
             f"event index {event_index} outside 0..{tl.n_formation_events - 1}")
-    t = event_index * tl.formation_step_minutes
-    g_t = scenario.graph.with_faulted(
-        scenario.graph.faulted_edges | scenario.faulted_at(t))
-    fc_load, fc_pv = scenario.forecast()
-    s0 = t // tl.dispatch_step_minutes
-    s1 = s0 + tl.formation_step_minutes // tl.dispatch_step_minutes
-    snap = FormationSnapshot(
-        step_index=event_index,
-        load_kw={z: float(fc_load[z][s0:s1].mean()) for z in fc_load},
-        pv_kw={z: float(fc_pv[z][s0:s1].mean()) for z in fc_pv})
-    return g_t, snap
+    return _event_inputs(scenario, tl, event_index, scenario.forecast())
+
+
+def solve_partition(g_t: ZoneGraph, snap: FormationSnapshot,
+                    prev: FormationSolution | None, weights: FormationWeights,
+                    switch_change_penalty: float = SWITCH_CHANGE_PENALTY,
+                    ) -> tuple[FormationProblem, SolveReport, FormationSolution]:
+    """Build, warm-start from ``prev``, solve and decode one partition."""
+    prob = build_milp(g_t, snap, weights, prev=prev,
+                      switch_change_penalty=switch_change_penalty)
+    warm = None
+    if prev is not None:
+        warm = warm_values_from_topology(
+            prob, {eid for eid, on in prev.switch_status.items() if on},
+            prev.assignment)
+    rep = solve_milp(prob.model, warm_integer_values=warm)
+    if rep.status is SolveStatus.ITERATION_LIMIT:
+        raise SolverError(
+            f"partition solve of event {snap.step_index} hit the pivot budget")
+    return prob, rep, decode(prob, rep)
 
 
 def run(scenario: Scenario, mode: str = "flexible",
@@ -204,38 +225,26 @@ def run(scenario: Scenario, mode: str = "flexible",
         states[j] = MicrogridState(j, r, r.battery_soc0 * r.battery_energy_kwh,
                                    r.diesel_fuel_kwh)
 
+    gfms = set(gfm_ids)
     events: list[FormationEvent] = []
     prev_sol: FormationSolution | None = None
 
-    for t in range(0, tl.total_minutes, tl.formation_step_minutes):
-        faults = scenario.faulted_at(t)
-        g_t = g0.with_faulted(g0.faulted_edges | faults)
+    for k in range(tl.n_formation_events):
+        t = k * tl.formation_step_minutes
+        g_t, snap = _event_inputs(scenario, tl, k, (fc_load, fc_pv))
         s0 = t // tl.dispatch_step_minutes
-        s1 = s0 + tl.formation_step_minutes // tl.dispatch_step_minutes
-        snap = FormationSnapshot(
-            step_index=len(events),
-            load_kw={z: float(fc_load[z][s0:s1].mean()) for z in zone_ids},
-            pv_kw={z: float(fc_pv[z][s0:s1].mean()) for z in zone_ids})
+        s1 = s0 + slots_per_event * steps_per_slot
 
         t0 = time.perf_counter()
         if mode == "fixed":
             sol = fixed_topology_solution(g_t, snap, wts)
             nodes = lp_iters = 0
         else:
-            prob = build_milp(g_t, snap, wts, prev=prev_sol,
-                              switch_change_penalty=switch_change_penalty)
-            warm = None
-            if prev_sol is not None:
-                active = {e.id for e in g_t.active_edges()}
-                warm = warm_values_from_topology(
-                    prob, {eid for eid, on in prev_sol.switch_status.items()
-                           if on and eid in active},
-                    prev_sol.assignment)
-            rep = solve_milp(prob.model, warm_integer_values=warm)
-            if rep.status is SolveStatus.ITERATION_LIMIT:
-                raise SolverError(
-                    f"partition solve at t={t} min hit the pivot budget")
-            sol = decode(prob, rep)
+            try:
+                _prob, rep, sol = solve_partition(g_t, snap, prev_sol, wts,
+                                                  switch_change_penalty)
+            except SolverError as exc:
+                raise SolverError(f"t={t} min: {exc}") from exc
             nodes, lp_iters = rep.node_count, rep.lp_iterations
         wall = time.perf_counter() - t0
 
@@ -248,24 +257,16 @@ def run(scenario: Scenario, mode: str = "flexible",
                             if new is not None)
 
         closed = frozenset(eid for eid, on in sol.switch_status.items() if on)
-        gfms = set(gfm_ids)
-        micro = []
+        fl = _slot_means(fc_load, s0, s1, slots_per_event)
+        fp = _slot_means(fc_pv, s0, s1, slots_per_event)
+        plans = []
         for tree in sol.trees:
             anchor = min(tree & gfms)
-            micro.append((anchor, service_order(g_t, set(tree), anchor, closed)))
-        micro.sort()
-
-        n_slots = min(tl.schedule_lookahead_minutes,
-                      tl.total_minutes - t) // tl.schedule_slot_minutes
-        plans = []
-        for anchor, order in micro:
-            fl = {z: _slot_means(fc_load[z], s0, n_slots, steps_per_slot)
-                  for z in order.members}
-            fp = {z: _slot_means(fc_pv[z], s0, n_slots, steps_per_slot)
-                  for z in order.members}
+            order = service_order(g_t, set(tree), anchor, closed)
             plans.append((anchor, order, build_schedule(
                 states[anchor], order, fl, fp,
                 slot_minutes=tl.schedule_slot_minutes)))
+        plans.sort(key=lambda p: p[0])
 
         dark = [z for z in zone_ids if sol.assignment.get(z) is None]
         for z, a in sol.assignment.items():

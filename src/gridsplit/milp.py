@@ -372,8 +372,8 @@ class _Simplex:
                     self._refactor()
 
     def _evict_artificials(self) -> None:
-        # swap any basic artificial for a real column sharing its row; rows
-        # with no such column are redundant and keep a pinned artificial
+        # swap any basic artificial for a real column sharing its row; the
+        # row's own slack always qualifies, so no artificial stays basic
         for r in range(self.m):
             j = self.basis[r]
             if j < self.art0:
@@ -381,8 +381,6 @@ class _Simplex:
             row = self.binv[r] @ self.full[:, :self.art0]
             cands = np.flatnonzero((np.abs(row) > 1e-7)
                                    & (self.stat[:self.art0] != _BASIC))
-            if not cands.size:
-                continue
             q = int(cands[0])
             self._pivot(r, q, self.binv @ self.full[:, q])
             self.stat[j] = _AT_LOWER

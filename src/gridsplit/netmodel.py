@@ -10,6 +10,7 @@ rolling-horizon coordinator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 
@@ -84,32 +85,28 @@ class ZoneGraph:
     lateral_policies: tuple[LateralPolicy, ...] = ()
 
     def __post_init__(self) -> None:
-        node_ids = [n.id for n in self.nodes]
-        if len(set(node_ids)) != len(node_ids):
+        nmap, emap, rmap = self._node_map, self._edge_map, self._resource_map
+        if len(nmap) != len(self.nodes):
             raise ValueError("duplicate node ids")
-        edge_ids = [e.id for e in self.edges]
-        if len(set(edge_ids)) != len(edge_ids):
+        if len(emap) != len(self.edges):
             raise ValueError("duplicate edge ids")
-        known = set(node_ids)
         for e in self.edges:
-            if e.tail not in known or e.head not in known:
+            if e.tail not in nmap or e.head not in nmap:
                 raise ValueError(f"edge {e.id} references unknown node")
             if e.tail == e.head:
                 raise ValueError(f"edge {e.id} is a self-loop")
             if e.flow_limit_kw < 0:
                 raise ValueError(f"edge {e.id} has negative flow limit")
-        by_node = {r.node_id for r in self.resources}
-        if len(by_node) != len(self.resources):
+        if len(rmap) != len(self.resources):
             raise ValueError("more than one resource at a node")
         for n in self.nodes:
-            if n.has_gfm != (n.id in by_node):
+            if n.has_gfm != (n.id in rmap):
                 raise ValueError(
                     f"node {n.id}: has_gfm flag does not match resource placement"
                 )
         for eid in self.faulted_edges:
-            if eid not in set(edge_ids):
+            if eid not in emap:
                 raise ValueError(f"faulted edge {eid} does not exist")
-        emap = {e.id: e for e in self.edges}
         for p in self.lateral_policies:
             if p.edge_id not in emap:
                 raise ValueError(f"policy references unknown edge {p.edge_id}")
@@ -118,7 +115,7 @@ class ZoneGraph:
                 raise ValueError(
                     f"policy edge {p.edge_id} is not incident to node {p.gfm_node_id}"
                 )
-            if p.gfm_node_id not in by_node:
+            if p.gfm_node_id not in rmap:
                 raise ValueError(f"policy node {p.gfm_node_id} hosts no resource")
             if p.force_zero and p.min_downstream_nodes != 0:
                 raise ValueError("force_zero policy cannot carry a minimum count")
@@ -136,15 +133,15 @@ class ZoneGraph:
     def resource_at(self, node_id: int) -> GridFormingResource:
         return self._resource_map[node_id]
 
-    @property
+    @cached_property
     def _node_map(self) -> dict[int, ZoneNode]:
         return {n.id: n for n in self.nodes}
 
-    @property
+    @cached_property
     def _edge_map(self) -> dict[int, SwitchEdge]:
         return {e.id: e for e in self.edges}
 
-    @property
+    @cached_property
     def _resource_map(self) -> dict[int, GridFormingResource]:
         return {r.node_id: r for r in self.resources}
 
@@ -228,8 +225,9 @@ def is_radial_forest(g: ZoneGraph, closed: Iterable[int]) -> RadialCheck:
     Returns the GFM-anchored tree census (node sets, ordered by GFM id).
     """
     closed_set = frozenset(closed)
+    emap = g._edge_map
     for eid in closed_set:
-        if eid not in {e.id for e in g.edges}:
+        if eid not in emap:
             raise ValueError(f"unknown edge id {eid}")
         if eid in g.faulted_edges:
             raise ValueError(f"edge {eid} is faulted and cannot be closed")
@@ -243,7 +241,6 @@ def is_radial_forest(g: ZoneGraph, closed: Iterable[int]) -> RadialCheck:
             a = parent[a]
         return a
 
-    emap = {e.id: e for e in g.edges}
     for eid in sorted(closed_set):
         e = emap[eid]
         ra, rb = find(e.tail), find(e.head)

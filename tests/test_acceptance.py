@@ -23,8 +23,8 @@ from gridsplit import (
     leaf_nodes,
     run,
     solve_milp,
+    solve_partition,
     summarize,
-    warm_values_from_topology,
     write_outputs,
 )
 
@@ -37,7 +37,8 @@ def formation_chain(scenario, flex_run):
 
     The coordinator discards column vectors after decoding; the raw values are
     needed to inspect the product-linearization columns, so the chain is
-    rebuilt here with the same inputs, warm starts and penalty defaults.
+    replayed here through the coordinator's own build, warm start, solve and
+    decode, with the same inputs and penalty defaults.
     """
     tl = Timeline()
     wts = FormationWeights()
@@ -45,16 +46,7 @@ def formation_chain(scenario, flex_run):
     prev = None
     for k in range(tl.n_formation_events):
         g_t, snap = formation_inputs(scenario, tl, k)
-        prob = build_milp(g_t, snap, wts, prev=prev)
-        warm = None
-        if prev is not None:
-            active = {e.id for e in g_t.active_edges()}
-            warm = warm_values_from_topology(
-                prob, {eid for eid, on in prev.switch_status.items()
-                       if on and eid in active},
-                prev.assignment)
-        rep = solve_milp(prob.model, warm_integer_values=warm)
-        sol = decode(prob, rep)
+        prob, rep, sol = solve_partition(g_t, snap, prev, wts)
         chain.append((g_t, prob, rep, sol))
         prev = sol
     # the replay must be the run the coordinator actually performed

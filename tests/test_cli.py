@@ -3,9 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from gridsplit import coordinator
 from gridsplit import (
     GridFormingResource,
     Scenario,
+    SolveReport,
+    SolveStatus,
     SwitchEdge,
     ZoneGraph,
     ZoneNode,
@@ -59,6 +62,16 @@ class TestRun:
                      "--emit-plots"]) == 0
         assert (out / "fig8_percent_served.csv").exists()
         assert capsys.readouterr().out.count("wrote ") == 8
+
+    def test_pivot_budget_exit_code(self, tmp_path, capsys, monkeypatch):
+        def budget_spent(model, **kwargs):
+            return SolveReport(SolveStatus.ITERATION_LIMIT, float("nan"),
+                               np.zeros(model.n_variables))
+
+        monkeypatch.setattr(coordinator, "solve_milp", budget_spent)
+        assert main(["run", "--scenario", "builtin:two-feeder",
+                     "--out", str(tmp_path / "out")]) == 3
+        assert "t=0 min" in capsys.readouterr().err
 
     def test_seed_override_accepted(self, tmp_path):
         assert main(["run", "--scenario", "builtin:two-feeder",

@@ -3,17 +3,21 @@ import dataclasses
 import numpy as np
 import pytest
 
+from gridsplit import coordinator
 from gridsplit import (
     FormationSnapshot,
     FormationWeights,
     GridFormingResource,
     Scenario,
+    SolverError,
+    SolveStatus,
     SwitchEdge,
     Timeline,
     ValidationError,
     ZoneGraph,
     ZoneNode,
     build_milp,
+    build_schedule,
     decode,
     diff_topologies,
     fixed_topology_solution,
@@ -82,11 +86,10 @@ class TestTimeline:
         with pytest.raises(ValueError, match="must be positive"):
             Timeline(dispatch_step_minutes=0)
 
-    def test_schedule_lookahead_must_cover_the_formation_step(self):
-        # a shorter plan has no slot for the later steps of an event
-        with pytest.raises(ValueError, match="cover the formation step"):
-            Timeline(schedule_lookahead_minutes=60)
-        Timeline(schedule_lookahead_minutes=180)
+    def test_four_clocks(self):
+        assert [f.name for f in dataclasses.fields(Timeline)] == [
+            "total_minutes", "formation_step_minutes",
+            "schedule_slot_minutes", "dispatch_step_minutes"]
 
 
 class TestFlexibleRun:
@@ -192,6 +195,42 @@ class TestRunValidation:
         sc = mirror_scenario(n_steps=36)   # 180 min of data
         with pytest.raises(ValidationError, match="shorter than the timeline"):
             run(sc, timeline=Timeline(total_minutes=360))
+
+
+class TestEventPath:
+    def test_plans_cover_exactly_one_formation_step(self, scenario,
+                                                    monkeypatch):
+        n_slots = []
+
+        def spy(*args, **kwargs):
+            plan = build_schedule(*args, **kwargs)
+            n_slots.append(plan.n_slots)
+            return plan
+
+        monkeypatch.setattr(coordinator, "build_schedule", spy)
+        tl = Timeline()
+        r = run(scenario, "flexible", tl)
+        # one plan per microgrid and event, each only as long as the event
+        assert len(n_slots) == 2 * len(r.events)
+        assert set(n_slots) \
+            == {tl.formation_step_minutes // tl.schedule_slot_minutes}
+
+    def test_pivot_budget_names_the_event_time(self, monkeypatch):
+        calls = []
+
+        def budget_spent_on_second_event(model, **kwargs):
+            rep = solve_milp(model, **kwargs)
+            calls.append(rep)
+            if len(calls) == 2:
+                rep = dataclasses.replace(
+                    rep, status=SolveStatus.ITERATION_LIMIT)
+            return rep
+
+        monkeypatch.setattr(coordinator, "solve_milp",
+                            budget_spent_on_second_event)
+        with pytest.raises(SolverError, match="t=180 min"):
+            run(mirror_scenario(), "flexible", Timeline(total_minutes=360))
+        assert len(calls) == 2
 
 
 class TestFormationInputs:
