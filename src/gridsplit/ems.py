@@ -14,7 +14,7 @@ every step satisfies served = pv_used + diesel + discharge - charge.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np

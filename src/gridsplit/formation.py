@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .milp import INT_TOL, MilpModel, SolveReport, SolveStatus
 from .netmodel import (LateralPolicy, RadialCheck, ZoneGraph, _components,
                        is_radial_forest, load_islands)

@@ -10,9 +10,17 @@ Each pivot updates the inverse sparsely: the rank-1 term is applied only on
 the rows and columns where it is nonzero, which is a few percent of the
 entries on the formation models. The pivot path is reproducible bit for bit:
 for a given numpy and BLAS build, a model yields the same pivot sequence and
-the same floats on every run. The fixture's ``microgrids.csv`` records
-``repr`` of each objective, so a change that moves an objective's last bits
-changes that file.
+the same floats on every run.
+
+Branch and bound uses one LP engine per role. The root LP, the warm-point LP
+and the final polish LP are solved cold with the two-phase primal simplex
+(as is every LP of the oracle); every other node re-solves with the bounded
+dual simplex from its parent's optimal basis, which a bound change leaves
+dual feasible, and falls back to the cold primal only if that fails. The
+reported point is the polish LP: every integer column fixed at the
+incumbent's value. It depends on the integer optimum alone, not on the
+vertex the search happened to reach, so the fixture's ``microgrids.csv``,
+which records ``repr`` of each objective, does not pin the search's path.
 
 Minimization throughout. Integer variables must carry integral finite bounds.
 """
@@ -27,6 +35,7 @@ from enum import Enum
 import numpy as np
 
 FEAS_TOL = 1e-7          # constraint satisfaction guarantee on Optimal
+PRIMAL_TOL = 1e-9        # bound violations the dual simplex still repairs
 INT_TOL = 1e-6           # integrality acceptance in branch and bound
 DUAL_TOL = 1e-9          # reduced-cost threshold for entering candidates
 PIVOT_TOL = 1e-9         # smallest pivot element magnitude accepted
@@ -180,18 +189,20 @@ class MilpModel:
 
 
 # ---------------------------------------------------------------------------
-# bounded-variable primal simplex
+# bounded-variable primal and dual simplex
 # ---------------------------------------------------------------------------
 
 _AT_LOWER, _AT_UPPER, _BASIC = 0, 1, 2
 
 
 class _Simplex:
-    """One LP solve over the augmented system [A | slacks | artificials].
+    """LP solves over the augmented system [A | slacks | artificials].
 
     Slack bounds encode the row sense ("<=": [0,inf), ">=": (-inf,0],
-    "==": [0,0]). Phase 1 drives artificial columns to zero; phase 2
-    minimizes the real cost with artificials pinned.
+    "==": [0,0]). ``solve`` is the cold two-phase primal: phase 1 drives
+    artificial columns to zero; phase 2 minimizes the real cost with
+    artificials pinned. After it, ``resolve`` re-solves the same system
+    under new structural bounds with the dual simplex.
     """
 
     def __init__(self, a: np.ndarray, senses: list[str], b: np.ndarray,
@@ -284,19 +295,46 @@ class _Simplex:
         self.basis[r] = q
         self.stat[q] = _BASIC
 
+    def _track(self) -> None:
+        """Start the bookkeeping that the pivot loops update incrementally.
+
+        ``sign`` is +1 for a movable nonbasic column at its upper bound, -1
+        at its lower bound, 0 when basic or fixed; ``free`` columns may move
+        either way. ``lo_b``/``hi_b`` are the bounds of the basic columns.
+        """
+        self.sign = np.where(self.stat == _AT_UPPER, 1.0, -1.0)
+        self.sign[(self.stat == _BASIC) | ~((self.hi - self.lo) > 0)] = 0.0
+        self.free = ~np.isfinite(self.lo) & ~np.isfinite(self.hi)
+        self.lo_b, self.hi_b = self.lo[self.basis], self.hi[self.basis]
+
+    def _exchange(self, r: int, q: int, w: np.ndarray, step: float,
+                  to_upper: bool) -> None:
+        """Basic row ``r`` leaves at its upper (else lower) bound; column
+        ``q`` enters after moving by ``step``. The caller has already moved
+        the other basic values by that step."""
+        leave = self.basis[r]
+        self.values[leave] = self.hi_b[r] if to_upper else self.lo_b[r]
+        self.stat[leave] = _AT_UPPER if to_upper else _AT_LOWER
+        self.sign[leave] = (1.0 if to_upper else -1.0) \
+            if self.hi[leave] - self.lo[leave] > 0 else 0.0
+        self.values[q] += step
+        self._pivot(r, q, w)
+        self.xb[r] = self.values[q]
+        self.sign[q] = 0.0
+        self.lo_b[r], self.hi_b[r] = self.lo[q], self.hi[q]
+        if self.pivots % REFACTOR_EVERY == 0:
+            self._refactor()
+
     def _run(self, cost: np.ndarray) -> str:
         m, n, art0 = self.m, self.n, self.art0
         # reduced costs by block: y @ A for structurals, identity slacks,
         # one signed (or empty) artificial column per row
         a = np.ascontiguousarray(self.full[:, :n])
         art_sign = self.full[np.arange(m), art0 + np.arange(m)]
-        # entering score is d * sign: +1 for a movable column at its upper
-        # bound, -1 at its lower bound, 0 when basic or fixed; free columns
-        # may move either way and score |d|
-        sign = np.where(self.stat == _AT_UPPER, 1.0, -1.0)
-        sign[(self.stat == _BASIC) | ~((self.hi - self.lo) > 0)] = 0.0
-        free = np.flatnonzero(~np.isfinite(self.lo) & ~np.isfinite(self.hi))
-        lo_b, hi_b = self.lo[self.basis], self.hi[self.basis]
+        # entering score is d * sign; free columns score |d|
+        self._track()
+        sign, lo_b, hi_b = self.sign, self.lo_b, self.hi_b
+        free = np.flatnonzero(self.free)
         with np.errstate(invalid="ignore"):
             while True:
                 if self.pivots >= self.pivot_cap:
@@ -356,20 +394,7 @@ class _Simplex:
                 if abs(w[r]) <= PIVOT_TOL:
                     raise SolverError("pivot element vanished in ratio test")
 
-                leave = self.basis[r]
-                at_upper = rate[r] >= 0
-                self.values[leave] = hi_b[r] if at_upper else lo_b[r]
-                self.stat[leave] = _AT_UPPER if at_upper else _AT_LOWER
-                sign[leave] = (1.0 if at_upper else -1.0) \
-                    if self.hi[leave] - self.lo[leave] > 0 else 0.0
-                self.values[q] += sigma * t_star
-                self._pivot(r, q, w)
-                self.xb[r] = self.values[q]
-                sign[q] = 0.0
-                lo_b[r], hi_b[r] = self.lo[q], self.hi[q]
-
-                if self.pivots % REFACTOR_EVERY == 0:
-                    self._refactor()
+                self._exchange(r, q, w, sigma * t_star, rate[r] >= 0)
 
     def _evict_artificials(self) -> None:
         # swap any basic artificial for a real column sharing its row; the
@@ -405,9 +430,67 @@ class _Simplex:
         status = self._run(self.cost)
         if status == "limit":
             return "limit", self.values[:self.n]
+        return "optimal", self._audit()
+
+    def resolve(self, lower: np.ndarray, upper: np.ndarray, basis: np.ndarray,
+                stat: np.ndarray) -> tuple[str, np.ndarray]:
+        """Bounded dual simplex from an optimal basis of this same system.
+
+        ``basis`` and ``stat`` come from an optimal solve whose structural
+        bounds differ from ``lower``/``upper`` only on basic columns, so the
+        reduced costs keep their signs: the basis stays dual feasible and
+        only the primal side needs repair. Artificial columns stay nonbasic
+        and fixed at zero. Counts its pivots into ``self.pivots``.
+        """
+        n, art0 = self.n, self.art0
+        self.lo[:n], self.hi[:n] = lower, upper
+        self.basis, self.stat = basis.copy(), stat.copy()
+        self.values = np.where(self.stat == _AT_UPPER, self.hi,
+                               np.where(np.isfinite(self.lo), self.lo, 0.0))
         self._refactor()
 
-        # tolerance audit before claiming optimality
+        a = np.ascontiguousarray(self.full[:, :art0])
+        cost = self.cost[:art0]
+        self._track()
+        sign, free = self.sign[:art0], self.free[:art0]
+        lo_b, hi_b = self.lo_b, self.hi_b
+        cap = self.pivots + self.pivot_cap
+        with np.errstate(invalid="ignore"):
+            while True:
+                # leaving row: the basic variable farthest outside its bounds
+                viol = np.maximum(lo_b - self.xb, self.xb - hi_b)
+                if not viol.max(initial=0.0) > PRIMAL_TOL:
+                    return "optimal", self._audit()
+                if self.pivots >= cap:
+                    return "limit", self.values[:n]
+                r = int(np.argmax(viol))
+                rising = self.xb[r] < lo_b[r]
+
+                # ratio test over the columns whose move pushes basic r
+                # toward its bound; ties go to the largest |alpha|
+                alpha = self.binv[r] @ a
+                push = alpha * sign * (1.0 if rising else -1.0)
+                elig = np.flatnonzero((push > PIVOT_TOL)
+                                      | (free & (np.abs(alpha) > PIVOT_TOL)))
+                if not elig.size:
+                    return "infeasible", self.values[:n]
+                y = cost[self.basis] @ self.binv
+                ratio = np.abs(cost[elig] - y @ a[:, elig]) / np.abs(alpha[elig])
+                tied = elig[ratio <= ratio.min() + 1e-12]
+                q = int(tied[np.argmax(np.abs(alpha[tied]))])
+
+                w = self.binv @ self.full[:, q]
+                if abs(w[r]) <= PIVOT_TOL:
+                    raise SolverError("pivot element vanished in dual ratio test")
+                theta = (self.xb[r] - (lo_b[r] if rising else hi_b[r])) / w[r]
+                self.pivots += 1
+                self.xb -= theta * w
+                self.values[self.basis] = self.xb
+                self._exchange(r, q, w, theta, not rising)
+
+    def _audit(self) -> np.ndarray:
+        """Refactorize, then check the point before claiming optimality."""
+        self._refactor()
         x = self.values.copy()
         resid = self.full @ x - self.b
         if np.max(np.abs(resid), initial=0.0) > FEAS_TOL:
@@ -416,7 +499,7 @@ class _Simplex:
         above = np.where(np.isfinite(self.hi), x - self.hi, 0.0)
         if max(below.max(initial=0.0), above.max(initial=0.0)) > FEAS_TOL:
             raise SolverError("optimal point violates variable bounds")
-        return "optimal", x[:self.n]
+        return x[:self.n]
 
 
 def _solve_lp_arrays(a, senses, b, lower, upper, cost,
@@ -452,6 +535,9 @@ class _Node:
     seq: int
     lower: np.ndarray = field(compare=False)
     upper: np.ndarray = field(compare=False)
+    # the parent's final basis and column statuses; None at the root
+    warm: tuple[np.ndarray, np.ndarray] | None = field(compare=False,
+                                                       default=None)
 
 
 def solve_milp(model: MilpModel, *, node_limit: int = 1_000_000,
@@ -464,6 +550,13 @@ def solve_milp(model: MilpModel, *, node_limit: int = 1_000_000,
     incumbent, and accepts integrality at ``INT_TOL``. An optional warm point
     (integer variable -> value) seeds the incumbent; it never changes the
     optimum, only the amount of pruning.
+
+    The root LP is solved cold with the primal simplex. Every other node
+    re-solves on the root's system with the dual simplex from its parent's
+    basis, and cold only when that fails (pivot cap, singular basis or a
+    failed audit). An optimal report's values and objective are those of
+    one cold LP with every integer column fixed at its incumbent value, so
+    they depend on the integer optimum, not on the path the search took.
     """
     t0 = time.perf_counter()
     a, senses, b, lower, upper, cost = model.dense()
@@ -475,18 +568,40 @@ def solve_milp(model: MilpModel, *, node_limit: int = 1_000_000,
     nodes = 0
     incumbent_obj = np.inf
     incumbent_x: np.ndarray | None = None
+    # bounds of the cold LP that produced the incumbent; None after a dual one
+    incumbent_lp: tuple[np.ndarray, np.ndarray] | None = None
+    root: _Simplex | None = None
 
     class _PivotBudget(Exception):
         pass
 
-    def lp(lo: np.ndarray, hi: np.ndarray):
+    def fractional(x: np.ndarray) -> np.ndarray:
+        return np.abs(x[int_idx] - np.round(x[int_idx])) > INT_TOL
+
+    def cold(lo: np.ndarray, hi: np.ndarray):
         nonlocal total_pivots
-        status, obj, x, pivots = _solve_lp_arrays(a, senses, b, lo, hi, cost,
-                                                  pivot_cap)
-        total_pivots += pivots
+        sx = _Simplex(a, senses, b, lo, hi, cost, pivot_cap)
+        status, x = sx.solve()
+        total_pivots += sx.pivots
         if status == "limit":
             raise _PivotBudget()
-        return status, obj, x
+        return sx, status, x
+
+    def node_lp(node: _Node):
+        nonlocal total_pivots, root
+        if node.warm is not None:
+            before = root.pivots
+            try:
+                status, x = root.resolve(node.lower, node.upper, *node.warm)
+            except SolverError:
+                status = "limit"
+            total_pivots += root.pivots - before
+            if status != "limit":
+                return root, status, x, False
+        sx, status, x = cold(node.lower, node.upper)
+        if root is None:
+            root = sx
+        return sx, status, x, True
 
     def finish(status: SolveStatus) -> SolveReport:
         obj = incumbent_obj + model.offset if incumbent_x is not None else float("nan")
@@ -504,9 +619,10 @@ def solve_milp(model: MilpModel, *, node_limit: int = 1_000_000,
                 else:
                     break
             else:
-                status, obj, x = lp(lo, hi)
-                if status == "optimal":
-                    incumbent_obj, incumbent_x = obj, x
+                _, status, x = cold(lo, hi)
+                if status == "optimal" and not fractional(x).any():
+                    incumbent_obj, incumbent_x = float(cost @ x), x
+                    incumbent_lp = (lo, hi)
 
         heap: list[_Node] = []
         seq = 0
@@ -518,16 +634,16 @@ def solve_milp(model: MilpModel, *, node_limit: int = 1_000_000,
             if nodes >= node_limit:
                 return finish(SolveStatus.ITERATION_LIMIT)
             nodes += 1
-            status, obj, x = lp(node.lower, node.upper)
-            if status != "optimal" or obj >= incumbent_obj - PRUNE_EPS:
+            sx, status, x, was_cold = node_lp(node)
+            if status != "optimal":
                 continue
-            if int_idx.size:
-                frac = np.abs(x[int_idx] - np.round(x[int_idx]))
-                worst = frac > INT_TOL
-            else:
-                worst = np.zeros(0, dtype=bool)
+            obj = float(cost @ x)
+            if obj >= incumbent_obj - PRUNE_EPS:
+                continue
+            worst = fractional(x)
             if not worst.any():
                 incumbent_obj, incumbent_x = obj, x
+                incumbent_lp = (node.lower, node.upper) if was_cold else None
                 continue
             # most fractional first; ties go to the lowest variable id
             cand = int_idx[worst]
@@ -535,6 +651,7 @@ def solve_milp(model: MilpModel, *, node_limit: int = 1_000_000,
             best = dist.min()
             j = int(cand[dist <= best + 1e-12].min())
             v = x[j]
+            warm = (sx.basis.copy(), sx.stat.copy())
             for side in (0, 1):
                 lo, hi = node.lower.copy(), node.upper.copy()
                 if side == 0:
@@ -544,11 +661,23 @@ def solve_milp(model: MilpModel, *, node_limit: int = 1_000_000,
                 if lo[j] > hi[j]:
                     continue
                 seq += 1
-                heapq.heappush(heap, _Node(obj, seq, lo, hi))
+                heapq.heappush(heap, _Node(obj, seq, lo, hi, warm))
         if incumbent_x is None:
             return SolveReport(SolveStatus.INFEASIBLE, float("nan"),
                                np.full(model.n_variables, np.nan), nodes,
                                total_pivots, time.perf_counter() - t0)
-        return finish(SolveStatus.OPTIMAL)
     except _PivotBudget:
         return finish(SolveStatus.ITERATION_LIMIT)
+
+    # polish: the cold LP with every integer column fixed at the incumbent's
+    # value, unless the incumbent already came from exactly that LP
+    lo, hi = lower.copy(), upper.copy()
+    lo[int_idx] = hi[int_idx] = np.round(incumbent_x[int_idx]) + 0.0
+    if incumbent_lp is None or not (np.array_equal(incumbent_lp[0], lo)
+                                    and np.array_equal(incumbent_lp[1], hi)):
+        status, obj, x, pivots = _solve_lp_arrays(a, senses, b, lo, hi, cost,
+                                                  pivot_cap)
+        total_pivots += pivots
+        if status == "optimal":
+            incumbent_obj, incumbent_x = obj, x
+    return finish(SolveStatus.OPTIMAL)

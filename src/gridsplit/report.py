@@ -12,8 +12,6 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .coordinator import RestorationRun
 
 UNSERVED_TOL_KW = 1e-9

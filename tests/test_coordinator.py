@@ -95,8 +95,10 @@ class TestTimeline:
 class TestFlexibleRun:
     def test_objectives_are_reproduced_bit_for_bit(self, flex_run):
         # microgrids.csv writes repr(objective), so the committed fixture
-        # outputs hold these exact floats; any change to the simplex pivot
-        # path moves their last bits and fails here
+        # outputs hold these exact floats. Each is the objective of the cold
+        # LP with the integer columns fixed at the optimum, so a change of
+        # search path leaves them alone; a change to the primal simplex or
+        # to the integer optimum of an event fails here
         assert [ev.solution.objective_value for ev in flex_run.events] \
             == FLEX_OBJECTIVES
 

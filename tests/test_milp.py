@@ -4,9 +4,13 @@ from scipy.optimize import Bounds, LinearConstraint, linprog
 from scipy.optimize import milp as scipy_milp
 
 from gridsplit import (
+    FormationWeights,
     MilpModel,
     SolverError,
     SolveStatus,
+    build_milp,
+    decode,
+    formation_inputs,
     solve_lp,
     solve_milp,
 )
@@ -104,6 +108,19 @@ def test_solver_is_deterministic():
     second = solve_milp(m)
     assert first.objective == second.objective
     assert np.array_equal(first.values, second.values)
+
+
+def test_partial_warm_point_seeds_only_an_integral_incumbent():
+    # Fixing y alone leaves x = 3.5 in the warm LP. Taken as the incumbent,
+    # it would prune the root (bound -3.5) and be reported as the optimum.
+    m = MilpModel()
+    x = m.add_variable("x", 0, 10, integer=True, objective=-1.0)
+    y = m.add_variable("y", 0, 1, integer=True)
+    m.add_constraint({x: 2.0}, "<=", 7.0)
+    rep = solve_milp(m, warm_integer_values={y: 0.0})
+    assert rep.status is SolveStatus.OPTIMAL
+    assert rep.objective == pytest.approx(-3.0)
+    assert rep.values[x] == pytest.approx(3.0)
 
 
 def test_lp_text_round_trips_key_parts():
@@ -260,3 +277,93 @@ def test_milp_fuzz_matches_scipy_branch_and_bound():
         assert rep.objective == pytest.approx(res.fun, abs=1e-6, rel=1e-6)
         checked += 1
     assert checked >= 12
+
+
+# ---------------------------------------------------------------------------
+# branch and bound: dual re-solves of the children, cold fallback, polish
+# ---------------------------------------------------------------------------
+
+def _fuzz_milps():
+    rng = np.random.default_rng(987123)
+    return [_random_model(rng, with_integers=True) for _ in range(40)]
+
+
+@pytest.fixture(scope="module")
+def event_zero_model(scenario):
+    g_t, snap = formation_inputs(scenario, None, 0)
+    return build_milp(g_t, snap, FormationWeights())
+
+
+def test_dual_children_match_cold_solves(monkeypatch, event_zero_model):
+    resolve = milp._Simplex.resolve
+    current = {}
+    checked = []
+
+    def spy(self, lower, upper, basis, stat):
+        status, x = resolve(self, lower, upper, basis, stat)
+        if status != "limit":
+            a, senses, b, _, _, cost = current["dense"]
+            ref, ref_obj, _, _ = milp._solve_lp_arrays(
+                a, senses, b, lower, upper, cost, 10_000)
+            assert status == ref
+            if status == "optimal":
+                assert float(cost @ x) == pytest.approx(ref_obj, rel=1e-9,
+                                                        abs=1e-9)
+            checked.append(status)
+        return status, x
+
+    monkeypatch.setattr(milp._Simplex, "resolve", spy)
+    for model in _fuzz_milps() + [event_zero_model.model]:
+        current["dense"] = model.dense()
+        solve_milp(model)
+    # the dual path carried the search: 18 optimal and 5 infeasible children
+    assert checked.count("optimal") >= 15
+    assert checked.count("infeasible") >= 3
+
+
+def test_failed_dual_re_solve_falls_back_to_the_cold_primal(
+        monkeypatch, event_zero_model):
+    prob = event_zero_model
+    expected = decode(prob, solve_milp(prob.model))
+    calls = []
+
+    def broken(self, *args):
+        calls.append(1)
+        raise SolverError("singular basis during refactorization")
+
+    monkeypatch.setattr(milp._Simplex, "resolve", broken)
+    rep = solve_milp(prob.model)
+    sol = decode(prob, rep)
+    assert rep.node_count > 1 and len(calls) == rep.node_count - 1
+    assert sol.objective_value == expected.objective_value
+    assert sol.switch_status == expected.switch_status
+    assert sol.assignment == expected.assignment
+
+
+def test_reported_point_is_the_cold_lp_at_the_integer_optimum(
+        event_zero_model):
+    def fixed_lp(model, values):
+        a, senses, b, lower, upper, cost = model.dense()
+        ints = np.array(model.integer_indices(), dtype=int)
+        # integral values, with -0.0 normalised to 0.0
+        lower[ints] = upper[ints] = np.round(values[ints]) + 0.0
+        status, _, x, _ = milp._solve_lp_arrays(
+            a, senses, b, lower, upper, cost,
+            100 * (model.n_constraints + model.n_variables))
+        assert status == "optimal"
+        return x
+
+    model = event_zero_model.model
+    searched = solve_milp(model)
+    # the incumbent comes from the search here, so the polish LP runs ...
+    assert searched.node_count > 1
+    # ... and a warm point at the optimum is that LP already
+    warm = {j: float(v) for j, v in enumerate(searched.values)
+            if model.is_integer[j]}
+    seeded = solve_milp(model, warm_integer_values=warm)
+    cases = [(model, searched), (model, seeded)]
+    cases += [(m, r) for m, r in ((m, solve_milp(m)) for m in _fuzz_milps())
+              if r.status is SolveStatus.OPTIMAL]
+    assert len(cases) >= 14
+    for m, rep in cases:
+        assert rep.values.tobytes() == fixed_lp(m, rep.values).tobytes()
