@@ -3,6 +3,12 @@
 Everything written here is deterministic: floats are serialized with repr,
 JSON keys are sorted, and wall-clock timings never reach the files, so two
 runs of the same scenario and seed produce byte-identical artifacts.
+
+The per-step tables (``trace.csv`` and figures 5 to 7) go through the
+columnar block writer of ``scenario``: it turns a block of steps of each
+array into column lists in one call, formats them with repr (floats) or as
+integers (bools and ints) and writes the same bytes ``csv.writer`` wrote row
+by row. The event-sized files keep their row writers.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .coordinator import RestorationRun
+from .scenario import _write_columns
 
 UNSERVED_TOL_KW = 1e-9
 
@@ -174,25 +181,11 @@ def _write_trace(run: RestorationRun, path: Path) -> None:
                    f"assigned_{z}"]
     for j in gs:
         header += [f"battery_{j}", f"diesel_{j}", f"soc_{j}", f"fuel_{j}"]
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(header)
-        for s in range(run.n_steps):
-            row: list[str] = [str(int(run.time_min[s]))]
-            for c, _z in enumerate(zs):
-                row += [repr(float(run.served_kw[s, c])),
-                        repr(float(run.unserved_kw[s, c])),
-                        repr(float(run.pv_potential_kw[s, c])),
-                        repr(float(run.pv_used_kw[s, c])),
-                        str(int(run.committed[s, c])),
-                        str(int(run.energized[s, c])),
-                        str(int(run.assignment[s, c]))]
-            for c, _j in enumerate(gs):
-                row += [repr(float(run.battery_kw[s, c])),
-                        repr(float(run.diesel_kw[s, c])),
-                        repr(float(run.soc_kwh[s, c])),
-                        repr(float(run.fuel_kwh[s, c]))]
-            wr.writerow(row)
+    _write_columns(path, header, [
+        [run.time_min],
+        [run.served_kw, run.unserved_kw, run.pv_potential_kw, run.pv_used_kw,
+         run.committed, run.energized, run.assignment],
+        [run.battery_kw, run.diesel_kw, run.soc_kwh, run.fuel_kwh]])
 
 
 def _write_microgrids(run: RestorationRun, path: Path) -> None:
@@ -233,7 +226,8 @@ def _write_changes(run: RestorationRun, path: Path) -> None:
                              "closed" if now else "open"])
 
 
-def _write_plot_csvs(run: RestorationRun, out: Path) -> None:
+def _write_plot_csvs(run: RestorationRun, out: Path,
+                     summary: MetricsSummary) -> None:
     sc = run.scenario
     g = sc.graph
     feeders = sorted({n.feeder_id for n in g.nodes})
@@ -241,43 +235,28 @@ def _write_plot_csvs(run: RestorationRun, out: Path) -> None:
                  for f in feeders}
     n = run.n_steps
 
-    with open(out / PLOT_NAMES[0], "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["time_min"] + [f"load_feeder_{f}" for f in feeders]
-                    + [f"pv_feeder_{f}" for f in feeders])
-        for s in range(n):
-            row = [str(int(run.time_min[s]))]
-            row += [repr(float(sum(sc.load_kw[z][s] for z in by_feeder[f])))
-                    for f in feeders]
-            row += [repr(float(sum(sc.pv_kw[z][s] for z in by_feeder[f])))
-                    for f in feeders]
-            wr.writerow(row)
+    # feeder totals add the zones in graph order, one at a time, as a
+    # running sum of scalars did: np.sum would pair them and move last bits
+    totals = []
+    for table in (sc.load_kw, sc.pv_kw):
+        for f in feeders:
+            acc = 0.0
+            for z in by_feeder[f]:
+                acc = acc + table[z][:n]
+            totals.append(acc)
+    _write_columns(out / PLOT_NAMES[0],
+                   ["time_min"] + [f"load_feeder_{f}" for f in feeders]
+                   + [f"pv_feeder_{f}" for f in feeders],
+                   [[run.time_min]] + [[t] for t in totals])
+    _write_columns(out / PLOT_NAMES[1],
+                   ["time_min"] + [f"soc_{j}" for j in run.gfm_ids]
+                   + [f"fuel_{j}" for j in run.gfm_ids],
+                   [[run.time_min], [run.soc_kwh], [run.fuel_kwh]])
+    _write_columns(out / PLOT_NAMES[2],
+                   ["time_min"] + [f"assigned_{z}" for z in run.zone_ids]
+                   + [f"energized_{z}" for z in run.zone_ids],
+                   [[run.time_min], [run.assignment], [run.energized]])
 
-    with open(out / PLOT_NAMES[1], "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["time_min"] + [f"soc_{j}" for j in run.gfm_ids]
-                    + [f"fuel_{j}" for j in run.gfm_ids])
-        for s in range(n):
-            row = [str(int(run.time_min[s]))]
-            row += [repr(float(run.soc_kwh[s, c]))
-                    for c in range(len(run.gfm_ids))]
-            row += [repr(float(run.fuel_kwh[s, c]))
-                    for c in range(len(run.gfm_ids))]
-            wr.writerow(row)
-
-    with open(out / PLOT_NAMES[2], "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["time_min"] + [f"assigned_{z}" for z in run.zone_ids]
-                    + [f"energized_{z}" for z in run.zone_ids])
-        for s in range(n):
-            row = [str(int(run.time_min[s]))]
-            row += [str(int(run.assignment[s, c]))
-                    for c in range(len(run.zone_ids))]
-            row += [str(int(run.energized[s, c]))
-                    for c in range(len(run.zone_ids))]
-            wr.writerow(row)
-
-    summary = summarize(run)
     with open(out / PLOT_NAMES[3], "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["zone", "is_critical", "percent_served"])
@@ -301,6 +280,6 @@ def write_outputs(run: RestorationRun, out_dir: str | Path,
     _write_microgrids(run, out / MICROGRIDS_NAME)
     _write_changes(run, out / CHANGES_NAME)
     if emit_plots:
-        _write_plot_csvs(run, out)
+        _write_plot_csvs(run, out, summary)
         paths += [out / name for name in PLOT_NAMES]
     return paths

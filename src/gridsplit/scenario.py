@@ -4,7 +4,10 @@ A scenario couples a zone graph with true load and PV profiles at dispatch
 resolution, plus fault windows and forecast-noise settings. On disk it is one
 JSON document plus two CSV profile tables; in memory everything is numpy.
 
-Floats are written with ``repr`` so a save/load cycle is bit-exact.
+Floats are written with ``repr`` so a save/load cycle is bit-exact. The
+profile tables, like the per-step tables of ``report``, go through one
+columnar writer that formats a block of steps per call instead of one cell
+at a time; its bytes are those ``csv.writer`` wrote row by row.
 """
 
 from __future__ import annotations
@@ -133,12 +136,18 @@ def _need(obj: dict, key: str, kind, ptr: str):
     return v
 
 
+def _opt(obj: dict, key: str, kind, ptr: str, default):
+    """Like ``_need`` for a field that may be left out."""
+    return _need(obj, key, kind, ptr) if key in obj else default
+
+
 def _read_profile_csv(path: Path, zone_ids: list[int],
                       step_minutes: int) -> dict[int, np.ndarray]:
     try:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
-    except OSError as exc:
+    except (OSError, ValueError, csv.Error) as exc:
+        # ValueError: a NUL in the file name or bytes that are not text
         raise ParseError(f"{path}: {exc}") from exc
     if not rows:
         raise ParseError(f"{path}: empty file")
@@ -164,6 +173,8 @@ def _read_profile_csv(path: Path, zone_ids: list[int],
         if t != (r - 2) * step_minutes:
             raise ValidationError(
                 f"{path}:{r}: time_min {t} is not {(r - 2) * step_minutes}")
+    if not np.all(np.isfinite(data)):
+        raise ValidationError(f"{path}: non-finite power values")
     if np.any(data < 0):
         raise ValidationError(f"{path}: negative power values")
     return {z: data[:, c].copy() for c, z in enumerate(cols)}
@@ -178,10 +189,13 @@ def load_scenario(path: str | Path) -> Scenario:
         raise ValidationError(f"unknown builtin scenario {key!r}")
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
-    except OSError as exc:
+        text = path.read_text()
+    except (OSError, ValueError) as exc:
+        # ValueError: a NUL in the file name or bytes that are not text
         raise ParseError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    try:
+        doc = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError("/: document must be an object")
@@ -192,6 +206,8 @@ def load_scenario(path: str | Path) -> Scenario:
 
     name = _need(doc, "name", str, "")
     step_minutes = _need(doc, "step_minutes", int, "")
+    if step_minutes <= 0:
+        raise ValidationError("/step_minutes: must be positive")
 
     nodes = []
     for idx, nd in enumerate(_need(doc, "nodes", list, "")):
@@ -232,22 +248,23 @@ def load_scenario(path: str | Path) -> Scenario:
             diesel_fuel_kwh=_need(rd, "diesel_fuel_kwh", float, ptr)))
 
     policies = []
-    for idx, pd in enumerate(doc.get("lateral_policies", [])):
+    for idx, pd in enumerate(_opt(doc, "lateral_policies", list, "", [])):
         ptr = f"/lateral_policies/{idx}"
         if not isinstance(pd, dict):
             raise ValidationError(f"{ptr}: expected an object")
         policies.append(LateralPolicy(
             gfm_node_id=_need(pd, "gfm_node_id", int, ptr),
             edge_id=_need(pd, "edge_id", int, ptr),
-            min_downstream_nodes=pd.get("min_downstream_nodes", 0),
-            force_zero=pd.get("force_zero", False)))
+            min_downstream_nodes=_opt(pd, "min_downstream_nodes", int, ptr, 0),
+            force_zero=_opt(pd, "force_zero", bool, ptr, False)))
 
-    faulted = doc.get("faulted_edges", [])
-    if not isinstance(faulted, list):
-        raise ValidationError("/faulted_edges: expected a list")
+    faulted = _opt(doc, "faulted_edges", list, "", [])
+    for idx, eid in enumerate(faulted):
+        if not isinstance(eid, int) or isinstance(eid, bool):
+            raise ValidationError(f"/faulted_edges/{idx}: expected an integer")
 
     windows = []
-    for idx, wd in enumerate(doc.get("fault_windows", [])):
+    for idx, wd in enumerate(_opt(doc, "fault_windows", list, "", [])):
         ptr = f"/fault_windows/{idx}"
         if not isinstance(wd, dict):
             raise ValidationError(f"{ptr}: expected an object")
@@ -270,20 +287,48 @@ def load_scenario(path: str | Path) -> Scenario:
 
     return Scenario(name=name, graph=graph, step_minutes=step_minutes,
                     load_kw=load, pv_kw=pv, fault_windows=tuple(windows),
-                    forecast_sigma=float(doc.get("forecast_sigma", 0.0)),
-                    forecast_seed=int(doc.get("forecast_seed", 0)))
+                    forecast_sigma=_opt(doc, "forecast_sigma", float, "", 0.0),
+                    forecast_seed=_opt(doc, "forecast_seed", int, "", 0))
+
+
+_BLOCK_ROWS = 256   # steps formatted per pass; bounds the strings held at once
+
+
+def _cells(block: np.ndarray) -> list:
+    """Columns of one block as string iterators: floats by repr, the rest as ints."""
+    block = block.reshape(len(block), -1)
+    if block.dtype.kind == "f":
+        return [map(repr, col) for col in block.T.tolist()]
+    return [map(str, col) for col in block.astype(np.int64).T.tolist()]
+
+
+def _write_columns(path: Path, header: list[str],
+                   groups: list[list[np.ndarray]]) -> None:
+    """Write per-step arrays as CSV columns, ``_BLOCK_ROWS`` rows at a time.
+
+    Every array is 1-D or 2-D with one row per step. Within a group the
+    arrays share their column count and interleave column by column (column
+    0 of each, then column 1 of each, ...); the groups follow one another.
+    Rows end in ``\r\n`` and no field needs quoting, as with ``csv.writer``.
+    """
+    n = len(groups[0][0])
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for s0 in range(0, n, _BLOCK_ROWS):
+            cols = []
+            for group in groups:
+                parts = [_cells(a[s0:s0 + _BLOCK_ROWS]) for a in group]
+                cols += [col for cs in zip(*parts) for col in cs]
+            fh.write("".join([",".join(row) + "\r\n" for row in zip(*cols)]))
 
 
 def _write_profile_csv(path: Path, table: dict[int, np.ndarray],
                        step_minutes: int) -> None:
     zones = sorted(table)
     n = len(table[zones[0]])
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["time_min"] + [str(z) for z in zones])
-        for s in range(n):
-            wr.writerow([repr(float(s * step_minutes))]
-                        + [repr(float(table[z][s])) for z in zones])
+    _write_columns(path, ["time_min"] + [str(z) for z in zones],
+                   [[np.arange(n, dtype=float) * step_minutes]]
+                   + [[np.asarray(table[z], dtype=float)] for z in zones])
 
 
 def save_scenario(sc: Scenario, json_path: str | Path) -> None:

@@ -12,6 +12,7 @@ from gridsplit import (
     SwitchEdge,
     ZoneGraph,
     ZoneNode,
+    fixture_two_feeder,
     save_scenario,
 )
 from gridsplit.cli import main
@@ -89,6 +90,15 @@ class TestRun:
         assert main(["run", "--scenario", str(bad),
                      "--out", str(tmp_path / "o")]) == 2
         assert "/schema_version: missing" in capsys.readouterr().err
+
+    def test_mistyped_optional_field(self, tmp_path, capsys):
+        save_scenario(fixture_two_feeder(), tmp_path / "sc.json")
+        doc = json.loads((tmp_path / "sc.json").read_text())
+        doc["forecast_seed"] = "x"
+        (tmp_path / "sc.json").write_text(json.dumps(doc))
+        assert main(["run", "--scenario", str(tmp_path / "sc.json"),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "/forecast_seed: expected" in capsys.readouterr().err
 
     def test_unknown_mode_rejected_by_argparse(self, tmp_path):
         with pytest.raises(SystemExit):

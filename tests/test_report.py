@@ -1,5 +1,6 @@
 import dataclasses
 import filecmp
+import hashlib
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from gridsplit import (
     write_outputs,
 )
 from gridsplit.report import summary_from_file
+from gridsplit.scenario import _BLOCK_ROWS
 
 
 def two_zone_scenario(soc0=1.0, name="pair"):
@@ -154,3 +156,84 @@ class TestOutputs:
         head = lines[0].split(",")
         assert head[0] == "time_min"
         assert "served_1" in head and "soc_1" in head
+
+
+# SHA-256 of every file written by write_outputs(..., emit_plots=True),
+# recorded with the row-by-row writers the columnar block writer replaced.
+FIXTURE_FLEX_DIGESTS = {
+    "summary.json": "867b07bc5de0ce364236bba1fa5a4ec9331de381bc22813ed56a6261bd4a0736",
+    "trace.csv": "e14680c96721cbfb40305f04f6661f8d9bd0f0b02a3aaf04aab185a4d9f4ecc8",
+    "microgrids.csv": "ab881bf8244d0d59a552c420ea8e76d8602173696ee68ce3b67cc5894138fea6",
+    "topology_changes.csv": "5a5707fad14f6c6287b9ce7aeb4d66f12fe45656c555a836cf5e867b28c9c941",
+    "fig5_load_pv.csv": "3e561dbb56169ae973317ce8914b94a3ed797c6430b7cf69a39d242c20ec5eec",
+    "fig6_soc_fuel.csv": "41752ac36252a10bc402004c03d1dc3afe4238aeac8f49dfd58c3227eb0dec53",
+    "fig7_connectivity.csv": "21ddbf6a052d45e083d83360dec326e7198f6c619c196c947b4e85fbf2a5f2e9",
+    "fig8_percent_served.csv": "d71f41f2a3c2740422a3794ecff1879ba65d82716f100f5e35ed0c22d2234888",
+}
+NO_CHANGES = "ab91df184a9f0340d7e5c544e58fc678c01aa2fda6db7ff3b2f519e2c8e476e6"
+SHORT_RUN_DIGESTS = {
+    # fixture, fixed, one day of its two: 288 steps
+    "one-day": {
+        "summary.json": "4444b5fe46fbf30f898eb18c80badd540bf5112b2e3f682e9cd1083af975fbe5",
+        "trace.csv": "bc1fc5a56e7942174ce02f9777866836feb6e47663998eb847673ddd7f9f0346",
+        "microgrids.csv": "b0b000882571bebb7f80c8b1479bfe47f32af4a7696d2a7e402d89cc6c7806f9",
+        "topology_changes.csv": NO_CHANGES,
+        "fig5_load_pv.csv": "7f82a54cc8f7115bc917cf22e16abaf99216ddf5d45c3d7196d65cd637acce93",
+        "fig6_soc_fuel.csv": "a0839db4019d843c1943bea718497c36be0488c01464dfca127a2e415a5ca25f",
+        "fig7_connectivity.csv": "426245e9e8d7c3ec72adb609954bb2014405d1987305c6dc57d663fb3217d5f7",
+        "fig8_percent_served.csv": "9bc1f45963bea184c20aa8cf3bfc697e20cd1eb44faf70a75b6f092d1b70eb55",
+    },
+    # fixture, fixed, 2560 minutes at 160-minute formation steps: 512 steps
+    "512-steps": {
+        "summary.json": "ae9b53795811c35ba358e43f429653982a0b93562049999aea1caa0f150a97e8",
+        "trace.csv": "debc55a7bc6f1540353fea6f995faa5265473f2cec8321d39e180f2b64a961dd",
+        "microgrids.csv": "e10b77320f28628d3b3aea4fa22cd8074b26465ac0aa9639269f723ce254a97f",
+        "topology_changes.csv": NO_CHANGES,
+        "fig5_load_pv.csv": "c5f66e6576ece6d3eb0e5cf0897c430f1f46fcc3a6298ed631b7b2e49087345c",
+        "fig6_soc_fuel.csv": "cecf2b1c0d7f7836ae6d5805c7eed85f3d0e9e2102b74a0fb153c2ac952694a5",
+        "fig7_connectivity.csv": "e387beb6cfff2dc7f7fa98455d9b2c868bc64690920d3e7de373b716508fb5dd",
+        "fig8_percent_served.csv": "d485ff618d87221965e0fa5e6d7577491445d8c6fa0d3542351cfdb38534fc81",
+    },
+}
+PAIR_DIGESTS = {
+    "summary.json": "cfd6041e0909bb35d8da61b051e539ee7c137a012ca5042cabfad649d10a7d1c",
+    "trace.csv": "3816fad194668ef75bbaf5f2271dbf3843b54b0e71d30f95b12c1eb0c9069131",
+    "microgrids.csv": "32cf2cc28c241a29f545ed927bd13815975cb5658becfab270ee50e75084ca72",
+    "topology_changes.csv": NO_CHANGES,
+    "fig5_load_pv.csv": "a270608ae075ef6c1539883d82daeece6f93d56ab336b15ee62c5f20ae8e1211",
+    "fig6_soc_fuel.csv": "eae8f35a3f8641e6f9a9eab7c0b6163986f6e563abd90a0b8966d23f94fd59df",
+    "fig7_connectivity.csv": "da07517dda9e4c2b111e64472553712055374a723a510d3a66c6cd8454ae1077",
+    "fig8_percent_served.csv": "7d6e1ef2043b4f3d9620769daa2c1eb97b6df3cb351fc6a91d508d9ed3345110",
+}
+SHORT_TIMELINES = {"one-day": Timeline(total_minutes=1440),
+                   "512-steps": Timeline(2560, 160, 40, 5)}
+
+
+def _digests(paths):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
+
+
+class TestPinnedBytes:
+    def test_step_counts_straddle_the_block_size(self, flex_run,
+                                                 full_service_run):
+        # one partial block; whole blocks only; whole blocks and a partial one
+        assert full_service_run.n_steps < _BLOCK_ROWS
+        assert SHORT_TIMELINES["512-steps"].n_steps % _BLOCK_ROWS == 0
+        for n in (SHORT_TIMELINES["one-day"].n_steps, flex_run.n_steps):
+            assert n > _BLOCK_ROWS and n % _BLOCK_ROWS
+
+    def test_fixture_flexible_run(self, flex_run, tmp_path):
+        paths = write_outputs(flex_run, tmp_path, emit_plots=True)
+        assert _digests(paths) == FIXTURE_FLEX_DIGESTS
+
+    @pytest.mark.parametrize("label", sorted(SHORT_TIMELINES))
+    def test_horizon_shorter_than_the_profiles(self, scenario, label,
+                                               tmp_path):
+        r = run(scenario, "fixed", SHORT_TIMELINES[label])
+        assert r.n_steps < scenario.n_steps
+        paths = write_outputs(r, tmp_path, emit_plots=True)
+        assert _digests(paths) == SHORT_RUN_DIGESTS[label]
+
+    def test_run_shorter_than_one_block(self, full_service_run, tmp_path):
+        paths = write_outputs(full_service_run, tmp_path, emit_plots=True)
+        assert _digests(paths) == PAIR_DIGESTS

@@ -1,7 +1,12 @@
+import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridsplit import (
     FaultWindow,
@@ -84,6 +89,17 @@ class TestRoundTrip:
             assert np.array_equal(back.load_kw[z], scenario.load_kw[z])
             assert np.array_equal(back.pv_kw[z], scenario.pv_kw[z])
 
+    def test_saved_bytes_are_pinned(self, scenario, tmp_path):
+        # recorded with the row-by-row profile writer
+        save_scenario(scenario, tmp_path / "sc.json")
+        got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("sc.json", "sc_load.csv", "sc_pv.csv")}
+        assert got == {
+            "sc.json": "1f285505f6c91a8d1073330f07e6b81271985e4d90788be34a1d1a58955afb45",
+            "sc_load.csv": "66e625b1918c35960e83647ade45375fd6b18a60330edd82f364e9f778301f63",
+            "sc_pv.csv": "00ebf78451a6b9dd272d1e9aaba8c79d96d2a644f1b8830b472847ac6473498a",
+        }
+
     def test_resave_is_byte_identical(self, scenario, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         a.mkdir(), b.mkdir()
@@ -134,6 +150,13 @@ class TestFileValidation:
         with pytest.raises(ParseError, match="invalid JSON"):
             load_scenario(tmp_path / "sc.json")
 
+    @pytest.mark.parametrize("data", [b"\xff{}", b"[" * 10**5 + b"]" * 10**5],
+                             ids=["not-utf8", "nested-too-deep"])
+    def test_unreadable_json_is_a_parse_error(self, tmp_path, data):
+        (tmp_path / "sc.json").write_bytes(data)
+        with pytest.raises(ParseError):
+            load_scenario(tmp_path / "sc.json")
+
     def test_missing_file_is_a_parse_error(self, tmp_path):
         with pytest.raises(ParseError):
             load_scenario(tmp_path / "absent.json")
@@ -176,6 +199,130 @@ class TestFileValidation:
         with pytest.raises(ValidationError,
                            match="/fault_windows/0/edge_id: unknown edge 42"):
             load_scenario(tmp_path / "sc.json")
+
+    @pytest.mark.parametrize("where, key, value", [
+        ((), "forecast_sigma", "0.1"),
+        ((), "forecast_seed", "x"),
+        (("lateral_policies", 0), "min_downstream_nodes", "x"),
+        (("lateral_policies", 1), "force_zero", 1),
+        ((), "lateral_policies", None),
+        ((), "fault_windows", {}),
+        (("faulted_edges",), 0, [11]),
+    ])
+    def test_optional_field_types_checked(self, scenario, tmp_path, where,
+                                          key, value):
+        doc = self._doc(scenario, tmp_path)
+        obj = doc
+        for k in where:
+            obj = obj[k]
+        obj[key] = value
+        self._write(doc, tmp_path)
+        ptr = "".join(f"/{k}" for k in where) + f"/{key}: expected"
+        with pytest.raises(ValidationError, match=ptr):
+            load_scenario(tmp_path / "sc.json")
+
+    def test_step_minutes_checked_before_the_profiles(self, scenario,
+                                                      tmp_path):
+        doc = self._doc(scenario, tmp_path)
+        doc["step_minutes"] = 0
+        self._write(doc, tmp_path)
+        with pytest.raises(ValidationError, match="^/step_minutes: must be"):
+            load_scenario(tmp_path / "sc.json")
+
+    @pytest.mark.parametrize("name, cell", [("sc_load.csv", "nan"),
+                                            ("sc_pv.csv", "inf")])
+    def test_non_finite_power_rejected(self, scenario, tmp_path, name, cell):
+        save_scenario(scenario, tmp_path / "sc.json")
+        csv_path = tmp_path / name
+        lines = csv_path.read_text().splitlines()
+        row = lines[7].split(",")
+        row[3] = cell
+        lines[7] = ",".join(row)
+        csv_path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValidationError, match=f"{name}: non-finite"):
+            load_scenario(tmp_path / "sc.json")
+
+
+@pytest.fixture(scope="module")
+def saved_texts(tmp_path_factory):
+    """The fixture's saved JSON document and profile tables, as text with
+    their line endings kept."""
+    root = tmp_path_factory.mktemp("saved")
+    save_scenario(fixture_two_feeder(), root / "sc.json")
+    return {p.name: p.read_bytes().decode() for p in root.iterdir()}
+
+
+def _draw_path(data, doc):
+    """A key path into the document: one top-level key, then each level
+    descends one more step with probability 2/3."""
+    path, node = (), doc
+    while (isinstance(node, (dict, list)) and node
+           and (not path or data.draw(st.integers(0, 2)))):
+        key = data.draw(st.sampled_from(
+            sorted(node) if isinstance(node, dict) else range(len(node))))
+        path, node = path + (key,), node[key]
+    return path
+
+
+DELETE = object()
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**6, 10**6)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=6),
+    lambda kids: (st.lists(kids, max_size=3)
+                  | st.dictionaries(st.text(max_size=4), kids, max_size=3)),
+    max_leaves=6)
+CELLS = (st.sampled_from(["", "nan", "inf", "-inf", "-1", "1e400", "0",
+                          "5.0", "x", ",", '"', "\n"])
+         | st.text(st.characters(blacklist_categories=("Cs",)), max_size=6))
+
+
+def _load_mutated(texts, tmp):
+    for name, text in texts.items():
+        (tmp / name).write_bytes(text.encode())
+    try:
+        load_scenario(tmp / "sc.json")
+    except (ParseError, ValidationError):
+        pass
+
+
+class TestLoadFuzz:
+    """One mutated field or cell: load_scenario loads or raises a typed error."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_one_json_field(self, saved_texts, data):
+        doc = json.loads(saved_texts["sc.json"])
+        path = _draw_path(data, doc)
+        value = data.draw(st.just(DELETE) | JSON_VALUES)
+        parent = doc
+        for k in path[:-1]:
+            parent = parent[k]
+        if value is DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        texts = dict(saved_texts, **{"sc.json": json.dumps(doc)})
+        with tempfile.TemporaryDirectory() as tmp:
+            _load_mutated(texts, Path(tmp))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_one_csv_cell(self, saved_texts, data):
+        name = data.draw(st.sampled_from(["sc_load.csv", "sc_pv.csv"]))
+        lines = saved_texts[name].split("\r\n")
+        r = data.draw(st.integers(0, len(lines) - 1))
+        cells = lines[r].split(",")
+        c = data.draw(st.integers(0, len(cells)))
+        cell = data.draw(st.none() | CELLS)
+        if cell is None:
+            del cells[c:c + 1]              # drop the cell (or nothing at the end)
+        else:
+            cells[c:c + 1] = [cell]         # replace it, or append a cell
+        lines[r] = ",".join(cells)
+        texts = dict(saved_texts, **{name: "\r\n".join(lines)})
+        with tempfile.TemporaryDirectory() as tmp:
+            _load_mutated(texts, Path(tmp))
 
 
 class TestScenarioValidation:
