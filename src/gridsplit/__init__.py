@@ -53,7 +53,6 @@ from .netmodel import (
     ZoneGraph,
     ZoneNode,
     is_radial_forest,
-    leaf_nodes,
     load_islands,
 )
 from .oracle import GuardExceeded, enumerate_optimal
@@ -114,7 +113,6 @@ __all__ = [
     "fixture_two_feeder",
     "formation_inputs",
     "is_radial_forest",
-    "leaf_nodes",
     "load_islands",
     "load_scenario",
     "run",

@@ -1,10 +1,12 @@
 """Per-microgrid energy management.
 
-Two stages on different clocks. The scheduler walks 30-minute slots and
-commits the largest priority prefix of zones the storage can carry; the
-dispatcher replays each slot in 5-minute steps against actuals, absorbing
-forecast error with the battery first, diesel second, and shedding from the
-bottom of the priority order only when both run out.
+Two stages on different clocks share one storage step. The scheduler walks
+30-minute slots and commits the longest priority prefix of zones that
+battery plus diesel can carry; the dispatcher replays each slot in 5-minute
+steps against actuals and, when both run out, sheds from the bottom of the
+priority order down to the longest prefix that still fits. Both settle each
+interval alike: battery first, diesel second, and a PV surplus charges the
+battery up to its power and headroom.
 
 Zone priority: critical zones first, then electrical distance from the
 grid-forming node, then zone id. Energy accounting is construction-exact:
@@ -13,13 +15,12 @@ every step satisfies served = pv_used + diesel + discharge - charge.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .netmodel import GridFormingResource, ZoneGraph
+from .netmodel import GridFormingResource, ZoneGraph, walk
 
 BALANCE_TOL = 1e-9
 
@@ -44,32 +45,19 @@ def service_order(g: ZoneGraph, members: frozenset[int] | set[int],
     if gfm_node_id not in members:
         raise TopologyMismatch(
             f"grid-forming zone {gfm_node_id} is not a member")
-    adj = g.adjacency(frozenset(closed_edges))
-    hops = {gfm_node_id: 0}
-    parent: dict[int, int] = {}
-    q = deque([gfm_node_id])
-    while q:
-        u = q.popleft()
-        for v, _eid in adj[u]:
-            if v in members and v not in hops:
-                hops[v] = hops[u] + 1
-                parent[v] = u
-                q.append(v)
-    missing = set(members) - hops.keys()
+    reached, parent = walk(g.adjacency(frozenset(closed_edges)), gfm_node_id,
+                           within=members)
+    missing = set(members) - parent.keys()
     if missing:
         raise TopologyMismatch(
             f"zones {sorted(missing)} unreachable from zone {gfm_node_id}")
 
+    paths: dict[int, frozenset[int]] = {gfm_node_id: frozenset()}
+    for v in reached[1:]:
+        paths[v] = paths[parent[v][0]] | {v}
+    hops = {i: len(paths[i]) for i in reached}
     ranked = tuple(sorted(members,
                           key=lambda i: (not g.node(i).is_critical, hops[i], i)))
-    paths: dict[int, frozenset[int]] = {}
-    for i in members:
-        chain = []
-        u = i
-        while u != gfm_node_id:
-            chain.append(u)
-            u = parent[u]
-        paths[i] = frozenset(chain)
     return ServiceOrder(gfm_node_id, tuple(sorted(members)), ranked, hops, paths)
 
 
@@ -91,18 +79,45 @@ class MicrogridState:
         self.fuel_kwh = max(self.fuel_kwh, 0.0)
 
 
-def _source_caps(res: GridFormingResource, soc: float, fuel: float,
-                 hours: float) -> tuple[float, float]:
-    discharge = min(res.battery_power_kw, soc / hours)
-    diesel = min(res.diesel_power_kw, fuel / hours)
-    return discharge, diesel
+def _carried(res: GridFormingResource, soc: float, fuel: float, hours: float,
+             zones: Sequence[int], load_kw: Mapping[int, Sequence[float]],
+             pv_kw: Mapping[int, Sequence[float]],
+             t: int) -> tuple[int, float, float]:
+    """The longest prefix of ``zones`` that storage can carry at index ``t``:
+    its length, load and PV.
+
+    A prefix fits when its net deficit is within battery power and remaining
+    energy plus diesel power and remaining fuel.
+    """
+    cap = min(res.battery_power_kw, soc / hours) + min(res.diesel_power_kw,
+                                                       fuel / hours)
+    for k in range(len(zones), 0, -1):
+        load = sum(load_kw[i][t] for i in zones[:k])
+        pv = sum(pv_kw[i][t] for i in zones[:k])
+        if load - pv <= cap + BALANCE_TOL:
+            return k, load, pv
+    return 0, 0, 0
 
 
-def _surplus_split(res: GridFormingResource, soc: float, surplus: float,
-                   hours: float) -> float:
-    """Chargeable share of a PV surplus, limited by power and headroom."""
-    headroom = (res.battery_energy_kwh - soc) / (hours * res.battery_efficiency)
-    return min(surplus, res.battery_power_kw, headroom)
+def _settle(res: GridFormingResource, soc: float, fuel: float, hours: float,
+            net: float) -> tuple[float, float, float, float]:
+    """Cover a net load with the battery first, then diesel; store a surplus.
+
+    Returns battery power (discharge positive), diesel power and the state of
+    charge and fuel left after ``hours``. Charging is limited by battery
+    power and headroom.
+    """
+    if net >= 0:
+        bat = min(net, res.battery_power_kw, soc / hours)
+        die = min(net - bat, res.diesel_power_kw, fuel / hours)
+        soc -= bat * hours
+    else:
+        headroom = (res.battery_energy_kwh - soc) / (hours * res.battery_efficiency)
+        bat = -min(-net, res.battery_power_kw, headroom)
+        die = 0.0
+        soc += -bat * hours * res.battery_efficiency
+    fuel -= die * hours
+    return bat, die, min(max(soc, 0.0), res.battery_energy_kwh), max(fuel, 0.0)
 
 
 @dataclass(frozen=True)
@@ -147,32 +162,10 @@ def build_schedule(state: MicrogridState, order: ServiceOrder,
     fuel_t = np.zeros(n_slots)
 
     for s in range(n_slots):
-        dis_cap, die_cap = _source_caps(res, soc, fuel, hours)
-        chosen: tuple[int, ...] = ()
-        for k in range(len(order.ranked), 0, -1):
-            prefix = order.ranked[:k]
-            net = (sum(load_kw[i][s] for i in prefix)
-                   - sum(pv_kw[i][s] for i in prefix))
-            if net <= dis_cap + die_cap + BALANCE_TOL:
-                chosen = prefix
-                break
-
-        load_tot = sum(load_kw[i][s] for i in chosen)
-        pv_tot = sum(pv_kw[i][s] for i in chosen)
-        net = load_tot - pv_tot
-        if net >= 0:
-            bat = min(net, dis_cap)
-            die = min(net - bat, die_cap)
-        else:
-            bat = -_surplus_split(res, soc, -net, hours)
-            die = 0.0
-        if bat >= 0:
-            soc -= bat * hours
-        else:
-            soc += -bat * hours * res.battery_efficiency
-        fuel -= die * hours
-        soc = min(max(soc, 0.0), res.battery_energy_kwh)
-        fuel = max(fuel, 0.0)
+        k, load_tot, pv_tot = _carried(res, soc, fuel, hours, order.ranked,
+                                       load_kw, pv_kw, s)
+        chosen = order.ranked[:k]
+        bat, die, soc, fuel = _settle(res, soc, fuel, hours, load_tot - pv_tot)
 
         committed.append(chosen)
         served[s] = load_tot
@@ -238,41 +231,19 @@ def dispatch_window(state: MicrogridState, plan: SchedulePlan, slot_index: int,
     fuel_t = np.zeros(n_steps)
 
     shed: list[int] = []
-    base = list(plan.committed[slot_index])
-    by_priority = {i: r for r, i in enumerate(order.ranked)}
+    base = plan.committed[slot_index]       # a priority prefix, in order
 
     for step in range(n_steps):
         active = [i for i in base if i not in shed]
         if step == 0:
             active = [i for i in active if i not in blocked_first_step]
 
-        while True:
-            net = (sum(load_kw[i][step] for i in active)
-                   - sum(pv_kw[i][step] for i in active))
-            dis_cap, die_cap = _source_caps(res, state.soc_kwh,
-                                            state.fuel_kwh, hours)
-            if net <= dis_cap + die_cap + BALANCE_TOL or not active:
-                break
-            worst = max(active, key=lambda i: by_priority[i])
-            active.remove(worst)
-            shed.append(worst)
-
-        load_tot = sum(load_kw[i][step] for i in active)
-        pv_tot = sum(pv_kw[i][step] for i in active)
-        net = load_tot - pv_tot
-        if net >= 0:
-            bat = min(net, dis_cap)
-            die = min(net - bat, die_cap)
-        else:
-            bat = -_surplus_split(res, state.soc_kwh, -net, hours)
-            die = 0.0
-        if bat >= 0:
-            state.soc_kwh -= bat * hours
-        else:
-            state.soc_kwh += -bat * hours * res.battery_efficiency
-        state.fuel_kwh -= die * hours
-        state.soc_kwh = min(max(state.soc_kwh, 0.0), res.battery_energy_kwh)
-        state.fuel_kwh = max(state.fuel_kwh, 0.0)
+        k, load_tot, pv_tot = _carried(res, state.soc_kwh, state.fuel_kwh,
+                                       hours, active, load_kw, pv_kw, step)
+        shed += reversed(active[k:])    # lowest priority first
+        del active[k:]
+        bat, die, state.soc_kwh, state.fuel_kwh = _settle(
+            res, state.soc_kwh, state.fuel_kwh, hours, load_tot - pv_tot)
 
         used_tot = load_tot - die - bat  # exact balance residual lands on PV
         energized = {order.gfm_node_id}

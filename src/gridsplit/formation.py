@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .milp import INT_TOL, MilpModel, SolveReport, SolveStatus
 from .netmodel import (LateralPolicy, RadialCheck, ZoneGraph, _components,
-                       is_radial_forest, load_islands)
+                       is_radial_forest, load_islands, walk)
 
 OBJ_MATCH_RTOL = 1e-6            # decode recheck: |recomputed - reported|
 SWITCH_CHANGE_PENALTY = 0.1      # default cost per switch state change
@@ -118,20 +118,9 @@ def _island_spanning_edges(g: ZoneGraph, islands: frozenset[frozenset[int]]) -> 
     be energized), but the closed-switch count identity assumes each island
     component is internally spanned, so pin a canonical tree.
     """
-    chosen: set[int] = set()
     adj = g.adjacency()
-    for comp in sorted(islands, key=min):
-        root = min(comp)
-        seen = {root}
-        frontier = [root]
-        while frontier:
-            u = frontier.pop(0)
-            for v, eid in sorted(adj[u]):
-                if v in comp and v not in seen:
-                    seen.add(v)
-                    chosen.add(eid)
-                    frontier.append(v)
-    return chosen
+    return {link[1] for comp in islands
+            for link in walk(adj, min(comp), within=comp)[1].values() if link}
 
 
 def downstream_capacity(g: ZoneGraph, policy: LateralPolicy) -> int:
@@ -146,17 +135,8 @@ def downstream_capacity(g: ZoneGraph, policy: LateralPolicy) -> int:
     gfms = set(g.gfm_nodes)
     if far in gfms:
         return 0
-    adj = g.adjacency()
-    seen = {far}
-    stack = [far]
-    while stack:
-        u = stack.pop()
-        for v, eid in adj[u]:
-            if eid == policy.edge_id or v in gfms or v in seen:
-                continue
-            seen.add(v)
-            stack.append(v)
-    return len(seen)
+    others = {n.id for n in g.nodes} - gfms
+    return len(walk(g.adjacency(), far, within=others, skip=policy.edge_id)[0])
 
 
 def build_milp(g: ZoneGraph, snap: FormationSnapshot, weights: FormationWeights,
@@ -496,17 +476,8 @@ def fixed_topology_solution(g: ZoneGraph, snap: FormationSnapshot | None = None,
     injection: dict[int, float] = {}
     for tree in trees:
         anchor = min(tree & gfms)
-        # iterative post-order accumulation of subtree counts and net load
-        parent: dict[int, tuple[int, int] | None] = {anchor: None}
-        order = [anchor]
-        qi = 0
-        while qi < len(order):
-            u = order[qi]
-            qi += 1
-            for v, eid in sorted(adj[u]):
-                if v not in parent:
-                    parent[v] = (u, eid)
-                    order.append(v)
+        # post-order accumulation of subtree counts and net load
+        order, parent = walk(adj, anchor)
         counts = {u: 1 for u in order}
         net = {u: load[u] - pv[u] for u in order}
         for u in reversed(order[1:]):

@@ -9,6 +9,7 @@ rolling-horizon coordinator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, NamedTuple
@@ -23,6 +24,11 @@ class ZoneNode:
     is_critical: bool = False
     peak_load_kw: float = 0.0
     has_gfm: bool = False
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.peak_load_kw < math.inf:
+            raise ValueError(f"peak_load_kw {self.peak_load_kw!r} must be "
+                             f"finite and non-negative")
 
 
 @dataclass(frozen=True)
@@ -51,6 +57,19 @@ class GridFormingResource:
     battery_efficiency: float = 0.95
     diesel_power_kw: float = 0.0
     diesel_fuel_kwh: float = 0.0
+
+    def __post_init__(self) -> None:
+        for name in ("battery_power_kw", "battery_energy_kwh",
+                     "diesel_power_kw", "diesel_fuel_kwh"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} {getattr(self, name)!r} must be "
+                                 f"finite and non-negative")
+        if not 0 <= self.battery_soc0 <= 1:
+            raise ValueError(f"battery_soc0 {self.battery_soc0!r} must lie "
+                             f"in [0, 1]")
+        if not 0 < self.battery_efficiency <= 1:
+            raise ValueError(f"battery_efficiency {self.battery_efficiency!r} "
+                             f"must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -172,24 +191,33 @@ class ZoneGraph:
         return adj
 
 
+def walk(adj: dict[int, list[tuple[int, int]]], root: int, *,
+         within: frozenset[int] | set[int] | None = None,
+         skip: int | None = None) -> tuple[list[int], dict[int, tuple[int, int] | None]]:
+    """Breadth-first walk from ``root`` over an ``adjacency`` map.
+
+    Neighbours are visited in sorted (zone, edge) order. ``within`` limits
+    the walk to a set of zones and ``skip`` leaves out one edge. Returns the
+    visit order and each reached zone's (parent, edge); the root maps to None.
+    """
+    parent: dict[int, tuple[int, int] | None] = {root: None}
+    order = [root]
+    for u in order:             # grows as the walk reaches new zones
+        for v, eid in sorted(adj[u]):
+            if v not in parent and eid != skip and (within is None or v in within):
+                parent[v] = (u, eid)
+                order.append(v)
+    return order, parent
+
+
 def _components(g: ZoneGraph, closed: frozenset[int] | None = None) -> list[frozenset[int]]:
     adj = g.adjacency(closed)
     seen: set[int] = set()
     comps: list[frozenset[int]] = []
     for start in sorted(adj):
-        if start in seen:
-            continue
-        stack = [start]
-        comp = {start}
-        seen.add(start)
-        while stack:
-            u = stack.pop()
-            for v, _ in adj[u]:
-                if v not in comp:
-                    comp.add(v)
-                    seen.add(v)
-                    stack.append(v)
-        comps.append(frozenset(comp))
+        if start not in seen:
+            comps.append(frozenset(walk(adj, start)[0]))
+            seen |= comps[-1]
     return comps
 
 
@@ -201,20 +229,6 @@ def load_islands(g: ZoneGraph) -> frozenset[frozenset[int]]:
     """
     gfms = set(g.gfm_nodes)
     return frozenset(c for c in _components(g) if not c & gfms)
-
-
-def leaf_nodes(g: ZoneGraph) -> frozenset[int]:
-    """Endpoints of normally-open tie switches.
-
-    These are the zones that a re-partition can hand from one feeder's
-    microgrid to the other, so they bound the flexible set.
-    """
-    out: set[int] = set()
-    for e in g.edges:
-        if e.normally_open:
-            out.add(e.tail)
-            out.add(e.head)
-    return frozenset(out)
 
 
 def is_radial_forest(g: ZoneGraph, closed: Iterable[int]) -> RadialCheck:

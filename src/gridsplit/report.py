@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .coordinator import RestorationRun
-from .scenario import _write_columns
+from .scenario import _KINDS, ParseError, ValidationError, _need, _write_columns
 
 UNSERVED_TOL_KW = 1e-9
 
@@ -138,38 +138,46 @@ def compare(a: RestorationRun | MetricsSummary,
 # file outputs
 # ---------------------------------------------------------------------------
 
+_SUMMARY_KEYS = {"scenario_name": "scenario"}    # field -> key, where they differ
+
+
 def _summary_dict(s: MetricsSummary) -> dict:
-    return {
-        "scenario": s.scenario_name,
-        "mode": s.mode,
-        "total_minutes": s.total_minutes,
-        "percent_served": {str(z): v for z, v in s.percent_served.items()},
-        "percent_served_total": s.percent_served_total,
-        "pv_utilization": {str(f): v for f, v in s.pv_utilization.items()},
-        "pv_utilization_total": s.pv_utilization_total,
-        "served_kwh": s.served_kwh,
-        "demand_kwh": s.demand_kwh,
-        "topology_change_count": s.topology_change_count,
-        "final_soc_kwh": {str(j): v for j, v in s.final_soc_kwh.items()},
-        "final_fuel_kwh": {str(j): v for j, v in s.final_fuel_kwh.items()},
-        "critical_unserved_hours": s.critical_unserved_hours,
-    }
+    return {_SUMMARY_KEYS.get(k, k):
+            ({str(i): x for i, x in v.items()} if isinstance(v, dict) else v)
+            for k, v in asdict(s).items()}
+
+
+def _keyed(doc: dict, key: str) -> dict[int, float]:
+    """A map of numbers keyed by zone, feeder or GFM id."""
+    table = _need(doc, key, dict, "")
+    out = {}
+    for k in table:
+        try:
+            out[int(k)] = _need(table, k, float, f"/{key}")
+        except ValueError:
+            raise ValidationError(f"/{key}/{k}: expected an integer key") from None
+    return out
 
 
 def summary_from_file(path: str | Path) -> MetricsSummary:
-    doc = json.loads(Path(path).read_text())
-    return MetricsSummary(
-        scenario_name=doc["scenario"], mode=doc["mode"],
-        total_minutes=doc["total_minutes"],
-        percent_served={int(z): v for z, v in doc["percent_served"].items()},
-        percent_served_total=doc["percent_served_total"],
-        pv_utilization={int(f): v for f, v in doc["pv_utilization"].items()},
-        pv_utilization_total=doc["pv_utilization_total"],
-        served_kwh=doc["served_kwh"], demand_kwh=doc["demand_kwh"],
-        topology_change_count=doc["topology_change_count"],
-        final_soc_kwh={int(j): v for j, v in doc["final_soc_kwh"].items()},
-        final_fuel_kwh={int(j): v for j, v in doc["final_fuel_kwh"].items()},
-        critical_unserved_hours=doc["critical_unserved_hours"])
+    """Read a ``summary.json``: ParseError if unreadable, ValidationError if
+    a key is missing or of the wrong kind."""
+    path = Path(path)
+    try:
+        doc = json.loads(path.read_text())
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    try:
+        if not isinstance(doc, dict):
+            raise ValidationError("/: document must be an object")
+        values = {}
+        for f in fields(MetricsSummary):
+            key = _SUMMARY_KEYS.get(f.name, f.name)
+            values[f.name] = (_keyed(doc, key) if f.type.startswith("dict")
+                              else _need(doc, key, _KINDS[f.type], ""))
+        return MetricsSummary(**values)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def _write_trace(run: RestorationRun, path: Path) -> None:

@@ -3,6 +3,11 @@
 A scenario couples a zone graph with true load and PV profiles at dispatch
 resolution, plus fault windows and forecast-noise settings. On disk it is one
 JSON document plus two CSV profile tables; in memory everything is numpy.
+Each record of the document (zones, switches, resources, lateral policies,
+fault windows) is read and written from the fields of its dataclass: one
+reader takes the names, order and kinds from the dataclass, and
+``dataclasses.asdict`` writes them. A value a record rejects as out of
+range is a ValidationError at the record's JSON pointer.
 
 Floats are written with ``repr`` so a save/load cycle is bit-exact. The
 profile tables, like the per-step tables of ``report``, go through one
@@ -15,7 +20,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -79,8 +84,8 @@ class Scenario:
             if fw.edge_id not in edge_ids:
                 raise ValidationError(
                     f"/fault_windows/{i}/edge_id: unknown edge {fw.edge_id}")
-        if self.forecast_sigma < 0:
-            raise ValidationError("/forecast_sigma: must be non-negative")
+        if not 0 <= self.forecast_sigma < math.inf:
+            raise ValidationError("/forecast_sigma: must be finite and non-negative")
         if self.step_minutes <= 0:
             raise ValidationError("/step_minutes: must be positive")
 
@@ -126,7 +131,10 @@ def _need(obj: dict, key: str, kind, ptr: str):
     if kind is float:
         if not isinstance(v, (int, float)) or isinstance(v, bool):
             raise ValidationError(f"{ptr}/{key}: expected a number")
-        return float(v)
+        try:
+            return float(v)
+        except OverflowError:   # an integer beyond the float range
+            raise ValidationError(f"{ptr}/{key}: number out of range") from None
     if kind is int:
         if not isinstance(v, int) or isinstance(v, bool):
             raise ValidationError(f"{ptr}/{key}: expected an integer")
@@ -139,6 +147,32 @@ def _need(obj: dict, key: str, kind, ptr: str):
 def _opt(obj: dict, key: str, kind, ptr: str, default):
     """Like ``_need`` for a field that may be left out."""
     return _need(obj, key, kind, ptr) if key in obj else default
+
+
+_KINDS = {"int": int, "float": float, "bool": bool, "str": str}
+_OPTIONAL = frozenset({"min_downstream_nodes", "force_zero"})
+
+
+def _records(doc: dict, key: str, cls, required: bool = True) -> list:
+    """The records of one list, read from the fields of their dataclass.
+
+    Field names, order and kinds come from ``cls``; only the fields in
+    ``_OPTIONAL`` may be left out. A value the record rejects is a
+    ValidationError at the record's pointer.
+    """
+    out = []
+    items = _need(doc, key, list, "") if required else _opt(doc, key, list, "", [])
+    for idx, obj in enumerate(items):
+        ptr = f"/{key}/{idx}"
+        if not isinstance(obj, dict):
+            raise ValidationError(f"{ptr}: expected an object")
+        kw = {f.name: _need(obj, f.name, _KINDS[f.type], ptr) for f in fields(cls)
+              if f.name in obj or f.name not in _OPTIONAL}
+        try:
+            out.append(cls(**kw))
+        except ValueError as exc:
+            raise ValidationError(f"{ptr}: {exc}") from exc
+    return out
 
 
 def _read_profile_csv(path: Path, zone_ids: list[int],
@@ -209,69 +243,17 @@ def load_scenario(path: str | Path) -> Scenario:
     if step_minutes <= 0:
         raise ValidationError("/step_minutes: must be positive")
 
-    nodes = []
-    for idx, nd in enumerate(_need(doc, "nodes", list, "")):
-        ptr = f"/nodes/{idx}"
-        if not isinstance(nd, dict):
-            raise ValidationError(f"{ptr}: expected an object")
-        nodes.append(ZoneNode(
-            id=_need(nd, "id", int, ptr),
-            feeder_id=_need(nd, "feeder_id", int, ptr),
-            is_critical=_need(nd, "is_critical", bool, ptr),
-            peak_load_kw=_need(nd, "peak_load_kw", float, ptr),
-            has_gfm=_need(nd, "has_gfm", bool, ptr)))
-
-    edges = []
-    for idx, ed in enumerate(_need(doc, "edges", list, "")):
-        ptr = f"/edges/{idx}"
-        if not isinstance(ed, dict):
-            raise ValidationError(f"{ptr}: expected an object")
-        edges.append(SwitchEdge(
-            id=_need(ed, "id", int, ptr),
-            tail=_need(ed, "tail", int, ptr),
-            head=_need(ed, "head", int, ptr),
-            normally_open=_need(ed, "normally_open", bool, ptr),
-            flow_limit_kw=_need(ed, "flow_limit_kw", float, ptr)))
-
-    resources = []
-    for idx, rd in enumerate(_need(doc, "resources", list, "")):
-        ptr = f"/resources/{idx}"
-        if not isinstance(rd, dict):
-            raise ValidationError(f"{ptr}: expected an object")
-        resources.append(GridFormingResource(
-            node_id=_need(rd, "node_id", int, ptr),
-            battery_power_kw=_need(rd, "battery_power_kw", float, ptr),
-            battery_energy_kwh=_need(rd, "battery_energy_kwh", float, ptr),
-            battery_soc0=_need(rd, "battery_soc0", float, ptr),
-            battery_efficiency=_need(rd, "battery_efficiency", float, ptr),
-            diesel_power_kw=_need(rd, "diesel_power_kw", float, ptr),
-            diesel_fuel_kwh=_need(rd, "diesel_fuel_kwh", float, ptr)))
-
-    policies = []
-    for idx, pd in enumerate(_opt(doc, "lateral_policies", list, "", [])):
-        ptr = f"/lateral_policies/{idx}"
-        if not isinstance(pd, dict):
-            raise ValidationError(f"{ptr}: expected an object")
-        policies.append(LateralPolicy(
-            gfm_node_id=_need(pd, "gfm_node_id", int, ptr),
-            edge_id=_need(pd, "edge_id", int, ptr),
-            min_downstream_nodes=_opt(pd, "min_downstream_nodes", int, ptr, 0),
-            force_zero=_opt(pd, "force_zero", bool, ptr, False)))
+    nodes = _records(doc, "nodes", ZoneNode)
+    edges = _records(doc, "edges", SwitchEdge)
+    resources = _records(doc, "resources", GridFormingResource)
+    policies = _records(doc, "lateral_policies", LateralPolicy, required=False)
 
     faulted = _opt(doc, "faulted_edges", list, "", [])
     for idx, eid in enumerate(faulted):
         if not isinstance(eid, int) or isinstance(eid, bool):
             raise ValidationError(f"/faulted_edges/{idx}: expected an integer")
 
-    windows = []
-    for idx, wd in enumerate(_opt(doc, "fault_windows", list, "", [])):
-        ptr = f"/fault_windows/{idx}"
-        if not isinstance(wd, dict):
-            raise ValidationError(f"{ptr}: expected an object")
-        windows.append(FaultWindow(
-            edge_id=_need(wd, "edge_id", int, ptr),
-            start_min=_need(wd, "start_min", int, ptr),
-            end_min=_need(wd, "end_min", int, ptr)))
+    windows = _records(doc, "fault_windows", FaultWindow, required=False)
 
     try:
         graph = ZoneGraph(tuple(nodes), tuple(edges), tuple(resources),
@@ -346,29 +328,12 @@ def save_scenario(sc: Scenario, json_path: str | Path) -> None:
         "forecast_seed": sc.forecast_seed,
         "load_csv": load_name,
         "pv_csv": pv_name,
-        "nodes": [{"id": n.id, "feeder_id": n.feeder_id,
-                   "is_critical": n.is_critical,
-                   "peak_load_kw": n.peak_load_kw, "has_gfm": n.has_gfm}
-                  for n in g.nodes],
-        "edges": [{"id": e.id, "tail": e.tail, "head": e.head,
-                   "normally_open": e.normally_open,
-                   "flow_limit_kw": e.flow_limit_kw} for e in g.edges],
-        "resources": [{"node_id": r.node_id,
-                       "battery_power_kw": r.battery_power_kw,
-                       "battery_energy_kwh": r.battery_energy_kwh,
-                       "battery_soc0": r.battery_soc0,
-                       "battery_efficiency": r.battery_efficiency,
-                       "diesel_power_kw": r.diesel_power_kw,
-                       "diesel_fuel_kwh": r.diesel_fuel_kwh}
-                      for r in g.resources],
+        "nodes": [asdict(n) for n in g.nodes],
+        "edges": [asdict(e) for e in g.edges],
+        "resources": [asdict(r) for r in g.resources],
         "faulted_edges": sorted(g.faulted_edges),
-        "lateral_policies": [{"gfm_node_id": p.gfm_node_id,
-                              "edge_id": p.edge_id,
-                              "min_downstream_nodes": p.min_downstream_nodes,
-                              "force_zero": p.force_zero}
-                             for p in g.lateral_policies],
-        "fault_windows": [{"edge_id": w.edge_id, "start_min": w.start_min,
-                           "end_min": w.end_min} for w in sc.fault_windows],
+        "lateral_policies": [asdict(p) for p in g.lateral_policies],
+        "fault_windows": [asdict(w) for w in sc.fault_windows],
     }
     json_path.write_text(json.dumps(doc, indent=2) + "\n")
     _write_profile_csv(json_path.parent / load_name, sc.load_kw, sc.step_minutes)

@@ -20,7 +20,6 @@ from gridsplit import (
     enumerate_optimal,
     formation_inputs,
     is_radial_forest,
-    leaf_nodes,
     run,
     solve_milp,
     solve_partition,
@@ -112,7 +111,9 @@ def test_product_linearization_is_exact(formation_chain):
 
 
 def test_only_flexible_zones_are_exchanged(scenario, flex_run):
-    flexible = leaf_nodes(scenario.graph)
+    # the endpoints of the normally-open ties
+    flexible = frozenset(z for e in scenario.graph.edges if e.normally_open
+                         for z in (e.tail, e.head))
     assert flexible == frozenset({2, 5, 6, 10})
     for ev in flex_run.events:
         for zone, _old, _new in ev.diff.moved:

@@ -126,6 +126,34 @@ class TestCompare:
         assert "error:" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("mutate, message", [
+        (lambda d: {k: v for k, v in d.items() if k != "mode"},
+         "/mode: missing"),
+        (lambda d: [d], "/: document must be an object"),
+        (lambda d: {**d, "served_kwh": "lots"},
+         "/served_kwh: expected a number"),
+        (lambda d: {**d, "final_soc_kwh": {**d["final_soc_kwh"], "one": 1.0}},
+         "/final_soc_kwh/one: expected an integer key"),
+    ], ids=["missing-key", "not-an-object", "wrong-type", "zone-key"])
+    def test_malformed_summary(self, outdirs, tmp_path, capsys, mutate,
+                               message):
+        a, _ = outdirs
+        doc = mutate(json.loads((a / "summary.json").read_text()))
+        bad = tmp_path / "bad"
+        bad.mkdir()
+        (bad / "summary.json").write_text(json.dumps(doc))
+        assert main(["compare", "--a", str(a), "--b", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad / 'summary.json'}: ")
+        assert message in err
+
+    def test_unreadable_summary(self, outdirs, tmp_path, capsys):
+        a, _ = outdirs
+        (tmp_path / "summary.json").write_text("{not json")
+        assert main(["compare", "--a", str(a), "--b", str(tmp_path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+
 class TestEnumerate:
     def test_quiet_step_topology(self, capsys):
         assert main(["enumerate", "--scenario", "builtin:two-feeder",
@@ -171,6 +199,14 @@ class TestValidate:
     def test_unknown_builtin(self, capsys):
         assert main(["validate", "--scenario", "builtin:mesh"]) == 2
         assert "unknown builtin" in capsys.readouterr().err
+
+    def test_out_of_range_resource(self, tmp_path, capsys):
+        save_scenario(fixture_two_feeder(), tmp_path / "sc.json")
+        doc = json.loads((tmp_path / "sc.json").read_text())
+        doc["resources"][0]["battery_soc0"] = 7.0
+        (tmp_path / "sc.json").write_text(json.dumps(doc))
+        assert main(["validate", "--scenario", str(tmp_path / "sc.json")]) == 2
+        assert "/resources/0: battery_soc0 7.0" in capsys.readouterr().err
 
     def test_log_level_env(self, monkeypatch):
         monkeypatch.setenv("GRIDSPLIT_LOG", "DEBUG")

@@ -177,6 +177,46 @@ def test_island_zone_is_unassigned(scenario):
     assert sol.served_load_kw[5] == pytest.approx(0.0)
 
 
+def ring_island_graph():
+    """Grid-forming zones 1 and 3 on the ring 1-2-3-4 (ties 2 and 11) and,
+    behind the faulted edge 10, a five-zone load island around the ring
+    5-6-7-8 with zone 9 hanging off zone 7."""
+    nodes = tuple(ZoneNode(i, 1 if i < 5 else 2, i in (2, 7), 100.0,
+                           i in (1, 3)) for i in range(1, 10))
+    spans = {1: (1, 2), 2: (2, 3), 3: (3, 4), 4: (5, 8), 5: (6, 7),
+             6: (7, 8), 7: (5, 6), 8: (7, 9), 10: (4, 5), 11: (4, 1)}
+    edges = tuple(SwitchEdge(eid, t, h, eid in (2, 11), 1000.0)
+                  for eid, (t, h) in spans.items())
+    res = (GridFormingResource(1, 500.0, 2000.0),
+           GridFormingResource(3, 400.0, 2000.0))
+    return ZoneGraph(nodes, edges, res, frozenset({10}))
+
+
+def test_load_island_pins_a_breadth_first_tree():
+    g = ring_island_graph()
+    prob = build_milp(g, mksnap(g), WTS)
+    mdl = prob.model
+    pinned = {eid: mdl.upper[col] for eid, col in prob.y.items()
+              if mdl.lower[col] == mdl.upper[col]}
+    # from zone 5 in (zone, edge) order: 5-6 (edge 7) and 5-8 (edge 4),
+    # then 6-7 (edge 5), then 7-9 (edge 8); 7-8 (edge 6) would close the
+    # ring and stays open
+    assert pinned == {4: 1.0, 5: 1.0, 6: 0.0, 7: 1.0, 8: 1.0}
+
+
+def test_multi_zone_island_closes_zones_less_gfms_less_islands():
+    # with the island ring intact the model has no feasible point: the
+    # pinned tree puts zones 7 and 8 in one microgrid and the product rows
+    # of the open edge 6 then require it closed; so edge 6 is out here
+    g = ring_island_graph()
+    g = g.with_faulted(g.faulted_edges | {6})
+    prob, _, sol = solve(g, mksnap(g))
+    closed = closed_set(sol)
+    assert len(closed) == len(g.nodes) - len(g.gfm_nodes) - len(prob.islands)
+    assert len(closed) == 6 and {4, 5, 7, 8} <= closed
+    assert all(sol.assignment[z] is None for z in (5, 6, 7, 8, 9))
+
+
 def test_scarcity_forces_shedding(scenario):
     # 2000 kW per zone exceeds the 13 MW of combined source capacity
     _, _, sol = solve(scenario.graph, mksnap(scenario.graph, load=2000.0))

@@ -6,7 +6,6 @@ from gridsplit import (
     ZoneGraph,
     ZoneNode,
     is_radial_forest,
-    leaf_nodes,
     load_islands,
 )
 
@@ -81,21 +80,6 @@ class TestLoadIslands:
     def test_lone_gfm_node_is_not_an_island(self):
         g = ZoneGraph((_node(1, gfm=True),), (), (_res(1),))
         assert load_islands(g) == frozenset()
-
-
-class TestLeafNodes:
-    def test_fixture_tie_endpoints(self, scenario):
-        assert leaf_nodes(scenario.graph) == frozenset({2, 5, 6, 10})
-
-    def test_no_ties_means_no_leaves(self):
-        assert leaf_nodes(chain_graph(4)) == frozenset()
-
-    def test_node_on_two_ties_appears_once(self):
-        nodes = (_node(1, gfm=True), _node(2), _node(3))
-        edges = (SwitchEdge(1, 1, 2, True, 10.0),
-                 SwitchEdge(2, 2, 3, True, 10.0))
-        g = ZoneGraph(nodes, edges, (_res(1),))
-        assert leaf_nodes(g) == frozenset({1, 2, 3})
 
 
 class TestRadialForest:

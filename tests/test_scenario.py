@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -14,7 +15,6 @@ from gridsplit import (
     Scenario,
     ValidationError,
     fixture_two_feeder,
-    leaf_nodes,
     load_scenario,
     save_scenario,
 )
@@ -29,7 +29,6 @@ class TestFixtureCensus:
         assert g.faulted_edges == frozenset({11})
         assert {r.node_id for r in g.resources} == {1, 7}
         assert {n.id for n in g.nodes if n.is_critical} == {2, 3, 4, 7, 9, 10}
-        assert leaf_nodes(g) == frozenset({2, 5, 6, 10})
         assert {(p.gfm_node_id, p.edge_id) for p in g.lateral_policies} \
             == {(1, 2), (7, 6)}
 
@@ -229,6 +228,39 @@ class TestFileValidation:
         with pytest.raises(ValidationError, match="^/step_minutes: must be"):
             load_scenario(tmp_path / "sc.json")
 
+    @pytest.mark.parametrize("where, key, value, message", [
+        (("nodes", 3), "peak_load_kw", math.nan,
+         "/nodes/3: peak_load_kw nan must be finite"),
+        (("resources", 1), "battery_soc0", 7.0,
+         r"/resources/1: battery_soc0 7.0 must lie in \[0, 1\]"),
+        (("resources", 0), "battery_efficiency", 0.0,
+         r"/resources/0: battery_efficiency 0.0 must lie in \(0, 1\]"),
+        (("resources", 0), "battery_power_kw", math.inf,
+         "/resources/0: battery_power_kw inf must be finite"),
+        (("resources", 1), "battery_energy_kwh", -5.0,
+         "/resources/1: battery_energy_kwh -5.0 must be finite and non-neg"),
+        (("resources", 0), "diesel_power_kw", -1,
+         "/resources/0: diesel_power_kw -1.0 must be finite and non-neg"),
+        (("resources", 1), "diesel_fuel_kwh", math.nan,
+         "/resources/1: diesel_fuel_kwh nan must be finite"),
+        ((), "forecast_sigma", math.nan,
+         "^/forecast_sigma: must be finite and non-negative"),
+        (("nodes", 0), "peak_load_kw", 10 ** 400,
+         "/nodes/0/peak_load_kw: number out of range"),
+    ], ids=["peak_load_kw", "battery_soc0", "battery_efficiency",
+            "battery_power_kw", "battery_energy_kwh", "diesel_power_kw",
+            "diesel_fuel_kwh", "forecast_sigma", "integer-past-float"])
+    def test_physical_field_range_checked(self, scenario, tmp_path, where,
+                                          key, value, message):
+        doc = self._doc(scenario, tmp_path)
+        obj = doc
+        for k in where:
+            obj = obj[k]
+        obj[key] = value
+        self._write(doc, tmp_path)
+        with pytest.raises(ValidationError, match=message):
+            load_scenario(tmp_path / "sc.json")
+
     @pytest.mark.parametrize("name, cell", [("sc_load.csv", "nan"),
                                             ("sc_pv.csv", "inf")])
     def test_non_finite_power_rejected(self, scenario, tmp_path, name, cell):
@@ -265,10 +297,14 @@ def _draw_path(data, doc):
 
 
 DELETE = object()
-JSON_VALUES = st.recursive(
+JSON_LEAVES = (
     st.none() | st.booleans() | st.integers(-10**6, 10**6)
     | st.floats(allow_nan=True, allow_infinity=True)
-    | st.text(max_size=6),
+    # numbers at and just past the physical ranges of the records
+    | st.sampled_from([-1.0, 0.0, 1.5, 7, math.nan, math.inf])
+    | st.text(max_size=6))
+JSON_VALUES = st.recursive(
+    JSON_LEAVES,
     lambda kids: (st.lists(kids, max_size=3)
                   | st.dictionaries(st.text(max_size=4), kids, max_size=3)),
     max_leaves=6)
@@ -278,23 +314,37 @@ CELLS = (st.sampled_from(["", "nan", "inf", "-inf", "-1", "1e400", "0",
 
 
 def _load_mutated(texts, tmp):
+    """The loaded scenario, or None when loading raised a typed error."""
     for name, text in texts.items():
         (tmp / name).write_bytes(text.encode())
     try:
-        load_scenario(tmp / "sc.json")
+        return load_scenario(tmp / "sc.json")
     except (ParseError, ValidationError):
-        pass
+        return None
+
+
+def _assert_physical_ranges(sc):
+    for n in sc.graph.nodes:
+        assert 0 <= n.peak_load_kw < math.inf, n
+    for r in sc.graph.resources:
+        assert 0 <= r.battery_soc0 <= 1, r
+        assert 0 < r.battery_efficiency <= 1, r
+        for v in (r.battery_power_kw, r.battery_energy_kwh,
+                  r.diesel_power_kw, r.diesel_fuel_kwh):
+            assert 0 <= v < math.inf, r
+    assert 0 <= sc.forecast_sigma < math.inf
 
 
 class TestLoadFuzz:
-    """One mutated field or cell: load_scenario loads or raises a typed error."""
+    """One mutated field or cell: load_scenario loads or raises a typed
+    error, and a document that loads has its physical fields in range."""
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_one_json_field(self, saved_texts, data):
         doc = json.loads(saved_texts["sc.json"])
         path = _draw_path(data, doc)
-        value = data.draw(st.just(DELETE) | JSON_VALUES)
+        value = data.draw(st.just(DELETE) | JSON_LEAVES | JSON_VALUES)
         parent = doc
         for k in path[:-1]:
             parent = parent[k]
@@ -304,7 +354,9 @@ class TestLoadFuzz:
             parent[path[-1]] = value
         texts = dict(saved_texts, **{"sc.json": json.dumps(doc)})
         with tempfile.TemporaryDirectory() as tmp:
-            _load_mutated(texts, Path(tmp))
+            sc = _load_mutated(texts, Path(tmp))
+        if sc is not None:
+            _assert_physical_ranges(sc)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
