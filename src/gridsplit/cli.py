@@ -15,7 +15,8 @@ import sys
 from pathlib import Path
 
 from . import coordinator, report
-from .formation import FormationWeights, InfeasibleTopology, build_milp
+from .formation import (FormationWeights, InfeasibleTopology, ModelError,
+                        build_milp)
 from .milp import SolverError
 from .oracle import GuardExceeded, enumerate_optimal
 from .report import ScenarioMismatch
@@ -148,7 +149,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ParseError, ValidationError, ScenarioMismatch, InfeasibleTopology,
-            FileNotFoundError, ValueError) as exc:
+            ModelError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SolverError, GuardExceeded) as exc:

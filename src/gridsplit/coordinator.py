@@ -14,10 +14,10 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .ems import MicrogridState, build_schedule, dispatch_window, service_order
-from .formation import (SWITCH_CHANGE_PENALTY, FormationProblem,
-                        FormationSnapshot, FormationSolution, FormationWeights,
-                        build_milp, decode, fixed_topology_solution,
-                        warm_values_from_topology)
+from .formation import (FormationProblem, FormationSnapshot,
+                        FormationSolution, FormationWeights,
+                        InfeasibleTopology, build_milp, decode,
+                        fixed_topology_solution, warm_values_from_topology)
 from .milp import SolveReport, SolverError, SolveStatus, solve_milp
 from .netmodel import ZoneGraph
 from .scenario import Scenario, ValidationError
@@ -154,11 +154,9 @@ def formation_inputs(scenario: Scenario, timeline: Timeline | None,
 
 def solve_partition(g_t: ZoneGraph, snap: FormationSnapshot,
                     prev: FormationSolution | None, weights: FormationWeights,
-                    switch_change_penalty: float = SWITCH_CHANGE_PENALTY,
                     ) -> tuple[FormationProblem, SolveReport, FormationSolution]:
     """Build, warm-start from ``prev``, solve and decode one partition."""
-    prob = build_milp(g_t, snap, weights, prev=prev,
-                      switch_change_penalty=switch_change_penalty)
+    prob = build_milp(g_t, snap, weights, prev=prev)
     warm = None
     if prev is not None:
         warm = warm_values_from_topology(
@@ -168,13 +166,15 @@ def solve_partition(g_t: ZoneGraph, snap: FormationSnapshot,
     if rep.status is SolveStatus.ITERATION_LIMIT:
         raise SolverError(
             f"partition solve of event {snap.step_index} hit the pivot budget")
+    if rep.status is SolveStatus.INFEASIBLE:
+        raise InfeasibleTopology(
+            f"partition model of event {snap.step_index} has no feasible point")
     return prob, rep, decode(prob, rep)
 
 
 def run(scenario: Scenario, mode: str = "flexible",
         timeline: Timeline | None = None,
-        weights: FormationWeights | None = None,
-        switch_change_penalty: float = SWITCH_CHANGE_PENALTY) -> RestorationRun:
+        weights: FormationWeights | None = None) -> RestorationRun:
     """Simulate one restoration horizon.
 
     ``flexible`` re-partitions at every formation boundary; ``fixed`` holds
@@ -241,8 +241,7 @@ def run(scenario: Scenario, mode: str = "flexible",
             nodes = lp_iters = 0
         else:
             try:
-                _prob, rep, sol = solve_partition(g_t, snap, prev_sol, wts,
-                                                  switch_change_penalty)
+                _prob, rep, sol = solve_partition(g_t, snap, prev_sol, wts)
             except SolverError as exc:
                 raise SolverError(f"t={t} min: {exc}") from exc
             nodes, lp_iters = rep.node_count, rep.lp_iterations

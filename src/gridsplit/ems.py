@@ -183,10 +183,8 @@ def build_schedule(state: MicrogridState, order: ServiceOrder,
 class DispatchWindow:
     """Step-resolution outcome of one schedule slot against actuals."""
     zones: tuple[int, ...]
-    step_minutes: int
     served_kw: np.ndarray        # (steps, zones)
     unserved_kw: np.ndarray
-    pv_potential_kw: np.ndarray
     pv_used_kw: np.ndarray
     committed: np.ndarray        # bool (steps, zones)
     energized: np.ndarray
@@ -221,7 +219,6 @@ def dispatch_window(state: MicrogridState, plan: SchedulePlan, slot_index: int,
 
     served = np.zeros((n_steps, nz))
     unserved = np.zeros((n_steps, nz))
-    pv_pot = np.zeros((n_steps, nz))
     pv_used = np.zeros((n_steps, nz))
     com_mask = np.zeros((n_steps, nz), dtype=bool)
     ener_mask = np.zeros((n_steps, nz), dtype=bool)
@@ -252,7 +249,6 @@ def dispatch_window(state: MicrogridState, plan: SchedulePlan, slot_index: int,
 
         for i in zones:
             c = col[i]
-            pv_pot[step, c] = pv_kw[i][step]
             if i in active:
                 served[step, c] = load_kw[i][step]
                 com_mask[step, c] = True
@@ -270,6 +266,6 @@ def dispatch_window(state: MicrogridState, plan: SchedulePlan, slot_index: int,
         soc_t[step] = state.soc_kwh
         fuel_t[step] = state.fuel_kwh
 
-    return DispatchWindow(zones, step_minutes, served, unserved, pv_pot,
-                          pv_used, com_mask, ener_mask, battery, diesel,
-                          soc_t, fuel_t, tuple(shed))
+    return DispatchWindow(zones, served, unserved, pv_used, com_mask,
+                          ener_mask, battery, diesel, soc_t, fuel_t,
+                          tuple(shed))

@@ -6,7 +6,10 @@ assignment binaries are coupled through an exact product linearization;
 radiality comes from an exact closed-switch count plus a single-commodity
 connectivity flow emitted by the GFMs. Served load and PV are continuous,
 so the objective trades weighted load shedding against weighted commodity
-flow (a proxy for how far from its source each zone sits).
+flow (a proxy for how far from its source each zone sits) and, after the
+first step, switch toggles; ``FormationWeights`` prices all three. Line
+flows, PV and GFM injections constrain the partition but are not decoded:
+the energy management under it does its own dispatch.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from .netmodel import (LateralPolicy, RadialCheck, ZoneGraph, _components,
                        is_radial_forest, load_islands, walk)
 
 OBJ_MATCH_RTOL = 1e-6            # decode recheck: |recomputed - reported|
-SWITCH_CHANGE_PENALTY = 0.1      # default cost per switch state change
 
 
 class ModelError(Exception):
@@ -26,7 +28,8 @@ class ModelError(Exception):
 
 
 class InfeasibleTopology(Exception):
-    """A lateral policy asks for more than the graph can deliver."""
+    """No partition meets the constraints: a lateral policy asks too much of
+    the graph, or the default switches or the partition model admit none."""
 
 
 class DecodeError(Exception):
@@ -38,14 +41,13 @@ class FormationSnapshot:
     """Aggregated per-zone load and PV for one formation step (kW).
 
     ``load_kw`` is the servable demand ceiling, ``pv_kw`` the available PV.
-    The optional floors default to zero; a positive ``pv_min_kw`` models
+    The optional PV floor defaults to zero; a positive ``pv_min_kw`` models
     must-take PV that the step has to absorb somewhere.
     """
 
     step_index: int
     load_kw: dict[int, float]
     pv_kw: dict[int, float]
-    load_min_kw: dict[int, float] = field(default_factory=dict)
     pv_min_kw: dict[int, float] = field(default_factory=dict)
 
 
@@ -54,6 +56,7 @@ class FormationWeights:
     critical_flow_weight: float = 10.0
     default_flow_weight: float = 1.0
     shed_weight: float = 1000.0
+    switch_change_penalty: float = 0.1   # per switch toggled from prev
 
     def __post_init__(self) -> None:
         if min(self.critical_flow_weight, self.default_flow_weight,
@@ -61,6 +64,8 @@ class FormationWeights:
             raise ValueError("formation weights must be positive")
         if self.shed_weight <= self.critical_flow_weight:
             raise ValueError("shed_weight must dominate flow weights")
+        if not 0.0 <= self.switch_change_penalty < float("inf"):
+            raise ValueError("switch_change_penalty must be finite and >= 0")
 
     def edge_weight(self, g: ZoneGraph, edge_id: int) -> float:
         head = g.edge(edge_id).head
@@ -70,15 +75,12 @@ class FormationWeights:
 
 @dataclass
 class FormationSolution:
-    """Decoded partition: switch states, zone assignment and step dispatch."""
+    """Decoded partition: switch states, zone assignment and served load."""
 
     switch_status: dict[int, bool]
     assignment: dict[int, int | None]
     served_load_kw: dict[int, float]
-    pv_dispatch_kw: dict[int, float]
-    line_flow_kw: dict[int, float]
     commodity_flow: dict[int, float]
-    injection_kw: dict[int, float]
     objective_value: float
     load_shed_term: float
     flow_term: float
@@ -94,7 +96,6 @@ class FormationProblem:
     snapshot: FormationSnapshot
     weights: FormationWeights
     prev: FormationSolution | None
-    switch_change_penalty: float
     model: MilpModel
     gfm_order: tuple[int, ...]
     islands: frozenset[frozenset[int]]
@@ -103,10 +104,7 @@ class FormationProblem:
     x: dict[tuple[int, int], int]
     z: dict[tuple[int, int], int]
     t: dict[int, int]
-    p: dict[int, int]
     d: dict[int, int]
-    inj: dict[int, int]
-    w: dict[int, int]
     fp: dict[int, int]
     fn: dict[int, int]
 
@@ -140,8 +138,7 @@ def downstream_capacity(g: ZoneGraph, policy: LateralPolicy) -> int:
 
 
 def build_milp(g: ZoneGraph, snap: FormationSnapshot, weights: FormationWeights,
-               prev: FormationSolution | None = None, *,
-               switch_change_penalty: float = SWITCH_CHANGE_PENALTY) -> FormationProblem:
+               prev: FormationSolution | None = None) -> FormationProblem:
     """Assemble the one-step partition MILP.
 
     Raises ModelError for ill-posed inputs and InfeasibleTopology when a
@@ -157,8 +154,6 @@ def build_milp(g: ZoneGraph, snap: FormationSnapshot, weights: FormationWeights,
 
     islands = load_islands(g)
     island_zones = frozenset().union(*islands) if islands else frozenset()
-    if island_zones & set(gfm_order):
-        raise ModelError("a grid-forming node sits inside a load island")
     island_tree = _island_spanning_edges(g, islands)
 
     for pol in g.lateral_policies:
@@ -221,8 +216,8 @@ def build_milp(g: ZoneGraph, snap: FormationSnapshot, weights: FormationWeights,
         else:
             p[i] = mdl.add_variable(f"p_{i}", snap.pv_min_kw.get(i, 0.0),
                                     snap.pv_kw[i])
-            d[i] = mdl.add_variable(f"d_{i}", snap.load_min_kw.get(i, 0.0),
-                                    snap.load_kw[i], objective=-shed_w)
+            d[i] = mdl.add_variable(f"d_{i}", 0.0, snap.load_kw[i],
+                                    objective=-shed_w)
     mdl.offset += shed_w * sum(snap.load_kw[i] for i in zones)
 
     inj: dict[int, int] = {}
@@ -243,8 +238,8 @@ def build_milp(g: ZoneGraph, snap: FormationSnapshot, weights: FormationWeights,
         fn[e.id] = mdl.add_variable(f"fn_{e.id}", 0, big_m, objective=we)
 
     # switch-change penalty, linearized exactly for binary y
-    if prev is not None and switch_change_penalty > 0:
-        eps = switch_change_penalty
+    if prev is not None and weights.switch_change_penalty > 0:
+        eps = weights.switch_change_penalty
         active_ids = {e.id for e in edges}
         for eid, closed in prev.switch_status.items():
             was = 1.0 if closed else 0.0
@@ -332,11 +327,9 @@ def build_milp(g: ZoneGraph, snap: FormationSnapshot, weights: FormationWeights,
                                f"pol_min_{pol.edge_id}")
 
     return FormationProblem(
-        graph=g, snapshot=snap, weights=weights, prev=prev,
-        switch_change_penalty=switch_change_penalty if prev is not None else 0.0,
-        model=mdl, gfm_order=gfm_order, islands=islands,
-        island_zones=island_zones, y=y, x=x, z=z, t=t, p=p, d=d, inj=inj, w=w,
-        fp=fp, fn=fn)
+        graph=g, snapshot=snap, weights=weights, prev=prev, model=mdl,
+        gfm_order=gfm_order, islands=islands, island_zones=island_zones,
+        y=y, x=x, z=z, t=t, d=d, fp=fp, fn=fn)
 
 
 def warm_values_from_topology(problem: FormationProblem,
@@ -359,6 +352,14 @@ def warm_values_from_topology(problem: FormationProblem,
         kk = k_of.get(anchor, 0) if anchor is not None else 0
         vals[col] = 1.0 if k == kk else 0.0
     return vals
+
+
+def _priced(g: ZoneGraph, wts: FormationWeights, load_kw: dict[int, float],
+            served: dict[int, float],
+            commodity: dict[int, float]) -> tuple[float, float]:
+    """Shed and flow terms of a partition's objective."""
+    return (wts.shed_weight * sum(load_kw[i] - served[i] for i in served),
+            sum(wts.edge_weight(g, eid) * abs(f) for eid, f in commodity.items()))
 
 
 def _rounded(value: float, what: str) -> int:
@@ -397,26 +398,20 @@ def decode(problem: FormationProblem, report: SolveReport) -> FormationSolution:
     if not check.is_radial:
         raise DecodeError("rounded switch set is not a radial forest")
 
-    line_flow = {eid: float(xv[col]) for eid, col in problem.t.items()}
     commodity = {eid: float(xv[problem.fp[eid]] - xv[problem.fn[eid]])
                  for eid in problem.fp}
     served = {i: float(xv[col]) for i, col in problem.d.items()}
-    pv = {i: float(xv[col]) for i, col in problem.p.items()}
-    injection = {j: float(xv[col]) for j, col in problem.inj.items()}
 
     wts = problem.weights
-    snap = problem.snapshot
-    shed_term = wts.shed_weight * sum(snap.load_kw[i] - served[i] for i in served)
-    flow_term = sum(wts.edge_weight(g, eid) * abs(f)
-                    for eid, f in commodity.items())
+    shed_term, flow_term = _priced(g, wts, problem.snapshot.load_kw, served,
+                                   commodity)
     switch_term = 0.0
-    if problem.prev is not None and problem.switch_change_penalty > 0:
-        eps = problem.switch_change_penalty
+    if problem.prev is not None and wts.switch_change_penalty > 0:
+        eps = wts.switch_change_penalty
         active = {e.id for e in g.active_edges()}
         for eid, was in problem.prev.switch_status.items():
             if eid in active:
-                switch_term += eps * abs((1.0 if eid in closed else 0.0)
-                                         - (1.0 if was else 0.0))
+                switch_term += eps * ((eid in closed) != was)
             elif was:
                 switch_term += eps
     recomputed = shed_term + flow_term + switch_term
@@ -427,9 +422,8 @@ def decode(problem: FormationProblem, report: SolveReport) -> FormationSolution:
 
     return FormationSolution(
         switch_status={e.id: (e.id in closed) for e in g.edges},
-        assignment=assignment, served_load_kw=served, pv_dispatch_kw=pv,
-        line_flow_kw=line_flow, commodity_flow=commodity,
-        injection_kw=injection, objective_value=float(report.objective),
+        assignment=assignment, served_load_kw=served, commodity_flow=commodity,
+        objective_value=float(report.objective),
         load_shed_term=float(shed_term), flow_term=float(flow_term),
         switch_change_term=float(switch_term), trees=check.trees)
 
@@ -439,8 +433,8 @@ def fixed_topology_solution(g: ZoneGraph, snap: FormationSnapshot | None = None,
     """Baseline partition: every normally-closed, non-faulted switch closed.
 
     No optimization; commodity flows come from tree traversal. With a
-    snapshot, served load and line flows assume full service (nominal values
-    for reporting; capacity checks are the optimizer's job, not the baseline's).
+    snapshot, served load assumes full service (nominal values for
+    reporting; capacity checks are the optimizer's job, not the baseline's).
     """
     wts = weights or FormationWeights()
     closed = {e.id for e in g.active_edges() if not e.normally_open}
@@ -469,39 +463,24 @@ def fixed_topology_solution(g: ZoneGraph, snap: FormationSnapshot | None = None,
 
     adj = g.adjacency(frozenset(closed))
     load = (snap.load_kw if snap else {n.id: 0.0 for n in g.nodes})
-    pv = (snap.pv_kw if snap else {n.id: 0.0 for n in g.nodes})
 
     commodity = {e.id: 0.0 for e in g.edges}
-    line_flow = {e.id: 0.0 for e in g.edges}
-    injection: dict[int, float] = {}
     for tree in trees:
-        anchor = min(tree & gfms)
-        # post-order accumulation of subtree counts and net load
-        order, parent = walk(adj, anchor)
+        # post-order accumulation of subtree counts
+        order, parent = walk(adj, min(tree & gfms))
         counts = {u: 1 for u in order}
-        net = {u: load[u] - pv[u] for u in order}
         for u in reversed(order[1:]):
             pu, eid = parent[u]
             counts[pu] += counts[u]
-            net[pu] += net[u]
-            e = g.edge(eid)
-            toward_child = 1.0 if e.tail == pu else -1.0
+            toward_child = 1.0 if g.edge(eid).tail == pu else -1.0
             commodity[eid] = toward_child * counts[u]
-            line_flow[eid] = toward_child * net[u]
-        injection[anchor] = net[anchor]
 
     served = {i: (load[i] if assignment[i] is not None else 0.0)
               for i in assignment}
-    pv_used = {i: (pv[i] if assignment[i] is not None else 0.0)
-               for i in assignment}
-    shed_term = wts.shed_weight * sum(load[i] - served[i] for i in served)
-    flow_term = sum(wts.edge_weight(g, eid) * abs(f)
-                    for eid, f in commodity.items())
+    shed_term, flow_term = _priced(g, wts, load, served, commodity)
     return FormationSolution(
         switch_status={e.id: (e.id in closed) for e in g.edges},
-        assignment=assignment, served_load_kw=served, pv_dispatch_kw=pv_used,
-        line_flow_kw=line_flow, commodity_flow=commodity,
-        injection_kw=injection,
+        assignment=assignment, served_load_kw=served, commodity_flow=commodity,
         objective_value=float(shed_term + flow_term),
         load_shed_term=float(shed_term), flow_term=float(flow_term),
         trees=tuple(trees))

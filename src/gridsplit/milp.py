@@ -22,6 +22,7 @@ incumbent's value. It depends on the integer optimum alone, not on the
 vertex the search happened to reach, so the fixture's ``microgrids.csv``,
 which records ``repr`` of each objective, does not pin the search's path.
 
+Budgets: 100 pivots per row and column for each LP, ``NODE_LIMIT`` nodes.
 Minimization throughout. Integer variables must carry integral finite bounds.
 """
 
@@ -43,6 +44,7 @@ DEGEN_STEP = 1e-10       # step lengths below this count as degenerate
 BLAND_AFTER = 1000       # degenerate pivots before switching to Bland's rule
 REFACTOR_EVERY = 128     # pivots between basis-inverse refactorizations
 PRUNE_EPS = 1e-9         # node bound vs incumbent pruning slack
+NODE_LIMIT = 1_000_000   # branch-and-bound nodes before ITERATION_LIMIT
 
 
 class SolveStatus(Enum):
@@ -206,11 +208,10 @@ class _Simplex:
     """
 
     def __init__(self, a: np.ndarray, senses: list[str], b: np.ndarray,
-                 lower: np.ndarray, upper: np.ndarray, cost: np.ndarray,
-                 pivot_cap: int):
+                 lower: np.ndarray, upper: np.ndarray, cost: np.ndarray):
         m, n = a.shape
         self.m, self.n = m, n
-        self.pivot_cap = pivot_cap
+        self.pivot_cap = 100 * (m + n)
         self.pivots = 0
         self.degenerate = 0
         self.bland = False
@@ -502,22 +503,19 @@ class _Simplex:
         return x[:self.n]
 
 
-def _solve_lp_arrays(a, senses, b, lower, upper, cost,
-                     pivot_cap: int) -> tuple[str, float, np.ndarray, int]:
-    sx = _Simplex(a, senses, b, lower, upper, cost, pivot_cap)
+def _solve_lp_arrays(a, senses, b, lower, upper,
+                     cost) -> tuple[str, float, np.ndarray, int]:
+    sx = _Simplex(a, senses, b, lower, upper, cost)
     status, x = sx.solve()
     obj = float(cost @ x) if status == "optimal" else float("nan")
     return status, obj, x, sx.pivots
 
 
-def solve_lp(model: MilpModel, *, pivot_cap: int | None = None) -> SolveReport:
+def solve_lp(model: MilpModel) -> SolveReport:
     """Simplex on the LP relaxation (integrality ignored)."""
     a, senses, b, lower, upper, cost = model.dense()
-    if pivot_cap is None:
-        pivot_cap = 100 * (model.n_constraints + model.n_variables)
     t0 = time.perf_counter()
-    status, obj, x, pivots = _solve_lp_arrays(a, senses, b, lower, upper, cost,
-                                              pivot_cap)
+    status, obj, x, pivots = _solve_lp_arrays(a, senses, b, lower, upper, cost)
     wall = time.perf_counter() - t0
     smap = {"optimal": SolveStatus.OPTIMAL, "infeasible": SolveStatus.INFEASIBLE,
             "limit": SolveStatus.ITERATION_LIMIT}
@@ -540,8 +538,7 @@ class _Node:
                                                        default=None)
 
 
-def solve_milp(model: MilpModel, *, node_limit: int = 1_000_000,
-               pivot_cap: int | None = None,
+def solve_milp(model: MilpModel, *,
                warm_integer_values: dict[int, float] | None = None) -> SolveReport:
     """Best-first branch and bound over the model's integer variables.
 
@@ -561,15 +558,13 @@ def solve_milp(model: MilpModel, *, node_limit: int = 1_000_000,
     t0 = time.perf_counter()
     a, senses, b, lower, upper, cost = model.dense()
     int_idx = np.array(model.integer_indices(), dtype=int)
-    if pivot_cap is None:
-        pivot_cap = 100 * (model.n_constraints + model.n_variables)
 
     total_pivots = 0
     nodes = 0
     incumbent_obj = np.inf
     incumbent_x: np.ndarray | None = None
-    # bounds of the cold LP that produced the incumbent; None after a dual one
-    incumbent_lp: tuple[np.ndarray, np.ndarray] | None = None
+    # the incumbent is the warm LP's point, which fixed exactly the integers
+    incumbent_polished = False
     root: _Simplex | None = None
 
     class _PivotBudget(Exception):
@@ -580,7 +575,7 @@ def solve_milp(model: MilpModel, *, node_limit: int = 1_000_000,
 
     def cold(lo: np.ndarray, hi: np.ndarray):
         nonlocal total_pivots
-        sx = _Simplex(a, senses, b, lo, hi, cost, pivot_cap)
+        sx = _Simplex(a, senses, b, lo, hi, cost)
         status, x = sx.solve()
         total_pivots += sx.pivots
         if status == "limit":
@@ -597,11 +592,11 @@ def solve_milp(model: MilpModel, *, node_limit: int = 1_000_000,
                 status = "limit"
             total_pivots += root.pivots - before
             if status != "limit":
-                return root, status, x, False
+                return root, status, x
         sx, status, x = cold(node.lower, node.upper)
         if root is None:
             root = sx
-        return sx, status, x, True
+        return sx, status, x
 
     def finish(status: SolveStatus) -> SolveReport:
         obj = incumbent_obj + model.offset if incumbent_x is not None else float("nan")
@@ -622,7 +617,8 @@ def solve_milp(model: MilpModel, *, node_limit: int = 1_000_000,
                 _, status, x = cold(lo, hi)
                 if status == "optimal" and not fractional(x).any():
                     incumbent_obj, incumbent_x = float(cost @ x), x
-                    incumbent_lp = (lo, hi)
+                    incumbent_polished = (warm_integer_values.keys()
+                                          == set(int_idx.tolist()))
 
         heap: list[_Node] = []
         seq = 0
@@ -631,10 +627,10 @@ def solve_milp(model: MilpModel, *, node_limit: int = 1_000_000,
             node = heapq.heappop(heap)
             if node.bound >= incumbent_obj - PRUNE_EPS:
                 continue
-            if nodes >= node_limit:
+            if nodes >= NODE_LIMIT:
                 return finish(SolveStatus.ITERATION_LIMIT)
             nodes += 1
-            sx, status, x, was_cold = node_lp(node)
+            sx, status, x = node_lp(node)
             if status != "optimal":
                 continue
             obj = float(cost @ x)
@@ -643,7 +639,7 @@ def solve_milp(model: MilpModel, *, node_limit: int = 1_000_000,
             worst = fractional(x)
             if not worst.any():
                 incumbent_obj, incumbent_x = obj, x
-                incumbent_lp = (node.lower, node.upper) if was_cold else None
+                incumbent_polished = False
                 continue
             # most fractional first; ties go to the lowest variable id
             cand = int_idx[worst]
@@ -671,12 +667,10 @@ def solve_milp(model: MilpModel, *, node_limit: int = 1_000_000,
 
     # polish: the cold LP with every integer column fixed at the incumbent's
     # value, unless the incumbent already came from exactly that LP
-    lo, hi = lower.copy(), upper.copy()
-    lo[int_idx] = hi[int_idx] = np.round(incumbent_x[int_idx]) + 0.0
-    if incumbent_lp is None or not (np.array_equal(incumbent_lp[0], lo)
-                                    and np.array_equal(incumbent_lp[1], hi)):
-        status, obj, x, pivots = _solve_lp_arrays(a, senses, b, lo, hi, cost,
-                                                  pivot_cap)
+    if not incumbent_polished:
+        lo, hi = lower.copy(), upper.copy()
+        lo[int_idx] = hi[int_idx] = np.round(incumbent_x[int_idx]) + 0.0
+        status, obj, x, pivots = _solve_lp_arrays(a, senses, b, lo, hi, cost)
         total_pivots += pivots
         if status == "optimal":
             incumbent_obj, incumbent_x = obj, x

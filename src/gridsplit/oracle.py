@@ -85,7 +85,6 @@ def enumerate_optimal(g: ZoneGraph, snap: FormationSnapshot,
     problem: FormationProblem = build_milp(g, snap, weights, prev=None)
     mdl = problem.model
     a, senses, b, lower, upper, cost = mdl.dense()
-    pivot_cap = 100 * (mdl.n_constraints + mdl.n_variables)
     k_of = {gfm: k for k, gfm in enumerate(problem.gfm_order)}
     target = len(g.nodes) - len(problem.gfm_order) - len(problem.islands)
 
@@ -120,7 +119,7 @@ def enumerate_optimal(g: ZoneGraph, snap: FormationSnapshot,
                 lo[col] = hi[col] = want
             else:
                 status, obj, x, _ = _solve_lp_arrays(a, senses, b, lo, hi,
-                                                     cost, pivot_cap)
+                                                     cost)
                 if status == "optimal" and obj + mdl.offset < best_obj:
                     best_obj = obj + mdl.offset
                     best = (closed, x)

@@ -1,6 +1,7 @@
 import pytest
 
-from gridsplit import fixture_two_feeder, run
+from gridsplit import (GridFormingResource, SwitchEdge, ZoneGraph, ZoneNode,
+                       fixture_two_feeder, run)
 
 
 @pytest.fixture(scope="session")
@@ -16,3 +17,19 @@ def flex_run(scenario):
 @pytest.fixture(scope="session")
 def fixed_run(scenario):
     return run(scenario, mode="fixed")
+
+
+@pytest.fixture(scope="session")
+def ring_island_graph():
+    """Grid-forming zones 1 and 3 on the ring 1-2-3-4 (ties 2 and 11) and,
+    behind the faulted edge 10, a five-zone load island around the ring
+    5-6-7-8 with zone 9 hanging off zone 7."""
+    nodes = tuple(ZoneNode(i, 1 if i < 5 else 2, i in (2, 7), 100.0,
+                           i in (1, 3)) for i in range(1, 10))
+    spans = {1: (1, 2), 2: (2, 3), 3: (3, 4), 4: (5, 8), 5: (6, 7),
+             6: (7, 8), 7: (5, 6), 8: (7, 9), 10: (4, 5), 11: (4, 1)}
+    edges = tuple(SwitchEdge(eid, t, h, eid in (2, 11), 1000.0)
+                  for eid, (t, h) in spans.items())
+    res = (GridFormingResource(1, 500.0, 2000.0),
+           GridFormingResource(3, 400.0, 2000.0))
+    return ZoneGraph(nodes, edges, res, frozenset({10}))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -43,6 +44,17 @@ def long_chain_scenario(tmp_path, n_zones=23):
                   pv_kw={z: np.zeros(576) for z in range(1, n_zones + 1)})
     save_scenario(sc, tmp_path / "chain.json")
     return tmp_path / "chain.json"
+
+
+def bare_fixture_scenario(tmp_path):
+    """The bundled fixture with every grid-forming resource taken out."""
+    sc = fixture_two_feeder()
+    g = sc.graph
+    nodes = tuple(dataclasses.replace(n, has_gfm=False) for n in g.nodes)
+    bare = dataclasses.replace(
+        sc, graph=ZoneGraph(nodes, g.edges, (), g.faulted_edges))
+    save_scenario(bare, tmp_path / "bare.json")
+    return tmp_path / "bare.json"
 
 
 class TestRun:
@@ -99,6 +111,36 @@ class TestRun:
         assert main(["run", "--scenario", str(tmp_path / "sc.json"),
                      "--out", str(tmp_path / "o")]) == 2
         assert "/forecast_seed: expected" in capsys.readouterr().err
+
+    def test_no_grid_forming_resource(self, tmp_path, capsys):
+        # the scenario is valid and the fixed baseline just leaves every
+        # zone dark, but the formation model needs an anchor
+        path = str(bare_fixture_scenario(tmp_path))
+        assert main(["validate", "--scenario", path]) == 0
+        assert main(["run", "--scenario", path, "--mode", "fixed",
+                     "--out", str(tmp_path / "fixed")]) == 0
+        capsys.readouterr()
+        assert main(["run", "--scenario", path,
+                     "--out", str(tmp_path / "flex")]) == 2
+        assert main(["enumerate", "--scenario", path, "--step", "0"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: graph has no grid-forming resources"] * 2
+
+    def test_infeasible_partition_model(self, tmp_path, capsys,
+                                        ring_island_graph):
+        # the load island holds the ring 5-6-7-8, which the product rows
+        # force closed inside one microgrid label: no feasible point
+        zones = [n.id for n in ring_island_graph.nodes]
+        sc = Scenario(name="ring", graph=ring_island_graph, step_minutes=5,
+                      load_kw={z: np.full(576, 50.0) for z in zones},
+                      pv_kw={z: np.zeros(576) for z in zones})
+        save_scenario(sc, tmp_path / "ring.json")
+        path = str(tmp_path / "ring.json")
+        assert main(["validate", "--scenario", path]) == 0
+        assert main(["run", "--scenario", path,
+                     "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.endswith(
+            "partition model of event 0 has no feasible point\n")
 
     def test_unknown_mode_rejected_by_argparse(self, tmp_path):
         with pytest.raises(SystemExit):

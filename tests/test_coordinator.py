@@ -287,11 +287,11 @@ class TestSwitchPenaltyChaining:
 
     def test_two_step_decision(self, scenario):
         g = scenario.graph
-        wts = FormationWeights()
+        wts = FormationWeights(switch_change_penalty=20.0)
         load = {z: 100.0 for z in range(1, 11)}
         snap1 = FormationSnapshot(0, load, {z: 0.0 for z in range(1, 11)})
         base = fixed_topology_solution(g, snap1, wts)
-        prob1 = build_milp(g, snap1, wts, prev=base, switch_change_penalty=20.0)
+        prob1 = build_milp(g, snap1, wts, prev=base)
         sol1 = decode(prob1, solve_milp(prob1.model))
         assert closed_set(sol1) == {1, 2, 3, 4, 5, 6, 7, 8}
         assert sol1.objective_value == pytest.approx(95.0)
@@ -299,7 +299,7 @@ class TestSwitchPenaltyChaining:
         snap2 = FormationSnapshot(
             1, load, {z: (600.0 if z >= 6 else 0.0) for z in range(1, 11)},
             pv_min_kw={z: 600.0 for z in range(6, 11)})
-        prob2 = build_milp(g, snap2, wts, prev=sol1, switch_change_penalty=20.0)
+        prob2 = build_milp(g, snap2, wts, prev=sol1)
         sol2 = decode(prob2, solve_milp(prob2.model))
         d = diff_topologies(sol1, sol2)
         assert d.moved == ((10, 7, 1),)

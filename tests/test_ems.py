@@ -130,7 +130,6 @@ class TestDispatch:
                               {1: flat(0.0, 1)})
         win = dispatch_window(state, plan, 0, {1: flat(0.0)},
                               {1: flat(500.0)})
-        assert np.all(win.pv_potential_kw == 500.0)
         assert np.all(win.pv_used_kw == 0.0)       # nowhere to put it
         assert np.all(win.soc_kwh == 1000.0)
         balance = (win.served_kw.sum(axis=1) - win.pv_used_kw.sum(axis=1)
@@ -236,7 +235,8 @@ def test_dispatch_invariants_hold(case):
     assert np.all(win.soc_kwh <= battery_kwh + 1e-9)
     fuel_path = np.concatenate([[start_fuel], win.fuel_kwh])
     assert np.all(np.diff(fuel_path) <= 1e-9)
-    assert np.all(win.pv_used_kw <= win.pv_potential_kw + 1e-6)
+    pv_in = np.array([pv[z] for z in order.members]).T
+    assert np.all(win.pv_used_kw <= pv_in + 1e-6)
     # served + unserved covers demand cell by cell
     demand = np.array([loads[z] for z in order.members]).T
     assert np.allclose(win.served_kw + win.unserved_kw, demand, atol=1e-9)

@@ -36,7 +36,8 @@ def mksnap(g, load=100.0, pv=0.0, pv_min=None, load_overrides=None):
 
 
 def solve(g, snap, prev=None, penalty=0.1):
-    prob = build_milp(g, snap, WTS, prev=prev, switch_change_penalty=penalty)
+    wts = FormationWeights(switch_change_penalty=penalty)
+    prob = build_milp(g, snap, wts, prev=prev)
     rep = solve_milp(prob.model)
     return prob, rep, decode(prob, rep)
 
@@ -148,6 +149,24 @@ def test_switch_change_penalty_prices_the_diff(scenario):
     assert sol.objective_value == pytest.approx(75.4, abs=1e-6)
 
 
+@pytest.mark.parametrize("penalty", [0.0, 0.25, 1.5])
+def test_decode_prices_each_toggle_at_the_weight(scenario, penalty):
+    g = scenario.graph
+    base = fixed_topology_solution(g, mksnap(g), WTS)
+    _, _, sol = solve(g, mksnap(g), prev=base, penalty=penalty)
+    toggles = sum(on != base.switch_status[eid]
+                  for eid, on in sol.switch_status.items())
+    # four toggles reach the 75-unit forest; at 1.5 two of them are enough
+    assert toggles == (2 if penalty > 1 else 4)
+    assert sol.switch_change_term == pytest.approx(penalty * toggles, abs=1e-9)
+
+
+@pytest.mark.parametrize("penalty", [-0.1, float("nan"), float("inf")])
+def test_weights_reject_a_bad_switch_change_penalty(penalty):
+    with pytest.raises(ValueError, match="switch_change_penalty"):
+        FormationWeights(switch_change_penalty=penalty)
+
+
 def test_large_penalty_freezes_the_topology(scenario):
     g = scenario.graph
     base = fixed_topology_solution(g, mksnap(g), WTS)
@@ -177,23 +196,8 @@ def test_island_zone_is_unassigned(scenario):
     assert sol.served_load_kw[5] == pytest.approx(0.0)
 
 
-def ring_island_graph():
-    """Grid-forming zones 1 and 3 on the ring 1-2-3-4 (ties 2 and 11) and,
-    behind the faulted edge 10, a five-zone load island around the ring
-    5-6-7-8 with zone 9 hanging off zone 7."""
-    nodes = tuple(ZoneNode(i, 1 if i < 5 else 2, i in (2, 7), 100.0,
-                           i in (1, 3)) for i in range(1, 10))
-    spans = {1: (1, 2), 2: (2, 3), 3: (3, 4), 4: (5, 8), 5: (6, 7),
-             6: (7, 8), 7: (5, 6), 8: (7, 9), 10: (4, 5), 11: (4, 1)}
-    edges = tuple(SwitchEdge(eid, t, h, eid in (2, 11), 1000.0)
-                  for eid, (t, h) in spans.items())
-    res = (GridFormingResource(1, 500.0, 2000.0),
-           GridFormingResource(3, 400.0, 2000.0))
-    return ZoneGraph(nodes, edges, res, frozenset({10}))
-
-
-def test_load_island_pins_a_breadth_first_tree():
-    g = ring_island_graph()
+def test_load_island_pins_a_breadth_first_tree(ring_island_graph):
+    g = ring_island_graph
     prob = build_milp(g, mksnap(g), WTS)
     mdl = prob.model
     pinned = {eid: mdl.upper[col] for eid, col in prob.y.items()
@@ -204,11 +208,12 @@ def test_load_island_pins_a_breadth_first_tree():
     assert pinned == {4: 1.0, 5: 1.0, 6: 0.0, 7: 1.0, 8: 1.0}
 
 
-def test_multi_zone_island_closes_zones_less_gfms_less_islands():
+def test_multi_zone_island_closes_zones_less_gfms_less_islands(
+        ring_island_graph):
     # with the island ring intact the model has no feasible point: the
     # pinned tree puts zones 7 and 8 in one microgrid and the product rows
     # of the open edge 6 then require it closed; so edge 6 is out here
-    g = ring_island_graph()
+    g = ring_island_graph
     g = g.with_faulted(g.faulted_edges | {6})
     prob, _, sol = solve(g, mksnap(g))
     closed = closed_set(sol)
@@ -305,7 +310,7 @@ def test_flow_limits_bind(scenario):
                   for e in g.edges)
     tight = ZoneGraph(g.nodes, edges, g.resources, g.faulted_edges,
                       g.lateral_policies)
-    _, _, sol = solve(tight, mksnap(tight))
+    prob, rep, sol = solve(tight, mksnap(tight))
     assert sol.load_shed_term > 0
-    for eid, f in sol.line_flow_kw.items():
-        assert abs(f) <= 180.0 + 1e-6
+    for col in prob.t.values():
+        assert abs(rep.values[col]) <= 180.0 + 1e-6

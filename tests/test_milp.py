@@ -110,14 +110,29 @@ def test_solver_is_deterministic():
     assert np.array_equal(first.values, second.values)
 
 
-def test_partial_warm_point_seeds_only_an_integral_incumbent():
+def _polish_calls(monkeypatch, model, warm):
+    """Report and number of polish LPs of one solve from a warm point."""
+    calls = []
+    lp = milp._solve_lp_arrays
+
+    def spy(*args):
+        calls.append(1)
+        return lp(*args)
+
+    monkeypatch.setattr(milp, "_solve_lp_arrays", spy)
+    return solve_milp(model, warm_integer_values=warm), len(calls)
+
+
+def test_partial_warm_point_seeds_only_an_integral_incumbent(monkeypatch):
     # Fixing y alone leaves x = 3.5 in the warm LP. Taken as the incumbent,
     # it would prune the root (bound -3.5) and be reported as the optimum.
+    # The incumbent comes from the search, so the polish LP runs once.
     m = MilpModel()
     x = m.add_variable("x", 0, 10, integer=True, objective=-1.0)
     y = m.add_variable("y", 0, 1, integer=True)
     m.add_constraint({x: 2.0}, "<=", 7.0)
-    rep = solve_milp(m, warm_integer_values={y: 0.0})
+    rep, calls = _polish_calls(monkeypatch, m, {y: 0.0})
+    assert calls == 1
     assert rep.status is SolveStatus.OPTIMAL
     assert rep.objective == pytest.approx(-3.0)
     assert rep.values[x] == pytest.approx(3.0)
@@ -304,7 +319,7 @@ def test_dual_children_match_cold_solves(monkeypatch, event_zero_model):
         if status != "limit":
             a, senses, b, _, _, cost = current["dense"]
             ref, ref_obj, _, _ = milp._solve_lp_arrays(
-                a, senses, b, lower, upper, cost, 10_000)
+                a, senses, b, lower, upper, cost)
             assert status == ref
             if status == "optimal":
                 assert float(cost @ x) == pytest.approx(ref_obj, rel=1e-9,
@@ -348,8 +363,7 @@ def test_reported_point_is_the_cold_lp_at_the_integer_optimum(
         # integral values, with -0.0 normalised to 0.0
         lower[ints] = upper[ints] = np.round(values[ints]) + 0.0
         status, _, x, _ = milp._solve_lp_arrays(
-            a, senses, b, lower, upper, cost,
-            100 * (model.n_constraints + model.n_variables))
+            a, senses, b, lower, upper, cost)
         assert status == "optimal"
         return x
 
@@ -367,3 +381,14 @@ def test_reported_point_is_the_cold_lp_at_the_integer_optimum(
     assert len(cases) >= 14
     for m, rep in cases:
         assert rep.values.tobytes() == fixed_lp(m, rep.values).tobytes()
+
+
+def test_polish_lp_skipped_after_a_full_warm_point(monkeypatch,
+                                                   event_zero_model):
+    # a warm point at the optimum on every integer column is the polish LP
+    model = event_zero_model.model
+    best = solve_milp(model)
+    warm = {j: float(best.values[j]) for j in model.integer_indices()}
+    rep, calls = _polish_calls(monkeypatch, model, warm)
+    assert calls == 0
+    assert rep.values.tobytes() == best.values.tobytes()
