@@ -138,14 +138,26 @@ def _event_inputs(scenario: Scenario, tl: Timeline, event_index: int,
     return g_t, snap
 
 
+def _check_scenario(scenario: Scenario, tl: Timeline) -> None:
+    """The scenario must be sampled at the dispatch step and cover the run."""
+    if scenario.step_minutes != tl.dispatch_step_minutes:
+        raise ValidationError(
+            f"scenario step {scenario.step_minutes} min does not match the "
+            f"dispatch step {tl.dispatch_step_minutes} min")
+    if scenario.horizon_minutes < tl.total_minutes:
+        raise ValidationError("scenario profiles are shorter than the timeline")
+
+
 def formation_inputs(scenario: Scenario, timeline: Timeline | None,
                      event_index: int):
     """Graph and demand snapshot the coordinator would use at one event.
 
     Exposed so an external caller (the CLI, a test harness) can reproduce a
-    single partitioning decision without running the whole horizon.
+    single partitioning decision without running the whole horizon. Raises
+    ``ValidationError`` on a scenario that ``run`` rejects.
     """
     tl = timeline or Timeline()
+    _check_scenario(scenario, tl)
     if not 0 <= event_index < tl.n_formation_events:
         raise ValueError(
             f"event index {event_index} outside 0..{tl.n_formation_events - 1}")
@@ -186,12 +198,7 @@ def run(scenario: Scenario, mode: str = "flexible",
         raise ValueError(f"mode must be one of {MODES}")
     tl = timeline or Timeline()
     wts = weights or FormationWeights()
-    if scenario.step_minutes != tl.dispatch_step_minutes:
-        raise ValidationError(
-            f"scenario step {scenario.step_minutes} min does not match the "
-            f"dispatch step {tl.dispatch_step_minutes} min")
-    if scenario.horizon_minutes < tl.total_minutes:
-        raise ValidationError("scenario profiles are shorter than the timeline")
+    _check_scenario(scenario, tl)
 
     t_start = time.perf_counter()
     g0 = scenario.graph

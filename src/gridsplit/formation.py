@@ -59,9 +59,10 @@ class FormationWeights:
     switch_change_penalty: float = 0.1   # per switch toggled from prev
 
     def __post_init__(self) -> None:
-        if min(self.critical_flow_weight, self.default_flow_weight,
-               self.shed_weight) <= 0:
-            raise ValueError("formation weights must be positive")
+        if not all(0.0 < w < float("inf") for w in (
+                self.critical_flow_weight, self.default_flow_weight,
+                self.shed_weight)):
+            raise ValueError("formation weights must be positive and finite")
         if self.shed_weight <= self.critical_flow_weight:
             raise ValueError("shed_weight must dominate flow weights")
         if not 0.0 <= self.switch_change_penalty < float("inf"):

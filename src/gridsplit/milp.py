@@ -12,15 +12,17 @@ entries on the formation models. The pivot path is reproducible bit for bit:
 for a given numpy and BLAS build, a model yields the same pivot sequence and
 the same floats on every run.
 
-Branch and bound uses one LP engine per role. The root LP, the warm-point LP
-and the final polish LP are solved cold with the two-phase primal simplex
-(as is every LP of the oracle); every other node re-solves with the bounded
-dual simplex from its parent's optimal basis, which a bound change leaves
-dual feasible, and falls back to the cold primal only if that fails. The
-reported point is the polish LP: every integer column fixed at the
-incumbent's value. It depends on the integer optimum alone, not on the
-vertex the search happened to reach, so the fixture's ``microgrids.csv``,
-which records ``repr`` of each objective, does not pin the search's path.
+Branch and bound has two LP helpers. The fixed-integer LP fixes every
+integer column at an integral point, either the incumbent or a warm point,
+which must name every integer column. It is solved cold with the two-phase
+primal simplex, as is every LP of the oracle, and at the incumbent it is
+the reported point. That point depends on the integer optimum alone, not on
+the vertex the search reached, so the fixture's ``microgrids.csv``, which
+records ``repr`` of each objective, does not pin the search's path. The
+node LP solves the root cold and re-solves every other node with the
+bounded dual simplex from its parent's optimal basis, which a bound change
+leaves dual feasible, and cold only if that fails. Statuses are
+``SolveStatus`` members throughout.
 
 Budgets: 100 pivots per row and column for each LP, ``NODE_LIMIT`` nodes.
 Minimization throughout. Integer variables must carry integral finite bounds.
@@ -326,7 +328,7 @@ class _Simplex:
         if self.pivots % REFACTOR_EVERY == 0:
             self._refactor()
 
-    def _run(self, cost: np.ndarray) -> str:
+    def _run(self, cost: np.ndarray) -> SolveStatus:
         m, n, art0 = self.m, self.n, self.art0
         # reduced costs by block: y @ A for structurals, identity slacks,
         # one signed (or empty) artificial column per row
@@ -339,7 +341,7 @@ class _Simplex:
         with np.errstate(invalid="ignore"):
             while True:
                 if self.pivots >= self.pivot_cap:
-                    return "limit"
+                    return SolveStatus.ITERATION_LIMIT
                 y = cost[self.basis] @ self.binv
                 d = np.concatenate((cost[:n] - y @ a, cost[n:art0] - y,
                                     cost[art0:] - y * art_sign))
@@ -350,7 +352,7 @@ class _Simplex:
                 q = int(np.argmax(score > DUAL_TOL) if self.bland
                         else np.argmax(score))
                 if not score[q] > DUAL_TOL:
-                    return "optimal"
+                    return SolveStatus.OPTIMAL
                 sigma = 1 if d[q] < 0 else -1
 
                 w = self.binv @ self.full[:, q]
@@ -413,28 +415,26 @@ class _Simplex:
             self.values[j] = 0.0
             self.xb[r] = self.values[q]
 
-    def solve(self) -> tuple[str, np.ndarray]:
+    def solve(self) -> tuple[SolveStatus, np.ndarray]:
         phase1 = np.zeros_like(self.cost)
         phase1[self.art0:] = 1.0
         if np.any(self.basis >= self.art0):
-            status = self._run(phase1)
-            if status == "limit":
-                return "limit", self.values[:self.n]
+            if self._run(phase1) is SolveStatus.ITERATION_LIMIT:
+                return SolveStatus.ITERATION_LIMIT, self.values[:self.n]
             self._refactor()
             infeas = float(np.sum(self.values[self.art0:]))
             if infeas > FEAS_TOL:
-                return "infeasible", self.values[:self.n]
+                return SolveStatus.INFEASIBLE, self.values[:self.n]
             self._evict_artificials()
             self.hi[self.art0:] = 0.0
             self.values[self.art0:][self.stat[self.art0:] != _BASIC] = 0.0
 
-        status = self._run(self.cost)
-        if status == "limit":
-            return "limit", self.values[:self.n]
-        return "optimal", self._audit()
+        if self._run(self.cost) is SolveStatus.ITERATION_LIMIT:
+            return SolveStatus.ITERATION_LIMIT, self.values[:self.n]
+        return SolveStatus.OPTIMAL, self._audit()
 
     def resolve(self, lower: np.ndarray, upper: np.ndarray, basis: np.ndarray,
-                stat: np.ndarray) -> tuple[str, np.ndarray]:
+                stat: np.ndarray) -> tuple[SolveStatus, np.ndarray]:
         """Bounded dual simplex from an optimal basis of this same system.
 
         ``basis`` and ``stat`` come from an optimal solve whose structural
@@ -461,9 +461,9 @@ class _Simplex:
                 # leaving row: the basic variable farthest outside its bounds
                 viol = np.maximum(lo_b - self.xb, self.xb - hi_b)
                 if not viol.max(initial=0.0) > PRIMAL_TOL:
-                    return "optimal", self._audit()
+                    return SolveStatus.OPTIMAL, self._audit()
                 if self.pivots >= cap:
-                    return "limit", self.values[:n]
+                    return SolveStatus.ITERATION_LIMIT, self.values[:n]
                 r = int(np.argmax(viol))
                 rising = self.xb[r] < lo_b[r]
 
@@ -474,7 +474,7 @@ class _Simplex:
                 elig = np.flatnonzero((push > PIVOT_TOL)
                                       | (free & (np.abs(alpha) > PIVOT_TOL)))
                 if not elig.size:
-                    return "infeasible", self.values[:n]
+                    return SolveStatus.INFEASIBLE, self.values[:n]
                 y = cost[self.basis] @ self.binv
                 ratio = np.abs(cost[elig] - y @ a[:, elig]) / np.abs(alpha[elig])
                 tied = elig[ratio <= ratio.min() + 1e-12]
@@ -504,10 +504,10 @@ class _Simplex:
 
 
 def _solve_lp_arrays(a, senses, b, lower, upper,
-                     cost) -> tuple[str, float, np.ndarray, int]:
+                     cost) -> tuple[SolveStatus, float, np.ndarray, int]:
     sx = _Simplex(a, senses, b, lower, upper, cost)
     status, x = sx.solve()
-    obj = float(cost @ x) if status == "optimal" else float("nan")
+    obj = float(cost @ x) if status is SolveStatus.OPTIMAL else float("nan")
     return status, obj, x, sx.pivots
 
 
@@ -517,10 +517,7 @@ def solve_lp(model: MilpModel) -> SolveReport:
     t0 = time.perf_counter()
     status, obj, x, pivots = _solve_lp_arrays(a, senses, b, lower, upper, cost)
     wall = time.perf_counter() - t0
-    smap = {"optimal": SolveStatus.OPTIMAL, "infeasible": SolveStatus.INFEASIBLE,
-            "limit": SolveStatus.ITERATION_LIMIT}
-    return SolveReport(smap[status], obj + model.offset if status == "optimal"
-                       else float("nan"), x, 0, pivots, wall)
+    return SolveReport(status, obj + model.offset, x, 0, pivots, wall)
 
 
 # ---------------------------------------------------------------------------
@@ -545,15 +542,17 @@ def solve_milp(model: MilpModel, *,
     Branches on the most fractional integer variable (ties to the lowest
     variable id), prunes nodes whose LP bound is within ``PRUNE_EPS`` of the
     incumbent, and accepts integrality at ``INT_TOL``. An optional warm point
-    (integer variable -> value) seeds the incumbent; it never changes the
+    gives a value for every integer variable and for no other (``ValueError``
+    otherwise). Unless a rounded value lies outside its bounds, the
+    fixed-integer LP at that point seeds the incumbent. It never changes the
     optimum, only the amount of pruning.
 
     The root LP is solved cold with the primal simplex. Every other node
     re-solves on the root's system with the dual simplex from its parent's
     basis, and cold only when that fails (pivot cap, singular basis or a
-    failed audit). An optimal report's values and objective are those of
-    one cold LP with every integer column fixed at its incumbent value, so
-    they depend on the integer optimum, not on the path the search took.
+    failed audit). An optimal report's values and objective are those of the
+    fixed-integer LP at the incumbent, so they depend on the integer
+    optimum, not on the path the search took.
     """
     t0 = time.perf_counter()
     a, senses, b, lower, upper, cost = model.dense()
@@ -563,115 +562,94 @@ def solve_milp(model: MilpModel, *,
     nodes = 0
     incumbent_obj = np.inf
     incumbent_x: np.ndarray | None = None
-    # the incumbent is the warm LP's point, which fixed exactly the integers
-    incumbent_polished = False
+    incumbent_polished = False  # the incumbent came from fixed_lp
     root: _Simplex | None = None
 
-    class _PivotBudget(Exception):
-        pass
-
-    def fractional(x: np.ndarray) -> np.ndarray:
-        return np.abs(x[int_idx] - np.round(x[int_idx])) > INT_TOL
-
-    def cold(lo: np.ndarray, hi: np.ndarray):
-        nonlocal total_pivots
-        sx = _Simplex(a, senses, b, lo, hi, cost)
-        status, x = sx.solve()
-        total_pivots += sx.pivots
-        if status == "limit":
-            raise _PivotBudget()
-        return sx, status, x
+    def fixed_lp(values: np.ndarray) -> SolveStatus:
+        """Cold LP with every integer column fixed at the integral
+        ``values``; an optimal point becomes the incumbent."""
+        nonlocal total_pivots, incumbent_obj, incumbent_x, incumbent_polished
+        lo, hi = lower.copy(), upper.copy()
+        lo[int_idx] = hi[int_idx] = values
+        status, obj, x, pivots = _solve_lp_arrays(a, senses, b, lo, hi, cost)
+        total_pivots += pivots
+        if status is SolveStatus.OPTIMAL:
+            incumbent_obj, incumbent_x, incumbent_polished = obj, x, True
+        return status
 
     def node_lp(node: _Node):
+        """Dual re-solve from the parent's basis, else the cold primal."""
         nonlocal total_pivots, root
         if node.warm is not None:
             before = root.pivots
             try:
                 status, x = root.resolve(node.lower, node.upper, *node.warm)
             except SolverError:
-                status = "limit"
+                status = SolveStatus.ITERATION_LIMIT
             total_pivots += root.pivots - before
-            if status != "limit":
+            if status is not SolveStatus.ITERATION_LIMIT:
                 return root, status, x
-        sx, status, x = cold(node.lower, node.upper)
-        if root is None:
-            root = sx
+        sx = _Simplex(a, senses, b, node.lower, node.upper, cost)
+        status, x = sx.solve()
+        total_pivots += sx.pivots
+        root = root or sx
         return sx, status, x
 
     def finish(status: SolveStatus) -> SolveReport:
-        obj = incumbent_obj + model.offset if incumbent_x is not None else float("nan")
-        vals = incumbent_x if incumbent_x is not None else np.full(model.n_variables, np.nan)
-        return SolveReport(status, obj, vals, nodes, total_pivots,
-                           time.perf_counter() - t0)
+        found = incumbent_x is not None
+        return SolveReport(
+            status, incumbent_obj + model.offset if found else float("nan"),
+            incumbent_x if found else np.full(model.n_variables, np.nan),
+            nodes, total_pivots, time.perf_counter() - t0)
 
-    try:
-        if warm_integer_values:
-            lo, hi = lower.copy(), upper.copy()
-            for j, v in warm_integer_values.items():
-                r = round(v)
-                if lo[j] - INT_TOL <= r <= hi[j] + INT_TOL:
-                    lo[j] = hi[j] = r
-                else:
-                    break
-            else:
-                _, status, x = cold(lo, hi)
-                if status == "optimal" and not fractional(x).any():
-                    incumbent_obj, incumbent_x = float(cost @ x), x
-                    incumbent_polished = (warm_integer_values.keys()
-                                          == set(int_idx.tolist()))
+    if warm_integer_values is not None:
+        ints = int_idx.tolist()
+        if warm_integer_values.keys() != set(ints):
+            raise ValueError("a warm point names every integer column and no other")
+        # integral, with -0.0 normalised to 0.0
+        point = np.round([warm_integer_values[j] for j in ints]) + 0.0
+        if (np.all(lower[int_idx] - INT_TOL <= point)
+                and np.all(point <= upper[int_idx] + INT_TOL)
+                and fixed_lp(point) is SolveStatus.ITERATION_LIMIT):
+            return finish(SolveStatus.ITERATION_LIMIT)
 
-        heap: list[_Node] = []
-        seq = 0
-        heapq.heappush(heap, _Node(-np.inf, seq, lower.copy(), upper.copy()))
-        while heap:
-            node = heapq.heappop(heap)
-            if node.bound >= incumbent_obj - PRUNE_EPS:
+    heap = [_Node(-np.inf, 0, lower.copy(), upper.copy())]
+    seq = 0
+    while heap:
+        node = heapq.heappop(heap)
+        if node.bound >= incumbent_obj - PRUNE_EPS:
+            continue
+        if nodes >= NODE_LIMIT:
+            return finish(SolveStatus.ITERATION_LIMIT)
+        nodes += 1
+        sx, status, x = node_lp(node)
+        if status is SolveStatus.ITERATION_LIMIT:
+            return finish(status)
+        if status is SolveStatus.INFEASIBLE:
+            continue
+        obj = float(cost @ x)
+        if obj >= incumbent_obj - PRUNE_EPS:
+            continue
+        worst = np.abs(x[int_idx] - np.round(x[int_idx])) > INT_TOL
+        if not worst.any():
+            incumbent_obj, incumbent_x, incumbent_polished = obj, x, False
+            continue
+        # most fractional first; ties go to the lowest variable id
+        cand = int_idx[worst]
+        dist = np.abs((x[cand] - np.floor(x[cand])) - 0.5)
+        j = int(cand[dist <= dist.min() + 1e-12].min())
+        warm = (sx.basis.copy(), sx.stat.copy())
+        for lo_j, hi_j in ((node.lower[j], np.floor(x[j])),
+                           (np.ceil(x[j]), node.upper[j])):
+            if lo_j > hi_j:
                 continue
-            if nodes >= NODE_LIMIT:
-                return finish(SolveStatus.ITERATION_LIMIT)
-            nodes += 1
-            sx, status, x = node_lp(node)
-            if status != "optimal":
-                continue
-            obj = float(cost @ x)
-            if obj >= incumbent_obj - PRUNE_EPS:
-                continue
-            worst = fractional(x)
-            if not worst.any():
-                incumbent_obj, incumbent_x = obj, x
-                incumbent_polished = False
-                continue
-            # most fractional first; ties go to the lowest variable id
-            cand = int_idx[worst]
-            dist = np.abs((x[cand] - np.floor(x[cand])) - 0.5)
-            best = dist.min()
-            j = int(cand[dist <= best + 1e-12].min())
-            v = x[j]
-            warm = (sx.basis.copy(), sx.stat.copy())
-            for side in (0, 1):
-                lo, hi = node.lower.copy(), node.upper.copy()
-                if side == 0:
-                    hi[j] = np.floor(v)
-                else:
-                    lo[j] = np.ceil(v)
-                if lo[j] > hi[j]:
-                    continue
-                seq += 1
-                heapq.heappush(heap, _Node(obj, seq, lo, hi, warm))
-        if incumbent_x is None:
-            return SolveReport(SolveStatus.INFEASIBLE, float("nan"),
-                               np.full(model.n_variables, np.nan), nodes,
-                               total_pivots, time.perf_counter() - t0)
-    except _PivotBudget:
-        return finish(SolveStatus.ITERATION_LIMIT)
-
-    # polish: the cold LP with every integer column fixed at the incumbent's
-    # value, unless the incumbent already came from exactly that LP
+            lo, hi = node.lower.copy(), node.upper.copy()
+            lo[j], hi[j] = lo_j, hi_j
+            seq += 1
+            heapq.heappush(heap, _Node(obj, seq, lo, hi, warm))
+    if incumbent_x is None:
+        return finish(SolveStatus.INFEASIBLE)
+    # the report is the fixed-integer LP at the incumbent, unless it is that LP
     if not incumbent_polished:
-        lo, hi = lower.copy(), upper.copy()
-        lo[int_idx] = hi[int_idx] = np.round(incumbent_x[int_idx]) + 0.0
-        status, obj, x, pivots = _solve_lp_arrays(a, senses, b, lo, hi, cost)
-        total_pivots += pivots
-        if status == "optimal":
-            incumbent_obj, incumbent_x = obj, x
+        fixed_lp(np.round(incumbent_x[int_idx]) + 0.0)
     return finish(SolveStatus.OPTIMAL)

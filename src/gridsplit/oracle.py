@@ -120,7 +120,7 @@ def enumerate_optimal(g: ZoneGraph, snap: FormationSnapshot,
             else:
                 status, obj, x, _ = _solve_lp_arrays(a, senses, b, lo, hi,
                                                      cost)
-                if status == "optimal" and obj + mdl.offset < best_obj:
+                if status is SolveStatus.OPTIMAL and obj + mdl.offset < best_obj:
                     best_obj = obj + mdl.offset
                     best = (closed, x)
 

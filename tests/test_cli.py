@@ -225,6 +225,31 @@ class TestEnumerate:
                      "--step", "99"]) == 2
         assert "outside" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("step_minutes, keep, step, reason", [
+        (5, slice(0, 288), 10, "scenario profiles are shorter than the timeline"),
+        (15, slice(None, None, 3), 3,
+         "scenario step 15 min does not match the dispatch step 5 min"),
+    ], ids=["24-hour", "15-minute"])
+    def test_scenario_checks_of_run(self, tmp_path, capsys, step_minutes, keep,
+                                    step, reason):
+        # enumerate rejects the scenarios that run rejects, with the same error
+        sc = fixture_two_feeder()
+        copy = dataclasses.replace(
+            sc, step_minutes=step_minutes,
+            load_kw={z: v[keep] for z, v in sc.load_kw.items()},
+            pv_kw={z: v[keep] for z, v in sc.pv_kw.items()})
+        save_scenario(copy, tmp_path / "sc.json")
+        path = str(tmp_path / "sc.json")
+        assert main(["validate", "--scenario", path]) == 0
+        capsys.readouterr()
+        assert main(["run", "--scenario", path,
+                     "--out", str(tmp_path / "o")]) == 2
+        for k in (step, 0):
+            assert main(["enumerate", "--scenario", path, "--step", str(k)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {reason}"] * 3
+
     def test_guard_exit_code(self, tmp_path, capsys):
         path = long_chain_scenario(tmp_path)
         assert main(["enumerate", "--scenario", str(path),

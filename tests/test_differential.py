@@ -1,0 +1,129 @@
+"""Differential test of the partition search over random small graphs.
+
+Three solvers price the same partition model: branch and bound
+(``solve_milp`` plus ``decode``), the brute-force oracle
+(``enumerate_optimal``) and HiGHS (``scipy.optimize.milp`` on the dense
+model). On every drawn graph they must agree on feasibility and, within
+``REL_TOL``, on the optimum; every decoded partition must be a radial forest
+with one closed switch per zone that is neither grid-forming nor in a load
+island. The model rows are shared, so the test checks the searches, not the
+formulation.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import Bounds, LinearConstraint
+from scipy.optimize import milp as scipy_milp
+
+from gridsplit import (
+    FormationSnapshot,
+    FormationWeights,
+    GridFormingResource,
+    InfeasibleTopology,
+    LateralPolicy,
+    SolveStatus,
+    SwitchEdge,
+    ZoneGraph,
+    ZoneNode,
+    build_milp,
+    decode,
+    enumerate_optimal,
+    is_radial_forest,
+    load_islands,
+    solve_milp,
+)
+
+REL_TOL = 1e-6
+WTS = FormationWeights()
+
+
+@st.composite
+def restoration_case(draw):
+    """2-3 radial feeders of 2-3 zones, each rooted at a grid-forming zone,
+    joined by 1-3 normally-open ties; 0-1 faulted edges, random flow limits,
+    resources, loads and PV, and optionally one lateral policy."""
+    # loads and PV at 1-W resolution: HiGHS fixes a column whose bound range
+    # is within its tolerance, so a 1e-6 kW load would be shed by the
+    # reference alone, at shed_weight * 1e-6 above the true optimum
+    kw = st.integers(0, 400_000).map(lambda w: w / 1000.0)
+    nodes, edges, resources, feeders = [], [], [], []
+    for f in range(1, draw(st.integers(2, 3)) + 1):
+        zones = list(range(len(nodes) + 1, len(nodes) + draw(st.integers(2, 3)) + 1))
+        for z in zones:
+            nodes.append(ZoneNode(z, f, draw(st.booleans()), 100.0, z == zones[0]))
+            if z != zones[0]:
+                parent = draw(st.sampled_from(zones[:zones.index(z)]))
+                edges.append(SwitchEdge(len(edges) + 1, parent, z, False,
+                                        draw(st.floats(50.0, 1000.0))))
+        resources.append(GridFormingResource(
+            zones[0], draw(st.floats(50.0, 800.0)), 2000.0,
+            diesel_power_kw=draw(st.sampled_from([0.0, 200.0]))))
+        feeders.append(zones)
+    pairs = [(a, b) for i, fa in enumerate(feeders) for fb in feeders[i + 1:]
+             for a in fa for b in fb]
+    for a, b in draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=3,
+                              unique=True)):
+        edges.append(SwitchEdge(len(edges) + 1, a, b, True,
+                                draw(st.floats(50.0, 1000.0))))
+    faulted = frozenset(draw(st.lists(st.sampled_from([e.id for e in edges]),
+                                      max_size=1)))
+    policies = ()
+    if draw(st.booleans()):
+        roots = {zones[0] for zones in feeders}
+        e = draw(st.sampled_from([e for e in edges if e.tail in roots]))
+        policies = (LateralPolicy(e.tail, e.id, *draw(st.sampled_from(
+            [(1, False), (2, False), (0, True)]))),)
+    g = ZoneGraph(tuple(nodes), tuple(edges), tuple(resources), faulted,
+                  policies)
+    snap = FormationSnapshot(0, {n.id: draw(kw) for n in nodes},
+                             {n.id: draw(kw) for n in nodes})
+    return g, snap
+
+
+def highs(model):
+    """Objective from HiGHS with the offset, or None when infeasible."""
+    a, senses, b, lower, upper, cost = model.dense()
+    lb = np.array([-np.inf if s == "<=" else v for s, v in zip(senses, b)])
+    ub = np.array([np.inf if s == ">=" else v for s, v in zip(senses, b)])
+    res = scipy_milp(cost, constraints=LinearConstraint(a, lb, ub),
+                     integrality=np.array(model.is_integer, dtype=int),
+                     bounds=Bounds(lower, upper), options={"mip_rel_gap": 0.0})
+    assert res.status in (0, 2), res.message
+    return float(res.fun) + model.offset if res.status == 0 else None
+
+
+def check_partition(g, sol):
+    closed = frozenset(e for e, on in sol.switch_status.items() if on)
+    assert is_radial_forest(g, closed).is_radial
+    assert len(closed) == len(g.nodes) - len(g.gfm_nodes) - len(load_islands(g))
+
+
+@settings(max_examples=40, deadline=None)
+@given(restoration_case())
+def test_search_oracle_and_highs_agree(case):
+    g, snap = case
+    try:
+        prob = build_milp(g, snap, WTS)
+    except InfeasibleTopology:
+        # the policy pre-check rejects the graph before any model exists
+        try:
+            enumerate_optimal(g, snap, WTS)
+        except InfeasibleTopology:
+            return
+        raise AssertionError("the oracle found a partition build_milp rejected")
+    rep = solve_milp(prob.model)
+    assert rep.status is not SolveStatus.ITERATION_LIMIT
+    reference = highs(prob.model)
+    try:
+        by_oracle = enumerate_optimal(g, snap, WTS)
+    except InfeasibleTopology:
+        by_oracle = None
+    if rep.status is SolveStatus.INFEASIBLE:
+        assert reference is None and by_oracle is None
+        return
+    assert reference is not None and by_oracle is not None
+    by_search = decode(prob, rep)
+    for sol in (by_search, by_oracle):
+        check_partition(g, sol)
+        assert abs(sol.objective_value - reference) <= REL_TOL * max(1.0, abs(reference))

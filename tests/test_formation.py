@@ -167,6 +167,18 @@ def test_weights_reject_a_bad_switch_change_penalty(penalty):
         FormationWeights(switch_change_penalty=penalty)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("critical_flow_weight", float("nan")),
+    ("default_flow_weight", float("nan")),
+    ("default_flow_weight", float("inf")),
+    ("shed_weight", float("nan")),
+    ("shed_weight", float("inf")),
+])
+def test_weights_reject_a_non_finite_weight(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        FormationWeights(**{field: value})
+
+
 def test_large_penalty_freezes_the_topology(scenario):
     g = scenario.graph
     base = fixed_topology_solution(g, mksnap(g), WTS)

@@ -110,32 +110,22 @@ def test_solver_is_deterministic():
     assert np.array_equal(first.values, second.values)
 
 
-def _polish_calls(monkeypatch, model, warm):
-    """Report and number of polish LPs of one solve from a warm point."""
-    calls = []
-    lp = milp._solve_lp_arrays
-
-    def spy(*args):
-        calls.append(1)
-        return lp(*args)
-
-    monkeypatch.setattr(milp, "_solve_lp_arrays", spy)
-    return solve_milp(model, warm_integer_values=warm), len(calls)
-
-
-def test_partial_warm_point_seeds_only_an_integral_incumbent(monkeypatch):
-    # Fixing y alone leaves x = 3.5 in the warm LP. Taken as the incumbent,
-    # it would prune the root (bound -3.5) and be reported as the optimum.
-    # The incumbent comes from the search, so the polish LP runs once.
+def test_warm_point_must_name_every_integer_column():
+    # fixing y alone would leave x = 3.5 in the fixed-integer LP
     m = MilpModel()
     x = m.add_variable("x", 0, 10, integer=True, objective=-1.0)
     y = m.add_variable("y", 0, 1, integer=True)
+    z = m.add_variable("z", 0, 1)
     m.add_constraint({x: 2.0}, "<=", 7.0)
-    rep, calls = _polish_calls(monkeypatch, m, {y: 0.0})
-    assert calls == 1
-    assert rep.status is SolveStatus.OPTIMAL
-    assert rep.objective == pytest.approx(-3.0)
-    assert rep.values[x] == pytest.approx(3.0)
+    for warm in ({y: 0.0}, {x: 3.0, y: 0.0, z: 0.0}):
+        with pytest.raises(ValueError, match="every integer column"):
+            solve_milp(m, warm_integer_values=warm)
+    # a full point with a value outside its bounds, or NaN, is ignored
+    for warm in ({x: 3.0, y: 2.0}, {x: np.nan, y: 0.0}):
+        rep = solve_milp(m, warm_integer_values=warm)
+        assert rep.status is SolveStatus.OPTIMAL
+        assert rep.objective == pytest.approx(-3.0)
+        assert rep.values[x] == pytest.approx(3.0)
 
 
 def test_lp_text_round_trips_key_parts():
@@ -316,12 +306,12 @@ def test_dual_children_match_cold_solves(monkeypatch, event_zero_model):
 
     def spy(self, lower, upper, basis, stat):
         status, x = resolve(self, lower, upper, basis, stat)
-        if status != "limit":
+        if status is not SolveStatus.ITERATION_LIMIT:
             a, senses, b, _, _, cost = current["dense"]
             ref, ref_obj, _, _ = milp._solve_lp_arrays(
                 a, senses, b, lower, upper, cost)
-            assert status == ref
-            if status == "optimal":
+            assert status is ref
+            if status is SolveStatus.OPTIMAL:
                 assert float(cost @ x) == pytest.approx(ref_obj, rel=1e-9,
                                                         abs=1e-9)
             checked.append(status)
@@ -332,8 +322,8 @@ def test_dual_children_match_cold_solves(monkeypatch, event_zero_model):
         current["dense"] = model.dense()
         solve_milp(model)
     # the dual path carried the search: 18 optimal and 5 infeasible children
-    assert checked.count("optimal") >= 15
-    assert checked.count("infeasible") >= 3
+    assert checked.count(SolveStatus.OPTIMAL) >= 15
+    assert checked.count(SolveStatus.INFEASIBLE) >= 3
 
 
 def test_failed_dual_re_solve_falls_back_to_the_cold_primal(
@@ -364,7 +354,7 @@ def test_reported_point_is_the_cold_lp_at_the_integer_optimum(
         lower[ints] = upper[ints] = np.round(values[ints]) + 0.0
         status, _, x, _ = milp._solve_lp_arrays(
             a, senses, b, lower, upper, cost)
-        assert status == "optimal"
+        assert status is SolveStatus.OPTIMAL
         return x
 
     model = event_zero_model.model
@@ -385,10 +375,19 @@ def test_reported_point_is_the_cold_lp_at_the_integer_optimum(
 
 def test_polish_lp_skipped_after_a_full_warm_point(monkeypatch,
                                                    event_zero_model):
-    # a warm point at the optimum on every integer column is the polish LP
+    # a warm point at the optimum is the reported fixed-integer LP: the
+    # warm LP is the only one solved, and no polish LP follows the search
     model = event_zero_model.model
     best = solve_milp(model)
     warm = {j: float(best.values[j]) for j in model.integer_indices()}
-    rep, calls = _polish_calls(monkeypatch, model, warm)
-    assert calls == 0
+    calls = []
+    lp = milp._solve_lp_arrays
+
+    def spy(*args):
+        calls.append(1)
+        return lp(*args)
+
+    monkeypatch.setattr(milp, "_solve_lp_arrays", spy)
+    rep = solve_milp(model, warm_integer_values=warm)
+    assert len(calls) == 1
     assert rep.values.tobytes() == best.values.tobytes()
