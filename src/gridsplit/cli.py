@@ -2,7 +2,8 @@
 
 Subcommands: run a restoration horizon, compare two output directories,
 enumerate one partition step against the brute-force oracle, and validate a
-scenario file. Exit codes: 0 success, 2 bad input, 3 solver limit.
+scenario file. Exit codes: 0 success, 2 bad input or an output path that
+cannot be written, 3 solver limit.
 """
 
 from __future__ import annotations
@@ -149,7 +150,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ParseError, ValidationError, ScenarioMismatch, InfeasibleTopology,
-            ModelError, FileNotFoundError, ValueError) as exc:
+            ModelError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SolverError, GuardExceeded) as exc:

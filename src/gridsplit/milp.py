@@ -19,9 +19,12 @@ primal simplex, as is every LP of the oracle, and at the incumbent it is
 the reported point. That point depends on the integer optimum alone, not on
 the vertex the search reached, so the fixture's ``microgrids.csv``, which
 records ``repr`` of each objective, does not pin the search's path. The
-node LP solves the root cold and re-solves every other node with the
-bounded dual simplex from its parent's optimal basis, which a bound change
-leaves dual feasible, and cold only if that fails. Statuses are
+node LP restarts the root from the warm LP's optimal basis, which releasing
+the integer columns to their model bounds leaves primal feasible, so only
+primal phase 2 remains; without an optimal warm LP it solves the root cold.
+It re-solves every other node with the bounded dual simplex from its
+parent's optimal basis, which a bound change leaves dual feasible. Either
+restart falls back to the cold primal when it fails. Statuses are
 ``SolveStatus`` members throughout.
 
 Budgets: 100 pivots per row and column for each LP, ``NODE_LIMIT`` nodes.
@@ -205,8 +208,9 @@ class _Simplex:
     Slack bounds encode the row sense ("<=": [0,inf), ">=": (-inf,0],
     "==": [0,0]). ``solve`` is the cold two-phase primal: phase 1 drives
     artificial columns to zero; phase 2 minimizes the real cost with
-    artificials pinned. After it, ``resolve`` re-solves the same system
-    under new structural bounds with the dual simplex.
+    artificials pinned. After it, ``release`` re-solves the same system
+    under wider structural bounds with primal phase 2, and ``resolve`` under
+    new structural bounds with the dual simplex.
     """
 
     def __init__(self, a: np.ndarray, senses: list[str], b: np.ndarray,
@@ -328,7 +332,7 @@ class _Simplex:
         if self.pivots % REFACTOR_EVERY == 0:
             self._refactor()
 
-    def _run(self, cost: np.ndarray) -> SolveStatus:
+    def _run(self, cost: np.ndarray, cap: int) -> SolveStatus:
         m, n, art0 = self.m, self.n, self.art0
         # reduced costs by block: y @ A for structurals, identity slacks,
         # one signed (or empty) artificial column per row
@@ -340,7 +344,7 @@ class _Simplex:
         free = np.flatnonzero(self.free)
         with np.errstate(invalid="ignore"):
             while True:
-                if self.pivots >= self.pivot_cap:
+                if self.pivots >= cap:
                     return SolveStatus.ITERATION_LIMIT
                 y = cost[self.basis] @ self.binv
                 d = np.concatenate((cost[:n] - y @ a, cost[n:art0] - y,
@@ -418,8 +422,9 @@ class _Simplex:
     def solve(self) -> tuple[SolveStatus, np.ndarray]:
         phase1 = np.zeros_like(self.cost)
         phase1[self.art0:] = 1.0
+        cap = self.pivots + self.pivot_cap
         if np.any(self.basis >= self.art0):
-            if self._run(phase1) is SolveStatus.ITERATION_LIMIT:
+            if self._run(phase1, cap) is SolveStatus.ITERATION_LIMIT:
                 return SolveStatus.ITERATION_LIMIT, self.values[:self.n]
             self._refactor()
             infeas = float(np.sum(self.values[self.art0:]))
@@ -429,8 +434,32 @@ class _Simplex:
             self.hi[self.art0:] = 0.0
             self.values[self.art0:][self.stat[self.art0:] != _BASIC] = 0.0
 
-        if self._run(self.cost) is SolveStatus.ITERATION_LIMIT:
+        if self._run(self.cost, cap) is SolveStatus.ITERATION_LIMIT:
             return SolveStatus.ITERATION_LIMIT, self.values[:self.n]
+        return SolveStatus.OPTIMAL, self._audit()
+
+    def release(self, lower: np.ndarray,
+                upper: np.ndarray) -> tuple[SolveStatus, np.ndarray]:
+        """Primal phase 2 from this system's optimal basis under wider
+        structural bounds that still hold every structural value.
+
+        Nonbasic values do not move, so the basis stays primal feasible;
+        each nonbasic structural column is re-marked at the bound its value
+        now sits on. A nonbasic value strictly inside its new bounds (a
+        general integer released from an inner value) is no vertex of the
+        wider system and raises ``SolverError``. Counts its pivots into
+        ``self.pivots``.
+        """
+        n = self.n
+        self.lo[:n], self.hi[:n] = lower, upper
+        x, nonbasic = self.values[:n], self.stat[:n] != _BASIC
+        at_hi, at_lo = x == self.hi[:n], x == self.lo[:n]
+        if np.any(nonbasic & ~at_hi & ~at_lo & np.isfinite(self.lo[:n])):
+            raise SolverError("nonbasic column strictly inside its bounds")
+        self.stat[:n][nonbasic] = np.where(at_hi, _AT_UPPER, _AT_LOWER)[nonbasic]
+        if self._run(self.cost, self.pivots + self.pivot_cap) \
+                is SolveStatus.ITERATION_LIMIT:
+            return SolveStatus.ITERATION_LIMIT, self.values[:n]
         return SolveStatus.OPTIMAL, self._audit()
 
     def resolve(self, lower: np.ndarray, upper: np.ndarray, basis: np.ndarray,
@@ -547,12 +576,14 @@ def solve_milp(model: MilpModel, *,
     fixed-integer LP at that point seeds the incumbent. It never changes the
     optimum, only the amount of pruning.
 
-    The root LP is solved cold with the primal simplex. Every other node
+    The root LP restarts with primal phase 2 from the optimal basis of the
+    warm point's fixed-integer LP, on that LP's own system; without one it
+    is solved cold with the two-phase primal simplex. Every other node
     re-solves on the root's system with the dual simplex from its parent's
-    basis, and cold only when that fails (pivot cap, singular basis or a
-    failed audit). An optimal report's values and objective are those of the
-    fixed-integer LP at the incumbent, so they depend on the integer
-    optimum, not on the path the search took.
+    basis. Either restart falls back to a cold solve when it fails (pivot
+    cap, singular basis or a failed audit). An optimal report's values and
+    objective are those of the fixed-integer LP at the incumbent, so they
+    depend on the integer optimum, not on the path the search took.
     """
     t0 = time.perf_counter()
     a, senses, b, lower, upper, cost = model.dense()
@@ -564,31 +595,40 @@ def solve_milp(model: MilpModel, *,
     incumbent_x: np.ndarray | None = None
     incumbent_polished = False  # the incumbent came from fixed_lp
     root: _Simplex | None = None
+    start: _Simplex | None = None  # the warm LP's optimal system
 
-    def fixed_lp(values: np.ndarray) -> SolveStatus:
+    def fixed_lp(values: np.ndarray) -> tuple[SolveStatus, _Simplex]:
         """Cold LP with every integer column fixed at the integral
         ``values``; an optimal point becomes the incumbent."""
         nonlocal total_pivots, incumbent_obj, incumbent_x, incumbent_polished
         lo, hi = lower.copy(), upper.copy()
         lo[int_idx] = hi[int_idx] = values
-        status, obj, x, pivots = _solve_lp_arrays(a, senses, b, lo, hi, cost)
-        total_pivots += pivots
+        sx = _Simplex(a, senses, b, lo, hi, cost)
+        status, x = sx.solve()
+        total_pivots += sx.pivots
         if status is SolveStatus.OPTIMAL:
-            incumbent_obj, incumbent_x, incumbent_polished = obj, x, True
-        return status
+            incumbent_obj, incumbent_x, incumbent_polished = \
+                float(cost @ x), x, True
+        return status, sx
 
     def node_lp(node: _Node):
-        """Dual re-solve from the parent's basis, else the cold primal."""
+        """The root restarts from the warm LP's basis, every other node
+        re-solves from its parent's with the dual simplex; the cold primal
+        when there is no such basis or the restart fails."""
         nonlocal total_pivots, root
-        if node.warm is not None:
-            before = root.pivots
+        sx = start if node.warm is None else root
+        if sx is not None:
+            before = sx.pivots
             try:
-                status, x = root.resolve(node.lower, node.upper, *node.warm)
+                status, x = (sx.release(node.lower, node.upper)
+                             if node.warm is None
+                             else sx.resolve(node.lower, node.upper, *node.warm))
             except SolverError:
                 status = SolveStatus.ITERATION_LIMIT
-            total_pivots += root.pivots - before
+            total_pivots += sx.pivots - before
             if status is not SolveStatus.ITERATION_LIMIT:
-                return root, status, x
+                root = root or sx
+                return sx, status, x
         sx = _Simplex(a, senses, b, node.lower, node.upper, cost)
         status, x = sx.solve()
         total_pivots += sx.pivots
@@ -609,9 +649,12 @@ def solve_milp(model: MilpModel, *,
         # integral, with -0.0 normalised to 0.0
         point = np.round([warm_integer_values[j] for j in ints]) + 0.0
         if (np.all(lower[int_idx] - INT_TOL <= point)
-                and np.all(point <= upper[int_idx] + INT_TOL)
-                and fixed_lp(point) is SolveStatus.ITERATION_LIMIT):
-            return finish(SolveStatus.ITERATION_LIMIT)
+                and np.all(point <= upper[int_idx] + INT_TOL)):
+            status, sx = fixed_lp(point)
+            if status is SolveStatus.ITERATION_LIMIT:
+                return finish(status)
+            if status is SolveStatus.OPTIMAL:
+                start = sx
 
     heap = [_Node(-np.inf, 0, lower.copy(), upper.copy())]
     seq = 0

@@ -96,6 +96,13 @@ class TestRun:
                      "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_output_path_is_a_file(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["run", "--scenario", "builtin:two-feeder",
+                     "--mode", "fixed", "--out", str(taken)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_invalid_document(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"name": "x"}))
@@ -219,6 +226,11 @@ class TestEnumerate:
         text = lp.read_text()
         assert "Minimize" in text and "Generals" in text
         assert " y_9 " in text or "y_9\n" in text   # tie switch is a column
+
+    def test_dump_lp_path_is_a_directory(self, tmp_path, capsys):
+        assert main(["enumerate", "--scenario", "builtin:two-feeder",
+                     "--step", "0", "--dump-lp", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_step_out_of_range(self, capsys):
         assert main(["enumerate", "--scenario", "builtin:two-feeder",

@@ -102,6 +102,14 @@ class TestFlexibleRun:
         assert [ev.solution.objective_value for ev in flex_run.events] \
             == FLEX_OBJECTIVES
 
+    def test_warm_events_restart_the_root_lp(self, flex_run):
+        # events 1-15 start from the previous partition; solving their
+        # roots cold as well gives the same nodes at 4,175 pivots, where the
+        # restart from the warm LP's basis takes 1,544
+        assert [ev.node_count for ev in flex_run.events] \
+            == [12, 1, 1, 1, 1, 1, 1, 1, 1, 9, 1, 1, 1, 1, 1, 1]
+        assert sum(ev.lp_iterations for ev in flex_run.events) <= 2000
+
     def test_event_grid(self, flex_run):
         assert [ev.time_min for ev in flex_run.events] \
             == list(range(0, 2880, 180))

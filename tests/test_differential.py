@@ -7,7 +7,8 @@ model). On every drawn graph they must agree on feasibility and, within
 ``REL_TOL``, on the optimum; every decoded partition must be a radial forest
 with one closed switch per zone that is neither grid-forming nor in a load
 island. The model rows are shared, so the test checks the searches, not the
-formulation.
+formulation. A second test re-solves each model from warm points, whose
+basis the root LP restarts from, and must reach the cold optimum.
 """
 
 import numpy as np
@@ -29,9 +30,11 @@ from gridsplit import (
     build_milp,
     decode,
     enumerate_optimal,
+    fixed_topology_solution,
     is_radial_forest,
     load_islands,
     solve_milp,
+    warm_values_from_topology,
 )
 
 REL_TOL = 1e-6
@@ -127,3 +130,26 @@ def test_search_oracle_and_highs_agree(case):
     for sol in (by_search, by_oracle):
         check_partition(g, sol)
         assert abs(sol.objective_value - reference) <= REL_TOL * max(1.0, abs(reference))
+
+
+@settings(max_examples=40, deadline=None)
+@given(restoration_case())
+def test_warm_started_search_reaches_the_cold_optimum(case):
+    g, snap = case
+    try:
+        prob = build_milp(g, snap, WTS)
+    except InfeasibleTopology:
+        return
+    cold = solve_milp(prob.model)
+    if cold.status is not SolveStatus.OPTIMAL:
+        return
+    # the optimum itself, and the normally-closed baseline, which may be
+    # infeasible in the model or far from the optimum
+    for start in (decode(prob, cold), fixed_topology_solution(g, snap, WTS)):
+        warm = warm_values_from_topology(
+            prob, {e for e, on in start.switch_status.items() if on},
+            start.assignment)
+        rep = solve_milp(prob.model, warm_integer_values=warm)
+        assert rep.status is SolveStatus.OPTIMAL
+        assert abs(rep.objective - cold.objective) \
+            <= REL_TOL * max(1.0, abs(cold.objective))

@@ -376,18 +376,41 @@ def test_reported_point_is_the_cold_lp_at_the_integer_optimum(
 def test_polish_lp_skipped_after_a_full_warm_point(monkeypatch,
                                                    event_zero_model):
     # a warm point at the optimum is the reported fixed-integer LP: the
-    # warm LP is the only one solved, and no polish LP follows the search
+    # warm LP is the only cold solve, the root restarts from its basis, and
+    # no polish LP follows the search
     model = event_zero_model.model
     best = solve_milp(model)
     warm = {j: float(best.values[j]) for j in model.integer_indices()}
     calls = []
-    lp = milp._solve_lp_arrays
+    solve = milp._Simplex.solve
 
-    def spy(*args):
+    def spy(self):
         calls.append(1)
-        return lp(*args)
+        return solve(self)
 
-    monkeypatch.setattr(milp, "_solve_lp_arrays", spy)
+    monkeypatch.setattr(milp._Simplex, "solve", spy)
     rep = solve_milp(model, warm_integer_values=warm)
     assert len(calls) == 1
     assert rep.values.tobytes() == best.values.tobytes()
+
+
+def test_root_from_an_inner_integer_value_is_solved_cold(monkeypatch):
+    # x = 2 is no bound of x in [0, 10], so the warm basis is no vertex of
+    # the root LP: marked at a bound, x could never move down, and the root
+    # would end at the warm point. The restart refuses it, and the warm LP,
+    # the root and the polish LP at x = 1 are the three cold solves
+    m = MilpModel()
+    x = m.add_variable("x", 0, 10, integer=True, objective=1.0)
+    m.add_constraint({x: 2.0}, ">=", 1.0)
+    calls = []
+    solve = milp._Simplex.solve
+
+    def spy(self):
+        calls.append(1)
+        return solve(self)
+
+    monkeypatch.setattr(milp._Simplex, "solve", spy)
+    rep = solve_milp(m, warm_integer_values={x: 2.0})
+    assert rep.status is SolveStatus.OPTIMAL
+    assert rep.objective == 1.0
+    assert len(calls) == 3
