@@ -44,6 +44,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     sc = _load(args.scenario)
     if args.seed is not None:
         sc = dataclasses.replace(sc, forecast_seed=args.seed)
+    # an output path that cannot be a directory fails before the horizon runs
+    Path(args.out).mkdir(parents=True, exist_ok=True)
     run = coordinator.run(sc, mode=args.mode)
     paths = report.write_outputs(run, args.out, emit_plots=args.emit_plots)
     summary = report.summarize(run)

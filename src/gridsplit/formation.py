@@ -14,6 +14,7 @@ the energy management under it does its own dispatch.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from .milp import INT_TOL, MilpModel, SolveReport, SolveStatus
@@ -142,8 +143,11 @@ def build_milp(g: ZoneGraph, snap: FormationSnapshot, weights: FormationWeights,
                prev: FormationSolution | None = None) -> FormationProblem:
     """Assemble the one-step partition MILP.
 
-    Raises ModelError for ill-posed inputs and InfeasibleTopology when a
-    lateral policy demands more downstream zones than the graph can route.
+    The model carries integral start points for ``solve_milp``: the default
+    topology, unless ``fixed_topology_solution`` rejects it, and the
+    shortest-path forest, each kept once. Raises ModelError for ill-posed
+    inputs and InfeasibleTopology when a lateral policy demands more
+    downstream zones than the graph can route.
     """
     zones = sorted(n.id for n in g.nodes)
     gfm_order = g.gfm_nodes
@@ -327,10 +331,54 @@ def build_milp(g: ZoneGraph, snap: FormationSnapshot, weights: FormationWeights,
             mdl.add_constraint(coeffs, ">=", float(pol.min_downstream_nodes),
                                f"pol_min_{pol.edge_id}")
 
-    return FormationProblem(
+    problem = FormationProblem(
         graph=g, snapshot=snap, weights=weights, prev=prev, model=mdl,
         gfm_order=gfm_order, islands=islands, island_zones=island_zones,
         y=y, x=x, z=z, t=t, d=d, fp=fp, fn=fn)
+    topologies = []
+    try:
+        base = fixed_topology_solution(g)
+        topologies.append(({eid for eid, on in base.switch_status.items()
+                            if on}, base.assignment))
+    except InfeasibleTopology:
+        pass
+    topologies.append(_shortest_path_forest(g, weights))
+    for closed, assignment in topologies:
+        point = warm_values_from_topology(problem, closed, assignment)
+        if point not in mdl.starts:
+            mdl.starts.append(point)
+    return problem
+
+
+def _shortest_path_forest(g: ZoneGraph, weights: FormationWeights,
+                         ) -> tuple[set[int], dict[int, int | None]]:
+    """Closed edges and zone anchors of a multi-source shortest-path forest.
+
+    Dijkstra runs from every GFM at once over the active edges, each edge
+    weighted by ``weights.edge_weight``. A zone joins the GFM that reaches it
+    first: at equal distance the path with fewer normally-open edges wins,
+    then the lower zone and edge ids. Without shedding, the model's flow term
+    is the weighted depth summed over zones, which this forest minimizes.
+    Zones no GFM reaches (load islands) keep anchor None.
+    """
+    adj = g.adjacency()
+    closed: set[int] = set()
+    assignment: dict[int, int | None] = {n.id: None for n in g.nodes}
+    # (distance, normally-open edges, zone, edge in, anchor)
+    heap = [(0.0, 0, gfm, -1, gfm) for gfm in g.gfm_nodes]
+    while heap:
+        dist, n_open, u, eid, anchor = heapq.heappop(heap)
+        if assignment[u] is not None:
+            continue
+        assignment[u] = anchor
+        if eid >= 0:
+            closed.add(eid)
+        for v, e in adj[u]:
+            if assignment[v] is None:
+                heapq.heappush(heap, (dist + weights.edge_weight(g, e),
+                                      n_open + g.edge(e).normally_open,
+                                      v, e, anchor))
+    return closed, assignment
 
 
 def warm_values_from_topology(problem: FormationProblem,

@@ -13,19 +13,22 @@ for a given numpy and BLAS build, a model yields the same pivot sequence and
 the same floats on every run.
 
 Branch and bound has two LP helpers. The fixed-integer LP fixes every
-integer column at an integral point, either the incumbent or a warm point,
-which must name every integer column. It is solved cold with the two-phase
-primal simplex, as is every LP of the oracle, and at the incumbent it is
-the reported point. That point depends on the integer optimum alone, not on
-the vertex the search reached, so the fixture's ``microgrids.csv``, which
-records ``repr`` of each objective, does not pin the search's path. The
-node LP restarts the root from the warm LP's optimal basis, which releasing
-the integer columns to their model bounds leaves primal feasible, so only
-primal phase 2 remains; without an optimal warm LP it solves the root cold.
-It re-solves every other node with the bounded dual simplex from its
-parent's optimal basis, which a bound change leaves dual feasible. Either
-restart falls back to the cold primal when it fails. Statuses are
-``SolveStatus`` members throughout.
+integer column at an integral point: the incumbent, the caller's warm point
+or one of the model's start points (``MilpModel.starts``), each of which
+must name every integer column. The start points are tried only when the
+warm point has no optimal fixed-integer LP. The fixed-integer LP is solved
+cold with the two-phase primal simplex, as is every LP of the oracle, and
+at the incumbent it is the reported point. That point depends on the
+integer optimum alone, not on the vertex the search reached, so the
+fixture's ``microgrids.csv``, which records ``repr`` of each objective,
+does not pin the search's path. The node LP restarts the root from the
+optimal basis of the incumbent's fixed-integer LP, which releasing the
+integer columns to their model bounds leaves primal feasible, so only
+primal phase 2 remains; without an incumbent it solves the root cold. It
+re-solves every other node with the bounded dual simplex from its parent's
+optimal basis, which a bound change leaves dual feasible. Either restart
+falls back to the cold primal when it fails. Statuses are ``SolveStatus``
+members throughout.
 
 Budgets: 100 pivots per row and column for each LP, ``NODE_LIMIT`` nodes.
 Minimization throughout. Integer variables must carry integral finite bounds.
@@ -70,6 +73,10 @@ class SolveReport:
     node_count: int = 0
     lp_iterations: int = 0
     wall_time_s: float = 0.0
+    # where branch and bound found the reported point: "warm" (the caller's
+    # warm point), "start" (one of the model's start points) or "search";
+    # None without an incumbent, and from solve_lp
+    incumbent_source: str | None = None
 
 
 @dataclass
@@ -92,6 +99,9 @@ class MilpModel:
         self.objective: list[float] = []
         self.rows: list[_Row] = []
         self.offset = 0.0  # constant term carried into reported objectives
+        # integral points {integer column: value} that solve_milp tries
+        # when the caller's warm point has no optimal fixed-integer LP
+        self.starts: list[dict[int, float]] = []
 
     def add_variable(self, name: str, lower: float, upper: float, *,
                      integer: bool = False, objective: float = 0.0) -> int:
@@ -571,19 +581,22 @@ def solve_milp(model: MilpModel, *,
     Branches on the most fractional integer variable (ties to the lowest
     variable id), prunes nodes whose LP bound is within ``PRUNE_EPS`` of the
     incumbent, and accepts integrality at ``INT_TOL``. An optional warm point
-    gives a value for every integer variable and for no other (``ValueError``
-    otherwise). Unless a rounded value lies outside its bounds, the
-    fixed-integer LP at that point seeds the incumbent. It never changes the
-    optimum, only the amount of pruning.
+    gives a value for every integer variable and for no other, as does each
+    of ``model.starts`` (``ValueError`` otherwise). A point with a rounded
+    value outside its bounds is ignored. Otherwise, the fixed-integer LP at
+    the warm point seeds the incumbent. When that LP is not optimal, or
+    there is no warm point, the start points are tried in turn, and one
+    whose LP beats the incumbent by more than ``PRUNE_EPS`` replaces it.
+    Neither kind of point changes the optimum, only the amount of pruning.
 
     The root LP restarts with primal phase 2 from the optimal basis of the
-    warm point's fixed-integer LP, on that LP's own system; without one it
-    is solved cold with the two-phase primal simplex. Every other node
-    re-solves on the root's system with the dual simplex from its parent's
-    basis. Either restart falls back to a cold solve when it fails (pivot
-    cap, singular basis or a failed audit). An optimal report's values and
-    objective are those of the fixed-integer LP at the incumbent, so they
-    depend on the integer optimum, not on the path the search took.
+    fixed-integer LP at the incumbent so found, on that LP's own system;
+    without one it is solved cold with the two-phase primal simplex. Every
+    other node re-solves on the root's system with the dual simplex from its
+    parent's basis. Either restart falls back to a cold solve when it fails
+    (pivot cap, singular basis or a failed audit). An optimal report's
+    values and objective are those of the fixed-integer LP at the incumbent,
+    so they depend on the integer optimum, not on the path the search took.
     """
     t0 = time.perf_counter()
     a, senses, b, lower, upper, cost = model.dense()
@@ -593,26 +606,37 @@ def solve_milp(model: MilpModel, *,
     nodes = 0
     incumbent_obj = np.inf
     incumbent_x: np.ndarray | None = None
-    incumbent_polished = False  # the incumbent came from fixed_lp
+    source: str | None = None  # the incumbent's SolveReport.incumbent_source
     root: _Simplex | None = None
-    start: _Simplex | None = None  # the warm LP's optimal system
+    start: _Simplex | None = None  # the incumbent's fixed-integer LP
 
-    def fixed_lp(values: np.ndarray) -> tuple[SolveStatus, _Simplex]:
+    def integral(values: dict[int, float]) -> np.ndarray | None:
+        """The point's rounded integer values, None when one lies outside
+        its bounds (NaN included)."""
+        ints = int_idx.tolist()
+        if values.keys() != set(ints):
+            raise ValueError("a warm or start point names every integer "
+                             "column and no other")
+        # integral, with -0.0 normalised to 0.0
+        point = np.round([values[j] for j in ints]) + 0.0
+        if (np.all(lower[int_idx] - INT_TOL <= point)
+                and np.all(point <= upper[int_idx] + INT_TOL)):
+            return point
+        return None
+
+    def fixed_lp(values: np.ndarray) -> tuple[SolveStatus, _Simplex, np.ndarray]:
         """Cold LP with every integer column fixed at the integral
-        ``values``; an optimal point becomes the incumbent."""
-        nonlocal total_pivots, incumbent_obj, incumbent_x, incumbent_polished
+        ``values``."""
+        nonlocal total_pivots
         lo, hi = lower.copy(), upper.copy()
         lo[int_idx] = hi[int_idx] = values
         sx = _Simplex(a, senses, b, lo, hi, cost)
         status, x = sx.solve()
         total_pivots += sx.pivots
-        if status is SolveStatus.OPTIMAL:
-            incumbent_obj, incumbent_x, incumbent_polished = \
-                float(cost @ x), x, True
-        return status, sx
+        return status, sx, x
 
     def node_lp(node: _Node):
-        """The root restarts from the warm LP's basis, every other node
+        """The root restarts from the incumbent LP's basis, every other node
         re-solves from its parent's with the dual simplex; the cold primal
         when there is no such basis or the restart fails."""
         nonlocal total_pivots, root
@@ -640,21 +664,25 @@ def solve_milp(model: MilpModel, *,
         return SolveReport(
             status, incumbent_obj + model.offset if found else float("nan"),
             incumbent_x if found else np.full(model.n_variables, np.nan),
-            nodes, total_pivots, time.perf_counter() - t0)
+            nodes, total_pivots, time.perf_counter() - t0, source)
 
+    starts = [p for p in map(integral, model.starts) if p is not None]
     if warm_integer_values is not None:
-        ints = int_idx.tolist()
-        if warm_integer_values.keys() != set(ints):
-            raise ValueError("a warm point names every integer column and no other")
-        # integral, with -0.0 normalised to 0.0
-        point = np.round([warm_integer_values[j] for j in ints]) + 0.0
-        if (np.all(lower[int_idx] - INT_TOL <= point)
-                and np.all(point <= upper[int_idx] + INT_TOL)):
-            status, sx = fixed_lp(point)
+        point = integral(warm_integer_values)
+        if point is not None:
+            status, sx, x = fixed_lp(point)
             if status is SolveStatus.ITERATION_LIMIT:
                 return finish(status)
             if status is SolveStatus.OPTIMAL:
-                start = sx
+                incumbent_obj, incumbent_x, source, start = \
+                    float(cost @ x), x, "warm", sx
+    if start is None:
+        for point in starts:
+            status, sx, x = fixed_lp(point)
+            if (status is SolveStatus.OPTIMAL
+                    and float(cost @ x) < incumbent_obj - PRUNE_EPS):
+                incumbent_obj, incumbent_x, source, start = \
+                    float(cost @ x), x, "start", sx
 
     heap = [_Node(-np.inf, 0, lower.copy(), upper.copy())]
     seq = 0
@@ -675,7 +703,7 @@ def solve_milp(model: MilpModel, *,
             continue
         worst = np.abs(x[int_idx] - np.round(x[int_idx])) > INT_TOL
         if not worst.any():
-            incumbent_obj, incumbent_x, incumbent_polished = obj, x, False
+            incumbent_obj, incumbent_x, source = obj, x, "search"
             continue
         # most fractional first; ties go to the lowest variable id
         cand = int_idx[worst]
@@ -692,7 +720,10 @@ def solve_milp(model: MilpModel, *,
             heapq.heappush(heap, _Node(obj, seq, lo, hi, warm))
     if incumbent_x is None:
         return finish(SolveStatus.INFEASIBLE)
-    # the report is the fixed-integer LP at the incumbent, unless it is that LP
-    if not incumbent_polished:
-        fixed_lp(np.round(incumbent_x[int_idx]) + 0.0)
+    # the report is the fixed-integer LP at the incumbent; a warm or start
+    # incumbent is that LP already
+    if source == "search":
+        status, _, x = fixed_lp(np.round(incumbent_x[int_idx]) + 0.0)
+        if status is SolveStatus.OPTIMAL:
+            incumbent_obj, incumbent_x = float(cost @ x), x
     return finish(SolveStatus.OPTIMAL)

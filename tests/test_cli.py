@@ -96,7 +96,12 @@ class TestRun:
                      "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
-    def test_output_path_is_a_file(self, tmp_path, capsys):
+    def test_output_path_is_a_file(self, tmp_path, capsys, monkeypatch):
+        # the path is checked before the horizon runs, not after
+        def never(*args, **kwargs):
+            raise AssertionError("coordinator.run was called")
+
+        monkeypatch.setattr(coordinator, "run", never)
         taken = tmp_path / "taken"
         taken.write_text("")
         assert main(["run", "--scenario", "builtin:two-feeder",

@@ -105,10 +105,12 @@ class TestFlexibleRun:
     def test_warm_events_restart_the_root_lp(self, flex_run):
         # events 1-15 start from the previous partition; solving their
         # roots cold as well gives the same nodes at 4,175 pivots, where the
-        # restart from the warm LP's basis takes 1,544
+        # restart from the warm LP's basis takes 1,544. Events 0 and 4 have
+        # no optimal warm LP and restart from the model's start points
+        # instead: 1,381 pivots, and event 0 takes 6 nodes, not 12
         assert [ev.node_count for ev in flex_run.events] \
-            == [12, 1, 1, 1, 1, 1, 1, 1, 1, 9, 1, 1, 1, 1, 1, 1]
-        assert sum(ev.lp_iterations for ev in flex_run.events) <= 2000
+            == [6, 1, 1, 1, 1, 1, 1, 1, 1, 9, 1, 1, 1, 1, 1, 1]
+        assert sum(ev.lp_iterations for ev in flex_run.events) <= 1450
 
     def test_event_grid(self, flex_run):
         assert [ev.time_min for ev in flex_run.events] \

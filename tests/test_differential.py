@@ -7,8 +7,10 @@ model). On every drawn graph they must agree on feasibility and, within
 ``REL_TOL``, on the optimum; every decoded partition must be a radial forest
 with one closed switch per zone that is neither grid-forming nor in a load
 island. The model rows are shared, so the test checks the searches, not the
-formulation. A second test re-solves each model from warm points, whose
-basis the root LP restarts from, and must reach the cold optimum.
+formulation. Branch and bound also solves each model without the start
+points ``build_milp`` attaches, and must reach the same status and optimum.
+A second test re-solves each model from warm points, whose basis the root
+LP restarts from, and must reach the cold optimum.
 """
 
 import numpy as np
@@ -117,6 +119,13 @@ def test_search_oracle_and_highs_agree(case):
         raise AssertionError("the oracle found a partition build_milp rejected")
     rep = solve_milp(prob.model)
     assert rep.status is not SolveStatus.ITERATION_LIMIT
+    # the model's start points change the work, never the answer
+    prob.model.starts = []
+    bare = solve_milp(prob.model)
+    assert bare.status is rep.status
+    if rep.status is SolveStatus.OPTIMAL:
+        assert abs(bare.objective - rep.objective) \
+            <= REL_TOL * max(1.0, abs(rep.objective))
     reference = highs(prob.model)
     try:
         by_oracle = enumerate_optimal(g, snap, WTS)

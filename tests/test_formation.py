@@ -18,6 +18,7 @@ from gridsplit import (
     solve_milp,
     warm_values_from_topology,
 )
+from gridsplit import formation
 from gridsplit.netmodel import GridFormingResource
 
 WTS = FormationWeights()
@@ -198,6 +199,62 @@ def test_warm_start_changes_nothing_but_work(scenario):
     warm = solve_milp(prob.model, warm_integer_values=warm_vals)
     assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
     assert warm.node_count <= cold.node_count
+
+
+def test_forest_joins_each_zone_to_its_nearest_gfm(ring_island_graph):
+    # an edge weighs what its head zone does: critical zone 2 is 10 units
+    # from zone 1 over edge 1, 1 unit from zone 3 over tie 2; zone 4 is
+    # 1 unit from both, over edge 3 and over edge 11. Nothing reaches the
+    # load island
+    closed, anchors = formation._shortest_path_forest(ring_island_graph, WTS)
+    assert closed == {2, 3}
+    assert anchors == {1: 1, 2: 3, 3: 3, 4: 3,
+                       5: None, 6: None, 7: None, 8: None, 9: None}
+
+
+def test_forest_breaks_distance_ties_toward_closed_switches():
+    # zone 3 is 1 unit from zone 1 over tie 1 and from zone 2 over the
+    # normally-closed edge 2; the lower edge id would pick the tie
+    nodes = tuple(ZoneNode(i, i, False, 50.0, i < 3) for i in (1, 2, 3))
+    edges = (SwitchEdge(1, 1, 3, True, 500.0),
+             SwitchEdge(2, 2, 3, False, 500.0))
+    res = (GridFormingResource(1, 100.0, 400.0),
+           GridFormingResource(2, 100.0, 400.0))
+    closed, anchors = formation._shortest_path_forest(
+        ZoneGraph(nodes, edges, res), WTS)
+    assert closed == {2}
+    assert anchors == {1: 1, 2: 2, 3: 2}
+
+
+def test_start_points_are_the_default_topology_and_the_forest(
+        ring_island_graph):
+    # with edge 6 out the island is a tree, the default switches form a
+    # radial forest, and the two points differ; the forest is optimal, so
+    # the search closes at the root
+    g = ring_island_graph.with_faulted(ring_island_graph.faulted_edges | {6})
+    prob = build_milp(g, mksnap(g), WTS)
+    base = fixed_topology_solution(g)
+    assert prob.model.starts == [
+        warm_values_from_topology(prob, closed_set(base), base.assignment),
+        warm_values_from_topology(prob, *formation._shortest_path_forest(g, WTS))]
+    rep = solve_milp(prob.model)
+    assert rep.incumbent_source == "start" and rep.node_count == 1
+    # with the ring intact the default switches close a loop in the island
+    g = ring_island_graph
+    prob = build_milp(g, mksnap(g), WTS)
+    assert prob.model.starts == [
+        warm_values_from_topology(prob, *formation._shortest_path_forest(g, WTS))]
+
+
+def test_equal_start_points_are_kept_once():
+    # one feeder: the default topology is the forest
+    nodes = tuple(ZoneNode(i, 1, False, 50.0, i == 1) for i in (1, 2, 3))
+    edges = (SwitchEdge(1, 1, 2, False, 500.0),
+             SwitchEdge(2, 2, 3, False, 500.0))
+    g = ZoneGraph(nodes, edges, (GridFormingResource(1, 100.0, 400.0),))
+    prob = build_milp(g, mksnap(g), WTS)
+    assert prob.model.starts == [
+        warm_values_from_topology(prob, {1, 2}, {1: 1, 2: 1, 3: 1})]
 
 
 def test_island_zone_is_unassigned(scenario):

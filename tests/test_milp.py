@@ -318,6 +318,9 @@ def test_dual_children_match_cold_solves(monkeypatch, event_zero_model):
         return status, x
 
     monkeypatch.setattr(milp._Simplex, "resolve", spy)
+    # without its start points the event-0 search re-solves 11 children,
+    # with them 5
+    monkeypatch.setattr(event_zero_model.model, "starts", [])
     for model in _fuzz_milps() + [event_zero_model.model]:
         current["dense"] = model.dense()
         solve_milp(model)
@@ -414,3 +417,97 @@ def test_root_from_an_inner_integer_value_is_solved_cold(monkeypatch):
     assert rep.status is SolveStatus.OPTIMAL
     assert rep.objective == 1.0
     assert len(calls) == 3
+
+
+# ---------------------------------------------------------------------------
+# start points carried by the model
+# ---------------------------------------------------------------------------
+
+def _face_model():
+    # the root LP ends at the fractional vertex (0.75, 0.25) of the optimal
+    # face x + y = 1, whose only integral point is (0, 1): the cold search
+    # needs a second node to find it
+    m = MilpModel()
+    x = m.add_variable("x", 0, 1, integer=True, objective=-1.0)
+    y = m.add_variable("y", 0, 1, integer=True, objective=-1.0)
+    m.add_constraint({x: 1.0, y: 1.0}, "<=", 1.0)
+    m.add_constraint({x: 1.0, y: -1.0}, "<=", 0.5)
+    return m, x, y
+
+
+def test_optimal_start_point_closes_the_search_at_the_root():
+    m, x, y = _face_model()
+    cold = solve_milp(m)
+    assert cold.node_count == 2 and cold.incumbent_source == "search"
+    m.starts = [{x: 0.0, y: 1.0}]
+    rep = solve_milp(m)
+    assert rep.node_count == 1 and rep.incumbent_source == "start"
+    assert rep.objective == cold.objective == -1.0
+    assert rep.values.tobytes() == cold.values.tobytes()
+
+
+def test_infeasible_or_out_of_bounds_start_point_is_ignored():
+    m, x, y = _face_model()
+    cold = solve_milp(m)
+    for start in ({x: 1.0, y: 1.0}, {x: 2.0, y: 0.0}, {x: np.nan, y: 1.0}):
+        m.starts = [start]
+        rep = solve_milp(m)
+        assert rep.incumbent_source == "search"
+        assert rep.node_count == cold.node_count
+        assert rep.values.tobytes() == cold.values.tobytes()
+
+
+def test_worse_start_point_does_not_replace_a_better_one():
+    # kept in turn, (0, 0) would leave the root to search again
+    m, x, y = _face_model()
+    m.starts = [{x: 0.0, y: 1.0}, {x: 0.0, y: 0.0}]
+    rep = solve_milp(m)
+    assert rep.node_count == 1 and rep.incumbent_source == "start"
+    assert rep.objective == -1.0
+    # and a better one replaces a worse one
+    m.starts.reverse()
+    rep = solve_milp(m)
+    assert rep.node_count == 1 and rep.incumbent_source == "start"
+
+
+def test_start_point_must_name_every_integer_column():
+    m, x, y = _face_model()
+    z = m.add_variable("z", 0, 1)
+    for start in ({x: 0.0}, {x: 0.0, y: 1.0, z: 0.0}):
+        m.starts = [start]
+        with pytest.raises(ValueError, match="every integer column"):
+            solve_milp(m)
+        # checked even when an optimal warm point makes the starts moot
+        with pytest.raises(ValueError, match="every integer column"):
+            solve_milp(m, warm_integer_values={x: 0.0, y: 1.0})
+
+
+def test_start_points_are_tried_only_without_an_optimal_warm_lp(monkeypatch):
+    m, x, y = _face_model()
+    m.starts = [{x: 0.0, y: 1.0}]
+    calls = []
+    solve = milp._Simplex.solve
+
+    def spy(self):
+        calls.append(1)
+        return solve(self)
+
+    monkeypatch.setattr(milp._Simplex, "solve", spy)
+    # an optimal warm LP: the start point's LP is never solved
+    rep = solve_milp(m, warm_integer_values={x: 0.0, y: 1.0})
+    assert rep.incumbent_source == "warm" and len(calls) == 1
+    # an infeasible warm LP: the start point seeds the incumbent
+    calls.clear()
+    rep = solve_milp(m, warm_integer_values={x: 1.0, y: 1.0})
+    assert rep.incumbent_source == "start" and len(calls) == 2
+    assert rep.node_count == 1
+
+
+def test_incumbent_source_without_an_incumbent():
+    m, x, y = _face_model()
+    m.add_constraint({x: 1.0, y: 1.0}, ">=", 1.5)
+    m.starts = [{x: 0.0, y: 1.0}]
+    rep = solve_milp(m)
+    assert rep.status is SolveStatus.INFEASIBLE
+    assert rep.incumbent_source is None
+    assert solve_lp(m).incumbent_source is None
