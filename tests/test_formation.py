@@ -239,6 +239,7 @@ def test_start_points_are_the_default_topology_and_the_forest(
         warm_values_from_topology(prob, *formation._shortest_path_forest(g, WTS))]
     rep = solve_milp(prob.model)
     assert rep.incumbent_source == "start" and rep.node_count == 1
+    assert closed_set(decode(prob, rep)) == {2, 3, 4, 5, 7, 8}
     # with the ring intact the default switches close a loop in the island
     g = ring_island_graph
     prob = build_milp(g, mksnap(g), WTS)
