@@ -9,7 +9,9 @@ so the objective trades weighted load shedding against weighted commodity
 flow (a proxy for how far from its source each zone sits) and, after the
 first step, switch toggles; ``FormationWeights`` prices all three. Line
 flows, PV and GFM injections constrain the partition but are not decoded:
-the energy management under it does its own dispatch.
+the energy management under it does its own dispatch. Load islands, the
+zones that no GFM can reach under the faults, are not decisions: the model
+leaves them and their switches out, and their load is charged as shed.
 """
 
 from __future__ import annotations
@@ -64,7 +66,8 @@ class FormationWeights:
                 self.critical_flow_weight, self.default_flow_weight,
                 self.shed_weight)):
             raise ValueError("formation weights must be positive and finite")
-        if self.shed_weight <= self.critical_flow_weight:
+        if self.shed_weight <= max(self.critical_flow_weight,
+                                   self.default_flow_weight):
             raise ValueError("shed_weight must dominate flow weights")
         if not 0.0 <= self.switch_change_penalty < float("inf"):
             raise ValueError("switch_change_penalty must be finite and >= 0")
@@ -100,7 +103,6 @@ class FormationProblem:
     prev: FormationSolution | None
     model: MilpModel
     gfm_order: tuple[int, ...]
-    islands: frozenset[frozenset[int]]
     island_zones: frozenset[int]
     y: dict[int, int]
     x: dict[tuple[int, int], int]
@@ -109,18 +111,6 @@ class FormationProblem:
     d: dict[int, int]
     fp: dict[int, int]
     fn: dict[int, int]
-
-
-def _island_spanning_edges(g: ZoneGraph, islands: frozenset[frozenset[int]]) -> set[int]:
-    """Deterministic BFS spanning tree inside each load island.
-
-    Island-internal switches are not meaningful decisions (nothing there can
-    be energized), but the closed-switch count identity assumes each island
-    component is internally spanned, so pin a canonical tree.
-    """
-    adj = g.adjacency()
-    return {link[1] for comp in islands
-            for link in walk(adj, min(comp), within=comp)[1].values() if link}
 
 
 def downstream_capacity(g: ZoneGraph, policy: LateralPolicy) -> int:
@@ -143,23 +133,23 @@ def build_milp(g: ZoneGraph, snap: FormationSnapshot, weights: FormationWeights,
                prev: FormationSolution | None = None) -> FormationProblem:
     """Assemble the one-step partition MILP.
 
-    The model carries integral start points for ``solve_milp``: the default
-    topology, unless ``fixed_topology_solution`` rejects it, and the
-    shortest-path forest, each kept once. Raises ModelError for ill-posed
+    Columns and rows cover only the zones outside load islands and the
+    active edges between them; the offset charges every zone's load as shed,
+    islands included. The model carries integral start points for
+    ``solve_milp``: the default topology, unless ``fixed_topology_solution``
+    rejects it, and the shortest-path forest, each kept once. Raises ModelError for ill-posed
     inputs and InfeasibleTopology when a lateral policy demands more
     downstream zones than the graph can route.
     """
-    zones = sorted(n.id for n in g.nodes)
     gfm_order = g.gfm_nodes
     if not gfm_order:
         raise ModelError("graph has no grid-forming resources")
-    for i in zones:
-        if i not in snap.load_kw or i not in snap.pv_kw:
-            raise ModelError(f"snapshot missing zone {i}")
+    for n in g.nodes:
+        if n.id not in snap.load_kw or n.id not in snap.pv_kw:
+            raise ModelError(f"snapshot missing zone {n.id}")
 
-    islands = load_islands(g)
-    island_zones = frozenset().union(*islands) if islands else frozenset()
-    island_tree = _island_spanning_edges(g, islands)
+    island_zones = frozenset().union(*load_islands(g))
+    zones = sorted(n.id for n in g.nodes if n.id not in island_zones)
 
     for pol in g.lateral_policies:
         if pol.min_downstream_nodes >= 1:
@@ -173,7 +163,7 @@ def build_milp(g: ZoneGraph, snap: FormationSnapshot, weights: FormationWeights,
                     f"{pol.min_downstream_nodes} downstream zones, "
                     f"only {cap} reachable")
 
-    edges = g.active_edges()
+    edges = [e for e in g.active_edges() if e.tail not in island_zones]
     n_zones = len(zones)
     n_mg = len(gfm_order)
     big_m = float(n_zones)
@@ -181,14 +171,9 @@ def build_milp(g: ZoneGraph, snap: FormationSnapshot, weights: FormationWeights,
 
     mdl = MilpModel(f"formation_step_{snap.step_index}")
 
-    # switch binaries; island-internal edges are pinned, not decided
     y: dict[int, int] = {}
     for e in edges:
-        if e.tail in island_zones:
-            fixed = 1.0 if e.id in island_tree else 0.0
-            y[e.id] = mdl.add_variable(f"y_{e.id}", fixed, fixed, integer=True)
-        else:
-            y[e.id] = mdl.add_variable(f"y_{e.id}", 0, 1, integer=True)
+        y[e.id] = mdl.add_variable(f"y_{e.id}", 0, 1, integer=True)
 
     # assignment binaries; each GFM is pinned to its own microgrid
     x: dict[tuple[int, int], int] = {}
@@ -215,15 +200,11 @@ def build_milp(g: ZoneGraph, snap: FormationSnapshot, weights: FormationWeights,
     d: dict[int, int] = {}
     shed_w = weights.shed_weight
     for i in zones:
-        if i in island_zones:
-            p[i] = mdl.add_variable(f"p_{i}", 0, 0)
-            d[i] = mdl.add_variable(f"d_{i}", 0, 0, objective=-shed_w)
-        else:
-            p[i] = mdl.add_variable(f"p_{i}", snap.pv_min_kw.get(i, 0.0),
-                                    snap.pv_kw[i])
-            d[i] = mdl.add_variable(f"d_{i}", 0.0, snap.load_kw[i],
-                                    objective=-shed_w)
-    mdl.offset += shed_w * sum(snap.load_kw[i] for i in zones)
+        p[i] = mdl.add_variable(f"p_{i}", snap.pv_min_kw.get(i, 0.0),
+                                snap.pv_kw[i])
+        d[i] = mdl.add_variable(f"d_{i}", 0.0, snap.load_kw[i],
+                                objective=-shed_w)
+    mdl.offset += shed_w * sum(snap.load_kw[n.id] for n in g.nodes)
 
     inj: dict[int, int] = {}
     for j in gfm_order:
@@ -242,17 +223,17 @@ def build_milp(g: ZoneGraph, snap: FormationSnapshot, weights: FormationWeights,
         fp[e.id] = mdl.add_variable(f"fp_{e.id}", 0, big_m, objective=we)
         fn[e.id] = mdl.add_variable(f"fn_{e.id}", 0, big_m, objective=we)
 
-    # switch-change penalty, linearized exactly for binary y
+    # switch-change penalty, linearized exactly for binary y; a closed edge
+    # without a column (faulted or in a load island) is an unavoidable change
     if prev is not None and weights.switch_change_penalty > 0:
         eps = weights.switch_change_penalty
-        active_ids = {e.id for e in edges}
         for eid, closed in prev.switch_status.items():
             was = 1.0 if closed else 0.0
-            if eid in active_ids:
+            if eid in y:
                 mdl.add_objective(y[eid], eps * (1.0 - 2.0 * was))
                 mdl.offset += eps * was
             elif closed:
-                mdl.offset += eps  # forced open by a fault: unavoidable change
+                mdl.offset += eps
 
     # each zone belongs to exactly one microgrid label
     for i in zones:
@@ -273,9 +254,9 @@ def build_milp(g: ZoneGraph, snap: FormationSnapshot, weights: FormationWeights,
                 {z[e.id, k]: 1.0, x[e.tail, k]: -1.0, x[e.head, k]: -1.0},
                 ">=", -1.0, f"mc3_{e.id}_{k}")
 
-    # exact spanning-forest count over zones, GFMs and island components
+    # exact spanning-forest count: one closed switch per non-GFM zone
     mdl.add_constraint({y[e.id]: 1.0 for e in edges}, "==",
-                       float(n_zones - n_mg - len(islands)), "radial_count")
+                       float(n_zones - n_mg), "radial_count")
 
     # real power balance per zone (positive t flows tail -> head)
     for i in zones:
@@ -298,10 +279,8 @@ def build_milp(g: ZoneGraph, snap: FormationSnapshot, weights: FormationWeights,
         mdl.add_constraint({t[e.id]: -1.0, y[e.id]: -e.flow_limit_kw}, "<=", 0.0,
                            f"tcap_lo_{e.id}")
 
-    # connectivity commodity: every non-island, non-GFM zone consumes one unit
+    # connectivity commodity: every non-GFM zone consumes one unit
     for i in zones:
-        if i in island_zones:
-            continue
         coeffs = {}
         for e in edges:
             sgn = 1.0 if e.tail == i else (-1.0 if e.head == i else 0.0)
@@ -333,7 +312,7 @@ def build_milp(g: ZoneGraph, snap: FormationSnapshot, weights: FormationWeights,
 
     problem = FormationProblem(
         graph=g, snapshot=snap, weights=weights, prev=prev, model=mdl,
-        gfm_order=gfm_order, islands=islands, island_zones=island_zones,
+        gfm_order=gfm_order, island_zones=island_zones,
         y=y, x=x, z=z, t=t, d=d, fp=fp, fn=fn)
     topologies = []
     try:
@@ -386,16 +365,14 @@ def warm_values_from_topology(problem: FormationProblem,
                               assignment: dict[int, int | None]) -> dict[int, float]:
     """Integer warm point for the solver from a known partition.
 
-    Island zones and zones without an anchor are parked on microgrid 0; the
-    solver only uses the point if it is feasible.
+    Edges without a column (faulted or in a load island) are ignored, and
+    zones without an anchor are parked on microgrid 0; the solver only uses
+    the point if it is feasible.
     """
     vals: dict[int, float] = {}
     k_of = {gfm: k for k, gfm in enumerate(problem.gfm_order)}
     for eid, col in problem.y.items():
-        if problem.model.lower[col] == problem.model.upper[col]:
-            vals[col] = problem.model.lower[col]
-        else:
-            vals[col] = 1.0 if eid in closed_edges else 0.0
+        vals[col] = 1.0 if eid in closed_edges else 0.0
     for (i, k), col in problem.x.items():
         anchor = assignment.get(i)
         kk = k_of.get(anchor, 0) if anchor is not None else 0
@@ -432,11 +409,9 @@ def decode(problem: FormationProblem, report: SolveReport) -> FormationSolution:
 
     closed = {eid for eid, col in problem.y.items()
               if _rounded(xv[col], f"switch y_{eid}") == 1}
-    assignment: dict[int, int | None] = {}
-    for i in sorted(n.id for n in g.nodes):
-        if i in problem.island_zones:
-            assignment[i] = None
-            continue
+    assignment: dict[int, int | None] = dict.fromkeys(
+        sorted(n.id for n in g.nodes))
+    for i in problem.d:
         picks = [k for k in range(len(problem.gfm_order))
                  if _rounded(xv[problem.x[i, k]], f"assign x_{i}_{k}") == 1]
         if len(picks) != 1:
@@ -449,7 +424,8 @@ def decode(problem: FormationProblem, report: SolveReport) -> FormationSolution:
 
     commodity = {eid: float(xv[problem.fp[eid]] - xv[problem.fn[eid]])
                  for eid in problem.fp}
-    served = {i: float(xv[col]) for i, col in problem.d.items()}
+    served = {i: float(xv[problem.d[i]]) if i in problem.d else 0.0
+              for i in assignment}
 
     wts = problem.weights
     shed_term, flow_term = _priced(g, wts, problem.snapshot.load_kw, served,
@@ -457,9 +433,8 @@ def decode(problem: FormationProblem, report: SolveReport) -> FormationSolution:
     switch_term = 0.0
     if problem.prev is not None and wts.switch_change_penalty > 0:
         eps = wts.switch_change_penalty
-        active = {e.id for e in g.active_edges()}
         for eid, was in problem.prev.switch_status.items():
-            if eid in active:
+            if eid in problem.y:
                 switch_term += eps * ((eid in closed) != was)
             elif was:
                 switch_term += eps

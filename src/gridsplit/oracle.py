@@ -86,12 +86,11 @@ def enumerate_optimal(g: ZoneGraph, snap: FormationSnapshot,
     mdl = problem.model
     a, senses, b, lower, upper, cost = mdl.dense()
     k_of = {gfm: k for k, gfm in enumerate(problem.gfm_order)}
-    target = len(g.nodes) - len(problem.gfm_order) - len(problem.islands)
+    target = len(g.nodes) - len(problem.island_zones) - len(problem.gfm_order)
 
     best_obj = np.inf
     best: tuple[frozenset[int], np.ndarray] | None = None
-    edge_ids = [e.id for e in edges]
-    for combo in itertools.combinations(edge_ids, target):
+    for combo in itertools.combinations(problem.y, target):
         closed = frozenset(combo)
         check = is_radial_forest(g, closed)
         if not check.is_radial:
@@ -100,29 +99,19 @@ def enumerate_optimal(g: ZoneGraph, snap: FormationSnapshot,
             continue
 
         lo, hi = lower.copy(), upper.copy()
-        for eid in edge_ids:
-            col = problem.y[eid]
-            want = 1.0 if eid in closed else 0.0
-            if lower[col] == upper[col] and lower[col] != want:
-                break  # conflicts with a pinned island edge
-            lo[col] = hi[col] = want
-        else:
-            anchor_of: dict[int, int] = {}
-            for tree in check.trees:
-                k = k_of[min(tree & set(problem.gfm_order))]
-                for i in tree:
-                    anchor_of[i] = k
-            for (i, k), col in problem.x.items():
-                want = 1.0 if anchor_of.get(i, 0) == k else 0.0
-                if lower[col] == upper[col] and lower[col] != want:
-                    break
-                lo[col] = hi[col] = want
-            else:
-                status, obj, x, _ = _solve_lp_arrays(a, senses, b, lo, hi,
-                                                     cost)
-                if status is SolveStatus.OPTIMAL and obj + mdl.offset < best_obj:
-                    best_obj = obj + mdl.offset
-                    best = (closed, x)
+        for eid, col in problem.y.items():
+            lo[col] = hi[col] = 1.0 if eid in closed else 0.0
+        anchor_of: dict[int, int] = {}
+        for tree in check.trees:
+            k = k_of[min(tree & set(problem.gfm_order))]
+            for i in tree:
+                anchor_of[i] = k
+        for (i, k), col in problem.x.items():
+            lo[col] = hi[col] = 1.0 if anchor_of[i] == k else 0.0
+        status, obj, x, _ = _solve_lp_arrays(a, senses, b, lo, hi, cost)
+        if status is SolveStatus.OPTIMAL and obj + mdl.offset < best_obj:
+            best_obj = obj + mdl.offset
+            best = (closed, x)
 
     if best is None:
         raise InfeasibleTopology(

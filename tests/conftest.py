@@ -1,7 +1,16 @@
+import os
+
 import pytest
+from hypothesis import settings
 
 from gridsplit import (GridFormingResource, SwitchEdge, ZoneGraph, ZoneNode,
                        fixture_two_feeder, run)
+
+# example counts for property tests that do not set their own: the default
+# keeps the tier-1 suite short, "ci" draws ten times as many
+settings.register_profile("dev", max_examples=40)
+settings.register_profile("ci", max_examples=400)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 
@@ -138,14 +139,17 @@ class TestRun:
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: graph has no grid-forming resources"] * 2
 
-    def test_infeasible_partition_model(self, tmp_path, capsys,
-                                        ring_island_graph):
-        # the load island holds the ring 5-6-7-8, which the product rows
-        # force closed inside one microgrid label: no feasible point
-        zones = [n.id for n in ring_island_graph.nodes]
-        sc = Scenario(name="ring", graph=ring_island_graph, step_minutes=5,
-                      load_kw={z: np.full(576, 50.0) for z in zones},
-                      pv_kw={z: np.zeros(576) for z in zones})
+    def test_infeasible_partition_model(self, tmp_path, capsys):
+        # a 4-zone ring fed by one grid-forming zone: the product rows force
+        # every edge inside one microgrid label closed, so the ring can
+        # never open and the model has no feasible point
+        nodes = tuple(ZoneNode(i, 1, False, 100.0, i == 1) for i in range(1, 5))
+        edges = tuple(SwitchEdge(i, i, i % 4 + 1, i == 4, 1000.0)
+                      for i in range(1, 5))
+        g = ZoneGraph(nodes, edges, (GridFormingResource(1, 500.0, 2000.0),))
+        sc = Scenario(name="ring", graph=g, step_minutes=5,
+                      load_kw={z: np.full(576, 50.0) for z in range(1, 5)},
+                      pv_kw={z: np.zeros(576) for z in range(1, 5)})
         save_scenario(sc, tmp_path / "ring.json")
         path = str(tmp_path / "ring.json")
         assert main(["validate", "--scenario", path]) == 0
@@ -153,6 +157,26 @@ class TestRun:
                      "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.endswith(
             "partition model of event 0 has no feasible point\n")
+
+    def test_ring_inside_a_load_island_stays_dark(self, tmp_path,
+                                                  ring_island_graph):
+        # the load island 5-9 holds the ring 5-6-7-8; the model leaves it
+        # out, so the run finishes with the island unserved at every step
+        zones = [n.id for n in ring_island_graph.nodes]
+        sc = Scenario(name="ring", graph=ring_island_graph, step_minutes=5,
+                      load_kw={z: np.full(576, 50.0) for z in zones},
+                      pv_kw={z: np.zeros(576) for z in zones})
+        save_scenario(sc, tmp_path / "ring.json")
+        out = tmp_path / "o"
+        assert main(["run", "--scenario", str(tmp_path / "ring.json"),
+                     "--out", str(out)]) == 0
+        with open(out / "trace.csv", newline="") as f:
+            rows = list(csv.DictReader(f))
+        assert len(rows) == 576
+        for z in (5, 6, 7, 8, 9):
+            assert all(float(r[f"served_{z}"]) == 0.0 for r in rows)
+            assert all(float(r[f"unserved_{z}"]) == 50.0 for r in rows)
+        assert any(float(r["served_1"]) > 0.0 for r in rows)
 
     def test_unknown_mode_rejected_by_argparse(self, tmp_path):
         with pytest.raises(SystemExit):

@@ -6,15 +6,22 @@ Three solvers price the same partition model: branch and bound
 model). On every drawn graph they must agree on feasibility and, within
 ``REL_TOL``, on the optimum; every decoded partition must be a radial forest
 with one closed switch per zone that is neither grid-forming nor in a load
-island. The model rows are shared, so the test checks the searches, not the
-formulation. Branch and bound also solves each model without the start
+island. Some draws hold a cycle inside a load island; the model leaves
+islands out, so they must solve like any other draw, and faulting every
+edge inside an island must leave the model as it is. The model rows are
+shared, so the test checks the searches, not the formulation. Branch and bound also solves each model without the start
 points ``build_milp`` attaches, and must reach the same status and optimum.
 A second test re-solves each model from warm points, whose basis the root
 LP restarts from, and must reach the cold optimum.
+
+The example count comes from the hypothesis profile (``tests/conftest.py``):
+40 by default, 400 with ``HYPOTHESIS_PROFILE=ci``.
 """
 
+import itertools
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import Bounds, LinearConstraint
 from scipy.optimize import milp as scipy_milp
@@ -46,8 +53,9 @@ WTS = FormationWeights()
 @st.composite
 def restoration_case(draw):
     """2-3 radial feeders of 2-3 zones, each rooted at a grid-forming zone,
-    joined by 1-3 normally-open ties; 0-1 faulted edges, random flow limits,
-    resources, loads and PV, and optionally one lateral policy."""
+    optionally one normally-closed chord inside a feeder, joined by 1-3
+    normally-open ties; 0-1 faulted edges, random flow limits, resources,
+    loads and PV, and optionally one lateral policy."""
     # loads and PV at 1-W resolution: HiGHS fixes a column whose bound range
     # is within its tolerance, so a 1e-6 kW load would be shed by the
     # reference alone, at shed_weight * 1e-6 above the true optimum
@@ -58,13 +66,23 @@ def restoration_case(draw):
         for z in zones:
             nodes.append(ZoneNode(z, f, draw(st.booleans()), 100.0, z == zones[0]))
             if z != zones[0]:
-                parent = draw(st.sampled_from(zones[:zones.index(z)]))
+                # nearest zone first: hypothesis leans toward the first
+                # choice, so chains, whose cut-off tail can hold the chord,
+                # are common
+                parent = draw(st.sampled_from(zones[:zones.index(z)][::-1]))
                 edges.append(SwitchEdge(len(edges) + 1, parent, z, False,
                                         draw(st.floats(50.0, 1000.0))))
         resources.append(GridFormingResource(
             zones[0], draw(st.floats(50.0, 800.0)), 2000.0,
             diesel_power_kw=draw(st.sampled_from([0.0, 200.0]))))
         feeders.append(zones)
+    # a chord between two non-root zones of a feeder doubles the line
+    # between them or closes a loop through the root
+    chords = [c for zones in feeders for c in itertools.combinations(zones[1:], 2)]
+    if chords and draw(st.booleans()):
+        a, b = draw(st.sampled_from(chords))
+        edges.append(SwitchEdge(len(edges) + 1, a, b, False,
+                                draw(st.floats(50.0, 1000.0))))
     pairs = [(a, b) for i, fa in enumerate(feeders) for fb in feeders[i + 1:]
              for a in fa for b in fb]
     for a, b in draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=3,
@@ -101,13 +119,37 @@ def highs(model):
 def check_partition(g, sol):
     closed = frozenset(e for e, on in sol.switch_status.items() if on)
     assert is_radial_forest(g, closed).is_radial
-    assert len(closed) == len(g.nodes) - len(g.gfm_nodes) - len(load_islands(g))
+    island_zones = frozenset().union(*load_islands(g))
+    assert len(closed) == len(g.nodes) - len(g.gfm_nodes) - len(island_zones)
 
 
-@settings(max_examples=40, deadline=None)
+def island_holds_cycle(g):
+    return any(sum(e.tail in comp for e in g.active_edges()) >= len(comp)
+               for comp in load_islands(g))
+
+
+def parallel_line_island():
+    """Zones 2 and 3 joined by two lines (edges 2 and 4), cut off from the
+    grid-forming zone 1 by the faulted edge 1; tie 5 joins zones 1 and 4."""
+    nodes = tuple(ZoneNode(i, 1 if i < 4 else 2, False, 100.0, i in (1, 4))
+                  for i in range(1, 6))
+    edges = (SwitchEdge(1, 1, 2, False, 500.0), SwitchEdge(2, 2, 3, False, 500.0),
+             SwitchEdge(3, 4, 5, False, 500.0), SwitchEdge(4, 2, 3, False, 500.0),
+             SwitchEdge(5, 1, 4, True, 500.0))
+    res = (GridFormingResource(1, 300.0, 2000.0),
+           GridFormingResource(4, 300.0, 2000.0))
+    g = ZoneGraph(nodes, edges, res, frozenset({1}))
+    return g, FormationSnapshot(0, dict.fromkeys(range(1, 6), 100.0),
+                                dict.fromkeys(range(1, 6), 0.0))
+
+
+@settings(deadline=None)
 @given(restoration_case())
+@example(parallel_line_island())
 def test_search_oracle_and_highs_agree(case):
     g, snap = case
+    if island_holds_cycle(g):
+        event("cycle inside a load island")
     try:
         prob = build_milp(g, snap, WTS)
     except InfeasibleTopology:
@@ -117,6 +159,13 @@ def test_search_oracle_and_highs_agree(case):
         except InfeasibleTopology:
             return
         raise AssertionError("the oracle found a partition build_milp rejected")
+    # a load island's switches are no decision: with all of them faulted
+    # the model is the same
+    island_zones = frozenset().union(*load_islands(g))
+    dark = g.with_faulted(g.faulted_edges | {
+        e.id for e in g.active_edges() if e.tail in island_zones})
+    assert build_milp(dark, snap, WTS).model.to_lp_string() \
+        == prob.model.to_lp_string()
     rep = solve_milp(prob.model)
     assert rep.status is not SolveStatus.ITERATION_LIMIT
     # the model's start points change the work, never the answer
@@ -141,8 +190,9 @@ def test_search_oracle_and_highs_agree(case):
         assert abs(sol.objective_value - reference) <= REL_TOL * max(1.0, abs(reference))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(deadline=None)
 @given(restoration_case())
+@example(parallel_line_island())
 def test_warm_started_search_reaches_the_cold_optimum(case):
     g, snap = case
     try:
@@ -153,8 +203,14 @@ def test_warm_started_search_reaches_the_cold_optimum(case):
     if cold.status is not SolveStatus.OPTIMAL:
         return
     # the optimum itself, and the normally-closed baseline, which may be
-    # infeasible in the model or far from the optimum
-    for start in (decode(prob, cold), fixed_topology_solution(g, snap, WTS)):
+    # infeasible in the model or far from the optimum; a chord closes a loop
+    # in the baseline, which then does not exist
+    starts = [decode(prob, cold)]
+    try:
+        starts.append(fixed_topology_solution(g, snap, WTS))
+    except InfeasibleTopology:
+        pass
+    for start in starts:
         warm = warm_values_from_topology(
             prob, {e for e, on in start.switch_status.items() if on},
             start.assignment)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy.optimize import Bounds, LinearConstraint
+from scipy.optimize import milp as scipy_milp
 
 from gridsplit import (
     DecodeError,
@@ -12,6 +14,7 @@ from gridsplit import (
     ZoneNode,
     build_milp,
     decode,
+    enumerate_optimal,
     fixed_topology_solution,
     is_radial_forest,
     solve_lp,
@@ -180,6 +183,17 @@ def test_weights_reject_a_non_finite_weight(field, value):
         FormationWeights(**{field: value})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("critical_flow_weight", 1000.0),
+    ("critical_flow_weight", 2000.0),
+    ("default_flow_weight", 1000.0),
+    ("default_flow_weight", 2000.0),
+])
+def test_weights_reject_a_flow_weight_not_below_shed(field, value):
+    with pytest.raises(ValueError, match="dominate"):
+        FormationWeights(**{field: value})
+
+
 def test_large_penalty_freezes_the_topology(scenario):
     g = scenario.graph
     base = fixed_topology_solution(g, mksnap(g), WTS)
@@ -239,7 +253,7 @@ def test_start_points_are_the_default_topology_and_the_forest(
         warm_values_from_topology(prob, *formation._shortest_path_forest(g, WTS))]
     rep = solve_milp(prob.model)
     assert rep.incumbent_source == "start" and rep.node_count == 1
-    assert closed_set(decode(prob, rep)) == {2, 3, 4, 5, 7, 8}
+    assert closed_set(decode(prob, rep)) == {2, 3}
     # with the ring intact the default switches close a loop in the island
     g = ring_island_graph
     prob = build_milp(g, mksnap(g), WTS)
@@ -266,30 +280,59 @@ def test_island_zone_is_unassigned(scenario):
     assert sol.served_load_kw[5] == pytest.approx(0.0)
 
 
-def test_load_island_pins_a_breadth_first_tree(ring_island_graph):
+@pytest.mark.parametrize("extra_fault", [(), (6,)], ids=["ring", "tree"])
+def test_load_island_gets_no_columns(ring_island_graph, extra_fault):
+    # zones 5-9 and edges 4-8 lie behind the faulted edge 10: the model
+    # covers zones 1-4 and edges 1-3 and 11 only, whether or not the
+    # island holds the ring 5-6-7-8
     g = ring_island_graph
+    g = g.with_faulted(g.faulted_edges | set(extra_fault))
     prob = build_milp(g, mksnap(g), WTS)
-    mdl = prob.model
-    pinned = {eid: mdl.upper[col] for eid, col in prob.y.items()
-              if mdl.lower[col] == mdl.upper[col]}
-    # from zone 5 in (zone, edge) order: 5-6 (edge 7) and 5-8 (edge 4),
-    # then 6-7 (edge 5), then 7-9 (edge 8); 7-8 (edge 6) would close the
-    # ring and stays open
-    assert pinned == {4: 1.0, 5: 1.0, 6: 0.0, 7: 1.0, 8: 1.0}
+    assert prob.island_zones == {5, 6, 7, 8, 9}
+    assert sorted(prob.y) == sorted(prob.t) == sorted(prob.fp) == [1, 2, 3, 11]
+    assert sorted(prob.d) == [1, 2, 3, 4]
+    assert {i for i, _ in prob.x} == {1, 2, 3, 4}
+    assert (prob.model.n_variables, prob.model.n_constraints) == (44, 53)
+    row = next(r for r in prob.model.rows if r.name == "radial_count")
+    assert row.rhs == 2.0     # 4 zones less 2 grid-forming zones
 
 
-def test_multi_zone_island_closes_zones_less_gfms_less_islands(
+def test_island_ring_solves_to_the_oracle_and_highs_optimum(
         ring_island_graph):
-    # with the island ring intact the model has no feasible point: the
-    # pinned tree puts zones 7 and 8 in one microgrid and the product rows
-    # of the open edge 6 then require it closed; so edge 6 is out here
+    # the island's 500 kW is shed whatever the switches do; the forest
+    # {2, 3} feeds zones 2-4 from zone 3 at 1 + 1 flow units
     g = ring_island_graph
-    g = g.with_faulted(g.faulted_edges | {6})
-    prob, _, sol = solve(g, mksnap(g))
-    closed = closed_set(sol)
-    assert len(closed) == len(g.nodes) - len(g.gfm_nodes) - len(prob.islands)
-    assert len(closed) == 6 and {4, 5, 7, 8} <= closed
-    assert all(sol.assignment[z] is None for z in (5, 6, 7, 8, 9))
+    prob, rep, sol = solve(g, mksnap(g))
+    assert rep.objective == pytest.approx(500002.0, abs=1e-6)
+    assert closed_set(sol) == {2, 3}
+    assert all(sol.assignment[z] is None and sol.served_load_kw[z] == 0.0
+               for z in (5, 6, 7, 8, 9))
+    assert sol.load_shed_term == pytest.approx(500000.0, abs=1e-6)
+    by_oracle = enumerate_optimal(g, mksnap(g), WTS)
+    assert by_oracle.objective_value == pytest.approx(rep.objective, abs=1e-6)
+    assert closed_set(by_oracle) == {2, 3}
+    a, senses, b, lower, upper, cost = prob.model.dense()
+    lb = np.array([-np.inf if s == "<=" else v for s, v in zip(senses, b)])
+    ub = np.array([np.inf if s == ">=" else v for s, v in zip(senses, b)])
+    res = scipy_milp(cost, constraints=LinearConstraint(a, lb, ub),
+                     integrality=np.array(prob.model.is_integer, dtype=int),
+                     bounds=Bounds(lower, upper), options={"mip_rel_gap": 0.0})
+    assert res.status == 0
+    assert res.fun + prob.model.offset == pytest.approx(rep.objective, abs=1e-6)
+
+
+def test_closed_island_switch_counts_as_one_change(ring_island_graph):
+    # the previous partition held island edges 4, 5, 7 and 8 closed; they
+    # have no column now and are reported open, so each is one change, as a
+    # faulted edge would be, in the model's offset and in decode alike
+    g = ring_island_graph
+    prev = fixed_topology_solution(g.with_faulted(g.faulted_edges | {6}))
+    assert closed_set(prev) == {1, 3, 4, 5, 7, 8}
+    _, rep, sol = solve(g, mksnap(g), prev=prev, penalty=0.25)
+    # edge 1 opens, tie 2 closes, island edges 4, 5, 7 and 8 open
+    assert closed_set(sol) == {2, 3}
+    assert sol.switch_change_term == pytest.approx(6 * 0.25, abs=1e-9)
+    assert rep.objective == pytest.approx(500002.0 + 6 * 0.25, abs=1e-6)
 
 
 def test_scarcity_forces_shedding(scenario):
