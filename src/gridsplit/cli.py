@@ -74,10 +74,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     sc = _load(args.scenario)
     tl = coordinator.Timeline()
-    try:
-        g, snap = coordinator.formation_inputs(sc, tl, args.step)
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    g, snap = coordinator.formation_inputs(sc, tl, args.step)
     wts = FormationWeights()
     if args.dump_lp:
         prob = build_milp(g, snap, wts)

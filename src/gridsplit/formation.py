@@ -20,8 +20,8 @@ import heapq
 from dataclasses import dataclass, field
 
 from .milp import INT_TOL, MilpModel, SolveReport, SolveStatus
-from .netmodel import (LateralPolicy, RadialCheck, ZoneGraph, _components,
-                       is_radial_forest, load_islands, walk)
+from .netmodel import (LateralPolicy, RadialCheck, ZoneGraph, forest_census,
+                       is_radial_forest, walk)
 
 OBJ_MATCH_RTOL = 1e-6            # decode recheck: |recomputed - reported|
 
@@ -103,7 +103,6 @@ class FormationProblem:
     prev: FormationSolution | None
     model: MilpModel
     gfm_order: tuple[int, ...]
-    island_zones: frozenset[int]
     y: dict[int, int]
     x: dict[tuple[int, int], int]
     z: dict[tuple[int, int], int]
@@ -148,8 +147,7 @@ def build_milp(g: ZoneGraph, snap: FormationSnapshot, weights: FormationWeights,
         if n.id not in snap.load_kw or n.id not in snap.pv_kw:
             raise ModelError(f"snapshot missing zone {n.id}")
 
-    island_zones = frozenset().union(*load_islands(g))
-    zones = sorted(n.id for n in g.nodes if n.id not in island_zones)
+    zones = sorted(n.id for n in g.nodes if n.id not in g.island_zones)
 
     for pol in g.lateral_policies:
         if pol.min_downstream_nodes >= 1:
@@ -163,11 +161,17 @@ def build_milp(g: ZoneGraph, snap: FormationSnapshot, weights: FormationWeights,
                     f"{pol.min_downstream_nodes} downstream zones, "
                     f"only {cap} reachable")
 
-    edges = [e for e in g.active_edges() if e.tail not in island_zones]
+    edges = [e for e in g.active_edges() if e.tail not in g.island_zones]
     n_zones = len(zones)
     n_mg = len(gfm_order)
     big_m = float(n_zones)
     k_of = {gfm: k for k, gfm in enumerate(gfm_order)}
+
+    # each zone's incident edges, signed +1 where the edge leaves it (tail)
+    incident: dict[int, list[tuple[int, float]]] = {i: [] for i in zones}
+    for e in edges:
+        incident[e.tail].append((e.id, 1.0))
+        incident[e.head].append((e.id, -1.0))
 
     mdl = MilpModel(f"formation_step_{snap.step_index}")
 
@@ -260,12 +264,7 @@ def build_milp(g: ZoneGraph, snap: FormationSnapshot, weights: FormationWeights,
 
     # real power balance per zone (positive t flows tail -> head)
     for i in zones:
-        coeffs: dict[int, float] = {}
-        for e in edges:
-            if e.tail == i:
-                coeffs[t[e.id]] = coeffs.get(t[e.id], 0.0) + 1.0
-            elif e.head == i:
-                coeffs[t[e.id]] = coeffs.get(t[e.id], 0.0) - 1.0
+        coeffs = {t[eid]: sgn for eid, sgn in incident[i]}
         coeffs[p[i]] = -1.0
         coeffs[d[i]] = 1.0
         if i in inj:
@@ -282,11 +281,9 @@ def build_milp(g: ZoneGraph, snap: FormationSnapshot, weights: FormationWeights,
     # connectivity commodity: every non-GFM zone consumes one unit
     for i in zones:
         coeffs = {}
-        for e in edges:
-            sgn = 1.0 if e.tail == i else (-1.0 if e.head == i else 0.0)
-            if sgn:
-                coeffs[fp[e.id]] = coeffs.get(fp[e.id], 0.0) + sgn
-                coeffs[fn[e.id]] = coeffs.get(fn[e.id], 0.0) - sgn
+        for eid, sgn in incident[i]:
+            coeffs[fp[eid]] = sgn
+            coeffs[fn[eid]] = -sgn
         if i in w:
             coeffs[w[i]] = -1.0
             mdl.add_constraint(coeffs, "==", 0.0, f"comm_src_{i}")
@@ -312,8 +309,7 @@ def build_milp(g: ZoneGraph, snap: FormationSnapshot, weights: FormationWeights,
 
     problem = FormationProblem(
         graph=g, snapshot=snap, weights=weights, prev=prev, model=mdl,
-        gfm_order=gfm_order, island_zones=island_zones,
-        y=y, x=x, z=z, t=t, d=d, fp=fp, fn=fn)
+        gfm_order=gfm_order, y=y, x=x, z=z, t=t, d=d, fp=fp, fn=fn)
     topologies = []
     try:
         base = fixed_topology_solution(g)
@@ -461,37 +457,23 @@ def fixed_topology_solution(g: ZoneGraph, snap: FormationSnapshot | None = None,
     reporting; capacity checks are the optimizer's job, not the baseline's).
     """
     wts = weights or FormationWeights()
-    closed = {e.id for e in g.active_edges() if not e.normally_open}
-    gfms = set(g.gfm_nodes)
-    trees: list[frozenset[int]] = []
-    for comp in _components(g, frozenset(closed)):
-        inside = sum(1 for eid in closed
-                     if g.edge(eid).tail in comp and g.edge(eid).head in comp)
-        if inside != len(comp) - 1:
-            raise InfeasibleTopology("default closed switches contain a loop")
-        anchors = comp & gfms
-        if len(anchors) > 1:
-            raise InfeasibleTopology(
-                "default switches parallel two grid-forming nodes")
-        if anchors:
-            trees.append(comp)
-    trees.sort(key=lambda c: min(c & gfms))
+    closed = frozenset(e.id for e in g.active_edges() if not e.normally_open)
+    census = forest_census(g, closed)
+    if census is None:
+        raise InfeasibleTopology("default closed switches contain a loop or "
+                                 "join two grid-forming nodes")
+
+    adj = g.adjacency(closed)
+    load = (snap.load_kw if snap else {n.id: 0.0 for n in g.nodes})
 
     # zones cut off from every GFM (faulted laterals, islands) stay dark;
     # the point of the baseline is that nothing gets rerouted
     assignment: dict[int, int | None] = {n.id: None for n in g.nodes}
-    for tree in trees:
-        anchor = min(tree & gfms)
-        for i in tree:
-            assignment[i] = anchor
-
-    adj = g.adjacency(frozenset(closed))
-    load = (snap.load_kw if snap else {n.id: 0.0 for n in g.nodes})
-
     commodity = {e.id: 0.0 for e in g.edges}
-    for tree in trees:
+    for anchor, tree in census.trees.items():
+        assignment.update(dict.fromkeys(tree, anchor))
         # post-order accumulation of subtree counts
-        order, parent = walk(adj, min(tree & gfms))
+        order, parent = walk(adj, anchor)
         counts = {u: 1 for u in order}
         for u in reversed(order[1:]):
             pu, eid = parent[u]
@@ -507,4 +489,4 @@ def fixed_topology_solution(g: ZoneGraph, snap: FormationSnapshot | None = None,
         assignment=assignment, served_load_kw=served, commodity_flow=commodity,
         objective_value=float(shed_term + flow_term),
         load_shed_term=float(shed_term), flow_term=float(flow_term),
-        trees=tuple(trees))
+        trees=tuple(census.trees.values()))

@@ -624,18 +624,23 @@ def solve_milp(model: MilpModel, *,
             return point
         return None
 
-    def fixed_lp(values: np.ndarray) -> tuple[SolveStatus, _Simplex, np.ndarray]:
-        """Cold LP with every integer column fixed at the integral
-        ``values``."""
+    def cold_lp(lo: np.ndarray,
+                hi: np.ndarray) -> tuple[SolveStatus, _Simplex, np.ndarray]:
+        """Two-phase primal solve on a new system under these bounds."""
         nonlocal total_pivots
-        lo, hi = lower.copy(), upper.copy()
-        lo[int_idx] = hi[int_idx] = values
         sx = _Simplex(a, senses, b, lo, hi, cost)
         status, x = sx.solve()
         total_pivots += sx.pivots
         return status, sx, x
 
-    def node_lp(node: _Node):
+    def fixed_lp(values: np.ndarray) -> tuple[SolveStatus, _Simplex, np.ndarray]:
+        """Cold LP with every integer column fixed at the integral
+        ``values``."""
+        lo, hi = lower.copy(), upper.copy()
+        lo[int_idx] = hi[int_idx] = values
+        return cold_lp(lo, hi)
+
+    def node_lp(node: _Node) -> tuple[SolveStatus, _Simplex, np.ndarray]:
         """The root restarts from the incumbent LP's basis, every other node
         re-solves from its parent's with the dual simplex; the cold primal
         when there is no such basis or the restart fails."""
@@ -652,12 +657,10 @@ def solve_milp(model: MilpModel, *,
             total_pivots += sx.pivots - before
             if status is not SolveStatus.ITERATION_LIMIT:
                 root = root or sx
-                return sx, status, x
-        sx = _Simplex(a, senses, b, node.lower, node.upper, cost)
-        status, x = sx.solve()
-        total_pivots += sx.pivots
+                return status, sx, x
+        status, sx, x = cold_lp(node.lower, node.upper)
         root = root or sx
-        return sx, status, x
+        return status, sx, x
 
     def finish(status: SolveStatus) -> SolveReport:
         found = incumbent_x is not None
@@ -693,7 +696,7 @@ def solve_milp(model: MilpModel, *,
         if nodes >= NODE_LIMIT:
             return finish(SolveStatus.ITERATION_LIMIT)
         nodes += 1
-        sx, status, x = node_lp(node)
+        status, sx, x = node_lp(node)
         if status is SolveStatus.ITERATION_LIMIT:
             return finish(status)
         if status is SolveStatus.INFEASIBLE:

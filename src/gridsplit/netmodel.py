@@ -173,6 +173,11 @@ class ZoneGraph:
         return tuple(e for e in sorted(self.edges, key=lambda e: e.id)
                      if e.id not in self.faulted_edges)
 
+    @cached_property
+    def island_zones(self) -> frozenset[int]:
+        """Zones of every load island (see ``load_islands``)."""
+        return frozenset().union(*load_islands(self))
+
     def with_faulted(self, edge_ids: Iterable[int]) -> "ZoneGraph":
         return replace(self, faulted_edges=frozenset(edge_ids))
 
@@ -210,8 +215,7 @@ def walk(adj: dict[int, list[tuple[int, int]]], root: int, *,
     return order, parent
 
 
-def _components(g: ZoneGraph, closed: frozenset[int] | None = None) -> list[frozenset[int]]:
-    adj = g.adjacency(closed)
+def _components(adj: dict[int, list[tuple[int, int]]]) -> list[frozenset[int]]:
     seen: set[int] = set()
     comps: list[frozenset[int]] = []
     for start in sorted(adj):
@@ -228,7 +232,31 @@ def load_islands(g: ZoneGraph) -> frozenset[frozenset[int]]:
     Zones in a load island cannot be restored by any switching plan.
     """
     gfms = set(g.gfm_nodes)
-    return frozenset(c for c in _components(g) if not c & gfms)
+    return frozenset(c for c in _components(g.adjacency()) if not c & gfms)
+
+
+class Census(NamedTuple):
+    trees: dict[int, frozenset[int]]     # GFM -> its tree, in GFM order
+    dark: tuple[frozenset[int], ...]     # components without a GFM
+
+
+def forest_census(g: ZoneGraph, closed: frozenset[int]) -> Census | None:
+    """The components of the closed switches, or None unless each is a tree
+    (closed edges = zones - 1) holding at most one GFM."""
+    adj = g.adjacency(closed)
+    gfms = set(g.gfm_nodes)
+    trees: dict[int, frozenset[int]] = {}
+    dark: list[frozenset[int]] = []
+    for comp in _components(adj):
+        anchors = comp & gfms
+        # every closed edge inside comp appears twice among its adjacencies
+        if sum(len(adj[u]) for u in comp) != 2 * (len(comp) - 1) or len(anchors) > 1:
+            return None
+        if anchors:
+            trees[min(anchors)] = comp
+        else:
+            dark.append(comp)
+    return Census(dict(sorted(trees.items())), tuple(dark))
 
 
 def is_radial_forest(g: ZoneGraph, closed: Iterable[int]) -> RadialCheck:
@@ -245,37 +273,8 @@ def is_radial_forest(g: ZoneGraph, closed: Iterable[int]) -> RadialCheck:
             raise ValueError(f"unknown edge id {eid}")
         if eid in g.faulted_edges:
             raise ValueError(f"edge {eid} is faulted and cannot be closed")
-
-    # Cycle check via union-find over closed edges.
-    parent: dict[int, int] = {n.id: n.id for n in g.nodes}
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for eid in sorted(closed_set):
-        e = emap[eid]
-        ra, rb = find(e.tail), find(e.head)
-        if ra == rb:
-            return RadialCheck(False, ())
-        parent[ra] = rb
-
-    comps = _components(g, closed_set)
-    gfms = set(g.gfm_nodes)
-    islands = load_islands(g)
-    island_zones = set().union(*islands) if islands else set()
-
-    trees: dict[int, frozenset[int]] = {}
-    for comp in comps:
-        anchors = sorted(comp & gfms)
-        if len(anchors) > 1:
-            return RadialCheck(False, ())
-        if len(anchors) == 1:
-            trees[anchors[0]] = comp
-        else:
-            # GFM-less component: legal only if entirely inside a load island.
-            if not comp <= island_zones:
-                return RadialCheck(False, ())
-    return RadialCheck(True, tuple(trees[a] for a in sorted(trees)))
+    census = forest_census(g, closed_set)
+    # a GFM-less component is legal only inside a load island
+    if census is None or any(not c <= g.island_zones for c in census.dark):
+        return RadialCheck(False, ())
+    return RadialCheck(True, tuple(census.trees.values()))

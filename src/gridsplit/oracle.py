@@ -23,31 +23,13 @@ from .formation import (
     decode,
 )
 from .milp import SolveReport, SolveStatus, _solve_lp_arrays
-from .netmodel import ZoneGraph, is_radial_forest
+from .netmodel import ZoneGraph, is_radial_forest, walk
 
 GUARD_MAX_EDGES = 20
 
 
 class GuardExceeded(Exception):
     """Graph too large for exhaustive enumeration."""
-
-
-def _subtree_through(g: ZoneGraph, closed: frozenset[int], gfm: int,
-                     edge_id: int) -> int:
-    """Zones fed through one closed GFM-incident edge, by tree walk."""
-    e = g.edge(edge_id)
-    far = e.head if e.tail == gfm else e.tail
-    adj = g.adjacency(closed)
-    seen = {far}
-    stack = [far]
-    while stack:
-        u = stack.pop()
-        for v, eid in adj[u]:
-            if eid == edge_id or v in seen:
-                continue
-            seen.add(v)
-            stack.append(v)
-    return len(seen)
 
 
 def _policies_hold(g: ZoneGraph, closed: frozenset[int]) -> bool:
@@ -63,30 +45,31 @@ def _policies_hold(g: ZoneGraph, closed: frozenset[int]) -> bool:
         elif pol.min_downstream_nodes >= 1:
             if not is_closed:
                 return False
-            if _subtree_through(g, closed, pol.gfm_node_id,
-                                pol.edge_id) < pol.min_downstream_nodes:
+            # zones fed through the policy edge, walked from its far end
+            e = g.edge(pol.edge_id)
+            far = e.head if e.tail == pol.gfm_node_id else e.tail
+            fed = walk(g.adjacency(closed), far, skip=pol.edge_id)[0]
+            if len(fed) < pol.min_downstream_nodes:
                 return False
     return True
 
 
 def enumerate_optimal(g: ZoneGraph, snap: FormationSnapshot,
                       weights: FormationWeights) -> FormationSolution:
-    """Best partition by explicit enumeration (guard: |E| <= 20 active edges).
+    """Best partition by explicit enumeration (guard: at most 20 switch
+    decisions, the model's switch columns).
 
     Raises GuardExceeded above the guard and InfeasibleTopology when no
     candidate subset satisfies radiality plus the lateral policies.
     """
-    edges = g.active_edges()
-    if len(edges) > GUARD_MAX_EDGES:
-        raise GuardExceeded(
-            f"{len(edges)} active edges exceed the enumeration guard "
-            f"({GUARD_MAX_EDGES})")
-
     problem: FormationProblem = build_milp(g, snap, weights, prev=None)
+    if len(problem.y) > GUARD_MAX_EDGES:
+        raise GuardExceeded(
+            f"{len(problem.y)} switch decisions exceed the enumeration guard "
+            f"({GUARD_MAX_EDGES})")
     mdl = problem.model
     a, senses, b, lower, upper, cost = mdl.dense()
-    k_of = {gfm: k for k, gfm in enumerate(problem.gfm_order)}
-    target = len(g.nodes) - len(problem.island_zones) - len(problem.gfm_order)
+    target = len(problem.d) - len(problem.gfm_order)
 
     best_obj = np.inf
     best: tuple[frozenset[int], np.ndarray] | None = None
@@ -101,11 +84,8 @@ def enumerate_optimal(g: ZoneGraph, snap: FormationSnapshot,
         lo, hi = lower.copy(), upper.copy()
         for eid, col in problem.y.items():
             lo[col] = hi[col] = 1.0 if eid in closed else 0.0
-        anchor_of: dict[int, int] = {}
-        for tree in check.trees:
-            k = k_of[min(tree & set(problem.gfm_order))]
-            for i in tree:
-                anchor_of[i] = k
+        # one tree per GFM, in GFM order: tree k is microgrid k
+        anchor_of = {i: k for k, tree in enumerate(check.trees) for i in tree}
         for (i, k), col in problem.x.items():
             lo[col] = hi[col] = 1.0 if anchor_of[i] == k else 0.0
         status, obj, x, _ = _solve_lp_arrays(a, senses, b, lo, hi, cost)

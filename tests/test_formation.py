@@ -288,7 +288,7 @@ def test_load_island_gets_no_columns(ring_island_graph, extra_fault):
     g = ring_island_graph
     g = g.with_faulted(g.faulted_edges | set(extra_fault))
     prob = build_milp(g, mksnap(g), WTS)
-    assert prob.island_zones == {5, 6, 7, 8, 9}
+    assert g.island_zones == {5, 6, 7, 8, 9}
     assert sorted(prob.y) == sorted(prob.t) == sorted(prob.fp) == [1, 2, 3, 11]
     assert sorted(prob.d) == [1, 2, 3, 4]
     assert {i for i, _ in prob.x} == {1, 2, 3, 4}

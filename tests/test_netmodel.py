@@ -109,6 +109,13 @@ class TestRadialForest:
         with pytest.raises(ValueError, match="faulted"):
             is_radial_forest(scenario.graph, {11})
 
+    def test_cycle_inside_a_load_island_is_rejected(self, ring_island_graph):
+        # both trees are fine, but 4, 5, 6 and 7 close the ring 5-8-7-6
+        # inside the island behind the faulted edge 10
+        check = is_radial_forest(ring_island_graph, {1, 3, 4, 5, 6, 7})
+        assert not check.is_radial
+        assert is_radial_forest(ring_island_graph, {1, 3, 4, 5, 6}).is_radial
+
     def test_island_component_may_go_dark(self, scenario):
         g = scenario.graph
         cut = g.with_faulted(g.faulted_edges | {4, 9})

@@ -98,13 +98,33 @@ def test_no_feasible_partition_raises(scenario):
                           WTS)
 
 
-def test_guard_refuses_large_graphs():
-    n = 23
+def chain(n, faulted=()):
+    """Zones 1..n in a row, edge i joining i and i + 1, the GFM at zone 1,
+    with a 1-kW load and no PV at every zone."""
     nodes = tuple(ZoneNode(i, 1, False, 10.0, i == 1) for i in range(1, n + 1))
     edges = tuple(SwitchEdge(i, i, i + 1, False, 100.0)
                   for i in range(1, n))
-    g = ZoneGraph(nodes, edges, (GridFormingResource(1, 50.0, 100.0),))
+    g = ZoneGraph(nodes, edges, (GridFormingResource(1, 50.0, 100.0),),
+                  frozenset(faulted))
     snap = FormationSnapshot(0, {i: 1.0 for i in range(1, n + 1)},
                              {i: 0.0 for i in range(1, n + 1)})
+    return g, snap
+
+
+def test_guard_refuses_large_graphs():
+    g, snap = chain(23)
     with pytest.raises(GuardExceeded):
         enumerate_optimal(g, snap, WTS)
+
+
+def test_guard_counts_switch_decisions_not_island_edges():
+    # edge 3 out leaves 23 active edges, but zones 4-25 form a load island:
+    # the model decides edges 1 and 2 only, and sheds the island's 22 kW
+    g, snap = chain(25, faulted={3})
+    assert len(g.active_edges()) == 23
+    sol = enumerate_optimal(g, snap, WTS)
+    assert sol.objective_value == pytest.approx(22003.0)
+    prob = build_milp(g, snap, WTS)
+    assert sorted(prob.y) == [1, 2]
+    assert decode(prob, solve_milp(prob.model)).objective_value == \
+        pytest.approx(sol.objective_value, rel=1e-9)
