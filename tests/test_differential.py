@@ -105,13 +105,18 @@ def restoration_case(draw):
 
 
 def highs(model):
-    """Objective from HiGHS with the offset, or None when infeasible."""
+    """Objective from HiGHS with the offset, or None when infeasible.
+
+    Presolve is off: on ``presolve_bound_case`` the presolved model proves a
+    dual bound of 25 and stops there, while 15 is feasible and HiGHS without
+    presolve reaches it."""
     a, senses, b, lower, upper, cost = model.dense()
     lb = np.array([-np.inf if s == "<=" else v for s, v in zip(senses, b)])
     ub = np.array([np.inf if s == ">=" else v for s, v in zip(senses, b)])
     res = scipy_milp(cost, constraints=LinearConstraint(a, lb, ub),
                      integrality=np.array(model.is_integer, dtype=int),
-                     bounds=Bounds(lower, upper), options={"mip_rel_gap": 0.0})
+                     bounds=Bounds(lower, upper),
+                     options={"mip_rel_gap": 0.0, "presolve": False})
     assert res.status in (0, 2), res.message
     return float(res.fun) + model.offset if res.status == 0 else None
 
@@ -143,9 +148,28 @@ def parallel_line_island():
                                 dict.fromkeys(range(1, 6), 0.0))
 
 
+def presolve_bound_case():
+    """Two three-zone chains under a lateral policy on edge 1; the
+    partition closing edges 1-4 costs 15 (flow term only)."""
+    nodes = tuple(ZoneNode(i, 1 if i < 4 else 2, i == 3, 100.0, i in (1, 4))
+                  for i in range(1, 7))
+    edges = (SwitchEdge(1, 1, 2, False, 94.0), SwitchEdge(2, 2, 3, False, 847.0),
+             SwitchEdge(3, 4, 5, False, 216.0), SwitchEdge(4, 5, 6, False, 111.0),
+             SwitchEdge(5, 3, 6, True, 146.0), SwitchEdge(6, 3, 5, True, 180.0),
+             SwitchEdge(7, 2, 5, True, 419.0))
+    res = (GridFormingResource(1, 93.0, 2000.0),
+           GridFormingResource(4, 216.0, 2000.0))
+    g = ZoneGraph(nodes, edges, res, frozenset(),
+                  (LateralPolicy(1, 1, 2, False),))
+    return g, FormationSnapshot(
+        0, {1: 0.0, 2: 0.0, 3: 0.0, 4: 0.0, 5: 129.751, 6: 81.94},
+        {1: 0.0, 2: 0.0, 3: 0.0, 4: 0.0, 5: 0.0, 6: 32.283})
+
+
 @settings(deadline=None)
 @given(restoration_case())
 @example(parallel_line_island())
+@example(presolve_bound_case())
 def test_search_oracle_and_highs_agree(case):
     g, snap = case
     if island_holds_cycle(g):
