@@ -81,14 +81,11 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         Path(args.dump_lp).write_text(prob.model.to_lp_string())
         print(f"wrote {args.dump_lp}")
     sol = enumerate_optimal(g, snap, wts)
-    closed = sorted(e for e, on in sol.switch_status.items() if on)
     print(f"step {args.step} t={args.step * tl.formation_step_minutes}min "
           f"faulted={';'.join(str(e) for e in sorted(g.faulted_edges)) or '-'}")
     print(f"objective {sol.objective_value!r}")
-    print(f"closed {';'.join(str(e) for e in closed)}")
-    gfms = set(g.gfm_nodes)
-    for tree in sorted(sol.trees, key=min):
-        anchor = min(tree & gfms)
+    print(f"closed {';'.join(str(e) for e in sorted(sol.closed))}")
+    for anchor, tree in sorted(sol.trees.items(), key=lambda kv: min(kv[1])):
         print(f"microgrid {anchor}: "
               + " ".join(str(z) for z in sorted(tree)))
     dark = sorted(z for z, a in sol.assignment.items() if a is None)

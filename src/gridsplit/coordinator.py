@@ -69,9 +69,8 @@ def diff_topologies(old: FormationSolution | None,
     moved = tuple((z, old.assignment.get(z), a)
                   for z, a in sorted(new.assignment.items())
                   if old.assignment.get(z) != a)
-    toggled = tuple((eid, old.switch_status.get(eid, False), now)
-                    for eid, now in sorted(new.switch_status.items())
-                    if old.switch_status.get(eid, False) != now)
+    was, now = old.closed, new.closed
+    toggled = tuple((eid, eid in was, eid in now) for eid in sorted(was ^ now))
     return TopologyDiff(moved, toggled)
 
 
@@ -171,9 +170,7 @@ def solve_partition(g_t: ZoneGraph, snap: FormationSnapshot,
     prob = build_milp(g_t, snap, weights, prev=prev)
     warm = None
     if prev is not None:
-        warm = warm_values_from_topology(
-            prob, {eid for eid, on in prev.switch_status.items() if on},
-            prev.assignment)
+        warm = warm_values_from_topology(prob, prev.closed, prev.assignment)
     rep = solve_milp(prob.model, warm_integer_values=warm)
     if rep.status is SolveStatus.ITERATION_LIMIT:
         raise SolverError(
@@ -229,10 +226,9 @@ def run(scenario: Scenario, mode: str = "flexible",
     states = {}
     for j in gfm_ids:
         r = g0.resource_at(j)
-        states[j] = MicrogridState(j, r, r.battery_soc0 * r.battery_energy_kwh,
+        states[j] = MicrogridState(r, r.battery_soc0 * r.battery_energy_kwh,
                                    r.diesel_fuel_kwh)
 
-    gfms = set(gfm_ids)
     events: list[FormationEvent] = []
     prev_sol: FormationSolution | None = None
 
@@ -262,17 +258,15 @@ def run(scenario: Scenario, mode: str = "flexible",
         blocked = frozenset(z for z, _old, new in diff.moved
                             if new is not None)
 
-        closed = frozenset(eid for eid, on in sol.switch_status.items() if on)
+        closed = sol.closed
         fl = _slot_means(fc_load, s0, s1, slots_per_event)
         fp = _slot_means(fc_pv, s0, s1, slots_per_event)
         plans = []
-        for tree in sol.trees:
-            anchor = min(tree & gfms)
-            order = service_order(g_t, set(tree), anchor, closed)
+        for anchor, tree in sol.trees.items():
+            order = service_order(g_t, tree, anchor, closed)
             plans.append((anchor, order, build_schedule(
                 states[anchor], order, fl, fp,
                 slot_minutes=tl.schedule_slot_minutes)))
-        plans.sort(key=lambda p: p[0])
 
         dark = [z for z in zone_ids if sol.assignment.get(z) is None]
         for z, a in sol.assignment.items():

@@ -35,7 +35,6 @@ class ServiceOrder:
     gfm_node_id: int
     members: tuple[int, ...]
     ranked: tuple[int, ...]
-    hops: dict[int, int]
     path_zones: dict[int, frozenset[int]]  # zone -> zones feeding it, gfm excluded
 
 
@@ -55,16 +54,14 @@ def service_order(g: ZoneGraph, members: frozenset[int] | set[int],
     paths: dict[int, frozenset[int]] = {gfm_node_id: frozenset()}
     for v in reached[1:]:
         paths[v] = paths[parent[v][0]] | {v}
-    hops = {i: len(paths[i]) for i in reached}
-    ranked = tuple(sorted(members,
-                          key=lambda i: (not g.node(i).is_critical, hops[i], i)))
-    return ServiceOrder(gfm_node_id, tuple(sorted(members)), ranked, hops, paths)
+    ranked = tuple(sorted(members, key=lambda i: (not g.node(i).is_critical,
+                                                  len(paths[i]), i)))
+    return ServiceOrder(gfm_node_id, tuple(sorted(members)), ranked, paths)
 
 
 @dataclass
 class MicrogridState:
     """Mutable storage state carried across dispatch windows."""
-    gfm_node_id: int
     resource: GridFormingResource
     soc_kwh: float
     fuel_kwh: float
@@ -122,16 +119,10 @@ def _settle(res: GridFormingResource, soc: float, fuel: float, hours: float,
 
 @dataclass(frozen=True)
 class SchedulePlan:
-    """Slot-resolution commitment plan for one microgrid."""
+    """Slot-resolution commitment plan: each slot's committed priority prefix."""
     order: ServiceOrder
     slot_minutes: int
     committed: tuple[tuple[int, ...], ...]
-    served_kw: np.ndarray
-    pv_used_kw: np.ndarray
-    battery_kw: np.ndarray  # discharge positive, charge negative
-    diesel_kw: np.ndarray
-    soc_kwh: np.ndarray     # end of slot
-    fuel_kwh: np.ndarray
 
     @property
     def n_slots(self) -> int:
@@ -144,9 +135,9 @@ def build_schedule(state: MicrogridState, order: ServiceOrder,
                    *, slot_minutes: int = 30) -> SchedulePlan:
     """Commit the largest feasible priority prefix in every slot.
 
-    Projections only; the live state is untouched. A prefix is feasible when
-    its net deficit fits under battery power, remaining energy, diesel power
-    and remaining fuel for the slot length.
+    A prefix is feasible when its net deficit fits under battery power,
+    remaining energy, diesel power and remaining fuel for the slot length.
+    Energy is projected from slot to slot; the live state is untouched.
     """
     res = state.resource
     n_slots = min(len(load_kw[i]) for i in order.members)
@@ -154,29 +145,12 @@ def build_schedule(state: MicrogridState, order: ServiceOrder,
     soc, fuel = state.soc_kwh, state.fuel_kwh
 
     committed: list[tuple[int, ...]] = []
-    served = np.zeros(n_slots)
-    pv_used = np.zeros(n_slots)
-    battery = np.zeros(n_slots)
-    diesel = np.zeros(n_slots)
-    soc_t = np.zeros(n_slots)
-    fuel_t = np.zeros(n_slots)
-
     for s in range(n_slots):
         k, load_tot, pv_tot = _carried(res, soc, fuel, hours, order.ranked,
                                        load_kw, pv_kw, s)
-        chosen = order.ranked[:k]
-        bat, die, soc, fuel = _settle(res, soc, fuel, hours, load_tot - pv_tot)
-
-        committed.append(chosen)
-        served[s] = load_tot
-        pv_used[s] = load_tot - die - bat
-        battery[s] = bat
-        diesel[s] = die
-        soc_t[s] = soc
-        fuel_t[s] = fuel
-
-    return SchedulePlan(order, slot_minutes, tuple(committed), served,
-                        pv_used, battery, diesel, soc_t, fuel_t)
+        _, _, soc, fuel = _settle(res, soc, fuel, hours, load_tot - pv_tot)
+        committed.append(order.ranked[:k])
+    return SchedulePlan(order, slot_minutes, tuple(committed))
 
 
 @dataclass(frozen=True)

@@ -90,7 +90,11 @@ class FormationSolution:
     load_shed_term: float
     flow_term: float
     switch_change_term: float = 0.0
-    trees: tuple[frozenset[int], ...] = ()
+    trees: dict[int, frozenset[int]] = field(default_factory=dict)  # by GFM
+
+    @property
+    def closed(self) -> frozenset[int]:
+        return frozenset(eid for eid, on in self.switch_status.items() if on)
 
 
 @dataclass
@@ -229,15 +233,13 @@ def build_milp(g: ZoneGraph, snap: FormationSnapshot, weights: FormationWeights,
 
     # switch-change penalty, linearized exactly for binary y; a closed edge
     # without a column (faulted or in a load island) is an unavoidable change
-    if prev is not None and weights.switch_change_penalty > 0:
+    if prev is not None:
         eps = weights.switch_change_penalty
-        for eid, closed in prev.switch_status.items():
-            was = 1.0 if closed else 0.0
-            if eid in y:
-                mdl.add_objective(y[eid], eps * (1.0 - 2.0 * was))
-                mdl.offset += eps * was
-            elif closed:
-                mdl.offset += eps
+        was_closed = prev.closed
+        for eid, col in y.items():
+            mdl.add_objective(col, eps * (1.0 - 2.0 * (eid in was_closed)))
+        for _ in was_closed:
+            mdl.offset += eps    # one at a time: eps * n can differ in the last bit
 
     # each zone belongs to exactly one microgrid label
     for i in zones:
@@ -313,8 +315,7 @@ def build_milp(g: ZoneGraph, snap: FormationSnapshot, weights: FormationWeights,
     topologies = []
     try:
         base = fixed_topology_solution(g)
-        topologies.append(({eid for eid, on in base.switch_status.items()
-                            if on}, base.assignment))
+        topologies.append((base.closed, base.assignment))
     except InfeasibleTopology:
         pass
     topologies.append(_shortest_path_forest(g, weights))
@@ -403,8 +404,8 @@ def decode(problem: FormationProblem, report: SolveReport) -> FormationSolution:
     g = problem.graph
     xv = report.values
 
-    closed = {eid for eid, col in problem.y.items()
-              if _rounded(xv[col], f"switch y_{eid}") == 1}
+    closed = frozenset(eid for eid, col in problem.y.items()
+                       if _rounded(xv[col], f"switch y_{eid}") == 1)
     assignment: dict[int, int | None] = dict.fromkeys(
         sorted(n.id for n in g.nodes))
     for i in problem.d:
@@ -427,13 +428,9 @@ def decode(problem: FormationProblem, report: SolveReport) -> FormationSolution:
     shed_term, flow_term = _priced(g, wts, problem.snapshot.load_kw, served,
                                    commodity)
     switch_term = 0.0
-    if problem.prev is not None and wts.switch_change_penalty > 0:
-        eps = wts.switch_change_penalty
-        for eid, was in problem.prev.switch_status.items():
-            if eid in problem.y:
-                switch_term += eps * ((eid in closed) != was)
-            elif was:
-                switch_term += eps
+    if problem.prev is not None:
+        for _ in problem.prev.closed ^ closed:
+            switch_term += wts.switch_change_penalty
     recomputed = shed_term + flow_term + switch_term
     if abs(recomputed - report.objective) > OBJ_MATCH_RTOL * (1 + abs(report.objective)):
         raise DecodeError(
@@ -489,4 +486,4 @@ def fixed_topology_solution(g: ZoneGraph, snap: FormationSnapshot | None = None,
         assignment=assignment, served_load_kw=served, commodity_flow=commodity,
         objective_value=float(shed_term + flow_term),
         load_shed_term=float(shed_term), flow_term=float(flow_term),
-        trees=tuple(census.trees.values()))
+        trees=census.trees)

@@ -90,7 +90,7 @@ class LateralPolicy:
 
 class RadialCheck(NamedTuple):
     is_radial: bool
-    trees: tuple[frozenset[int], ...]
+    trees: dict[int, frozenset[int]]     # GFM -> its tree, in GFM order
 
 
 @dataclass(frozen=True)
@@ -170,6 +170,10 @@ class ZoneGraph:
 
     def active_edges(self) -> tuple[SwitchEdge, ...]:
         """Edges that survived faults, in id order."""
+        return self._active_edges
+
+    @cached_property
+    def _active_edges(self) -> tuple[SwitchEdge, ...]:
         return tuple(e for e in sorted(self.edges, key=lambda e: e.id)
                      if e.id not in self.faulted_edges)
 
@@ -188,7 +192,7 @@ class ZoneGraph:
         all-switches-closed network used for island detection.
         """
         adj: dict[int, list[tuple[int, int]]] = {n.id: [] for n in self.nodes}
-        for e in self.active_edges():
+        for e in self._active_edges:
             if closed is not None and e.id not in closed:
                 continue
             adj[e.tail].append((e.head, e.id))
@@ -264,7 +268,7 @@ def is_radial_forest(g: ZoneGraph, closed: Iterable[int]) -> RadialCheck:
 
     The set must be acyclic, every component holding a GFM must hold exactly
     one, and every zone outside a load island must sit in some GFM component.
-    Returns the GFM-anchored tree census (node sets, ordered by GFM id).
+    Returns the trees keyed by their GFM, in GFM order; none if not radial.
     """
     closed_set = frozenset(closed)
     emap = g._edge_map
@@ -276,5 +280,5 @@ def is_radial_forest(g: ZoneGraph, closed: Iterable[int]) -> RadialCheck:
     census = forest_census(g, closed_set)
     # a GFM-less component is legal only inside a load island
     if census is None or any(not c <= g.island_zones for c in census.dark):
-        return RadialCheck(False, ())
-    return RadialCheck(True, tuple(census.trees.values()))
+        return RadialCheck(False, {})
+    return RadialCheck(True, census.trees)

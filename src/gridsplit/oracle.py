@@ -85,7 +85,8 @@ def enumerate_optimal(g: ZoneGraph, snap: FormationSnapshot,
         for eid, col in problem.y.items():
             lo[col] = hi[col] = 1.0 if eid in closed else 0.0
         # one tree per GFM, in GFM order: tree k is microgrid k
-        anchor_of = {i: k for k, tree in enumerate(check.trees) for i in tree}
+        anchor_of = {i: k for k, tree in enumerate(check.trees.values())
+                     for i in tree}
         for (i, k), col in problem.x.items():
             lo[col] = hi[col] = 1.0 if anchor_of[i] == k else 0.0
         status, obj, x, _ = _solve_lp_arrays(a, senses, b, lo, hi, cost)

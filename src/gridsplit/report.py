@@ -205,11 +205,8 @@ def _write_microgrids(run: RestorationRun, path: Path) -> None:
                      "switch_change_term", "closed_edges"])
         for ev in run.events:
             sol = ev.solution
-            closed = ";".join(str(e) for e in sorted(
-                eid for eid, on in sol.switch_status.items() if on))
-            gfms = set(run.gfm_ids)
-            for tree in sol.trees:
-                anchor = min(tree & gfms)
+            closed = ";".join(str(e) for e in sorted(sol.closed))
+            for anchor, tree in sol.trees.items():
                 members = sorted(tree)
                 ncrit = sum(1 for z in members if g.node(z).is_critical)
                 wr.writerow([ev.time_min, anchor,

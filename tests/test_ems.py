@@ -31,7 +31,7 @@ def chain_microgrid(n_zones, criticals=(), battery_kw=3000.0,
     g = ZoneGraph(nodes, edges, (res,))
     order = service_order(g, set(range(1, n_zones + 1)), 1,
                           frozenset(range(1, n_zones)))
-    state = MicrogridState(1, res, battery_kwh, fuel_kwh)
+    state = MicrogridState(res, battery_kwh, fuel_kwh)
     return g, order, state
 
 
@@ -45,7 +45,8 @@ class TestServiceOrder:
                               frozenset({5, 6, 7, 8}))
         # criticals 7, 9, 10 by distance, then the rest by distance
         assert order.ranked == (7, 9, 10, 6, 8)
-        assert order.hops == {7: 0, 6: 1, 8: 1, 9: 2, 10: 3}
+        assert {z: len(p) for z, p in order.path_zones.items()} \
+            == {7: 0, 6: 1, 8: 1, 9: 2, 10: 3}
 
     def test_feed_paths_exclude_the_source(self, scenario):
         order = service_order(scenario.graph, {6, 7, 8, 9, 10}, 7,
@@ -69,10 +70,18 @@ class TestSchedule:
         plan = build_schedule(state, order, {1: flat(100.0, 48)},
                               {1: flat(0.0, 48)})
         assert all(c == (1,) for c in plan.committed)
-        # 100 kW for half an hour is 50 kWh out of the battery each slot
-        assert np.allclose(plan.soc_kwh,
-                           12000.0 - 50.0 * np.arange(1, 49))
         assert state.soc_kwh == 12000.0  # projections leave live state alone
+        # 100 kW for five minutes is 25/3 kWh out of the battery each step
+        win = dispatch_window(state, plan, 0, {1: flat(100.0)}, {1: flat(0.0)})
+        assert np.allclose(win.soc_kwh, 12000.0 - 25.0 / 3.0 * np.arange(1, 7))
+
+    def test_projected_energy_runs_out(self):
+        # 100 kW for half an hour is 50 kWh a slot: 500 kWh lasts 10 slots
+        _, order, state = chain_microgrid(1, battery_kw=100.0,
+                                          battery_kwh=500.0)
+        plan = build_schedule(state, order, {1: flat(100.0, 12)},
+                              {1: flat(0.0, 12)})
+        assert plan.committed == ((1,),) * 10 + ((),) * 2
 
     def test_zero_resources_commits_nothing(self):
         _, order, state = chain_microgrid(2, battery_kwh=500.0)
@@ -80,13 +89,15 @@ class TestSchedule:
         plan = build_schedule(state, order, {1: flat(50.0), 2: flat(50.0)},
                               {1: flat(0.0), 2: flat(0.0)})
         assert all(c == () for c in plan.committed)
-        assert np.all(plan.served_kw == 0.0)
+        win = dispatch_window(state, plan, 0, {1: flat(50.0), 2: flat(50.0)},
+                              {1: flat(0.0), 2: flat(0.0)})
+        assert np.all(win.served_kw == 0.0)
 
     def test_fixture_feeder_two_day_two_offpeak_full_commit(self, scenario):
         order = service_order(scenario.graph, {6, 7, 8, 9, 10}, 7,
                               frozenset({5, 6, 7, 8}))
         res = scenario.graph.resource_at(7)
-        state = MicrogridState(7, res, res.battery_energy_kwh,
+        state = MicrogridState(res, res.battery_energy_kwh,
                                res.diesel_fuel_kwh)
         day2 = slice(288, 576)
         loads = {z: scenario.load_kw[z][day2].reshape(48, 6).mean(axis=1)
@@ -103,8 +114,9 @@ class TestSchedule:
         state.soc_kwh = 0.0
         plan = build_schedule(state, order, {1: flat(0.0, 1)},
                               {1: flat(200.0, 1)}, slot_minutes=30)
-        assert plan.battery_kw[0] == pytest.approx(-200.0)
-        assert plan.soc_kwh[0] == pytest.approx(200.0 * 0.5 * 0.95)
+        win = dispatch_window(state, plan, 0, {1: flat(0.0)}, {1: flat(200.0)})
+        assert np.allclose(win.battery_kw, -200.0)
+        assert state.soc_kwh == pytest.approx(200.0 * 0.5 * 0.95)
 
 
 class TestDispatch:
@@ -118,9 +130,8 @@ class TestDispatch:
         win = dispatch_window(state, plan, 0,
                               {z: flat(loads[z][0]) for z in order.members},
                               {z: flat(pv[z][0]) for z in order.members})
-        assert np.allclose(win.battery_kw, plan.battery_kw[0])
-        assert np.allclose(win.diesel_kw, plan.diesel_kw[0])
-        assert np.allclose(win.served_kw.sum(axis=1), plan.served_kw[0])
+        assert (win.committed
+                == [[z in plan.committed[0] for z in win.zones]]).all()
         assert win.shed_zones == ()
 
     def test_pv_spike_on_a_full_battery_curtails(self):

@@ -98,9 +98,9 @@ def test_closed_count_matches_partition_identity(scenario):
 
 def test_assignment_constant_within_each_tree(scenario):
     _, _, sol = solve(scenario.graph, mksnap(scenario.graph))
-    for tree in sol.trees:
-        anchors = {sol.assignment[z] for z in tree}
-        assert len(anchors) == 1
+    assert list(sol.trees) == [1, 7]
+    for anchor, tree in sol.trees.items():
+        assert {sol.assignment[z] for z in tree} == {anchor}
 
 
 def test_switch_assignment_products_are_exact(scenario):
@@ -380,8 +380,8 @@ def test_decoded_assignment_matches_binary_argmax(scenario):
 def test_fixed_topology_on_the_fixture(scenario):
     sol = fixed_topology_solution(scenario.graph, mksnap(scenario.graph), WTS)
     assert closed_set(sol) == frozenset(range(1, 9))
-    assert sol.trees == (frozenset({1, 2, 3, 4, 5}),
-                         frozenset({6, 7, 8, 9, 10}))
+    assert sol.trees == {1: frozenset({1, 2, 3, 4, 5}),
+                         7: frozenset({6, 7, 8, 9, 10})}
     # by-hand weighted commodity units on the default forest
     assert sol.flow_term == pytest.approx(95.0, abs=1e-9)
     check = is_radial_forest(scenario.graph, closed_set(sol))
@@ -404,7 +404,7 @@ def test_fixed_topology_single_feeder():
     res = (GridFormingResource(1, 100.0, 400.0),)
     g = ZoneGraph(nodes, edges, res)
     sol = fixed_topology_solution(g)
-    assert sol.trees == (frozenset({1, 2, 3}),)
+    assert sol.trees == {1: frozenset({1, 2, 3})}
 
 
 def test_fixed_topology_leaves_cut_zones_dark(scenario):

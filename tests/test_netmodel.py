@@ -86,8 +86,8 @@ class TestRadialForest:
     def test_fixture_default_topology_is_radial(self, scenario):
         check = is_radial_forest(scenario.graph, range(1, 9))
         assert check.is_radial
-        assert check.trees == (frozenset({1, 2, 3, 4, 5}),
-                               frozenset({6, 7, 8, 9, 10}))
+        assert check.trees == {1: frozenset({1, 2, 3, 4, 5}),
+                               7: frozenset({6, 7, 8, 9, 10})}
 
     def test_cycle_is_rejected(self, scenario):
         # edges 1,2,3,10 plus tie 9 and 4 close the loop 1-2-10-9-... no:
@@ -121,4 +121,4 @@ class TestRadialForest:
         cut = g.with_faulted(g.faulted_edges | {4, 9})
         check = is_radial_forest(cut, {1, 2, 3, 5, 6, 7, 8})
         assert check.is_radial
-        assert frozenset({5}) not in check.trees
+        assert frozenset({5}) not in check.trees.values()
