@@ -258,41 +258,36 @@ def run(scenario: Scenario, mode: str = "flexible",
         blocked = frozenset(z for z, _old, new in diff.moved
                             if new is not None)
 
-        closed = sol.closed
         fl = _slot_means(fc_load, s0, s1, slots_per_event)
         fp = _slot_means(fc_pv, s0, s1, slots_per_event)
-        plans = []
-        for anchor, tree in sol.trees.items():
-            order = service_order(g_t, tree, anchor, closed)
-            plans.append((anchor, order, build_schedule(
-                states[anchor], order, fl, fp,
-                slot_minutes=tl.schedule_slot_minutes)))
+        plans = [build_schedule(states[anchor],
+                                service_order(g_t, tree, anchor, sol.closed),
+                                fl, fp, slot_minutes=tl.schedule_slot_minutes)
+                 for anchor, tree in sol.trees.items()]
 
-        dark = [z for z in zone_ids if sol.assignment.get(z) is None]
-        for z, a in sol.assignment.items():
-            if a is not None:
-                assign_arr[s0:s1, zcol[z]] = a
-        for z in dark:
-            unserved[s0:s1, zcol[z]] = scenario.load_kw[z][s0:s1]
+        for z, anchor in sol.assignment.items():
+            if anchor is None:
+                unserved[s0:s1, zcol[z]] = scenario.load_kw[z][s0:s1]
+            else:
+                assign_arr[s0:s1, zcol[z]] = anchor
 
         for slot in range(slots_per_event):
             a = s0 + slot * steps_per_slot
             b = a + steps_per_slot
-            for anchor, order, plan in plans:
-                al = {z: scenario.load_kw[z][a:b] for z in order.members}
-                ap = {z: scenario.pv_kw[z][a:b] for z in order.members}
+            for plan in plans:
+                anchor, members = plan.order.gfm_node_id, plan.order.members
                 win = dispatch_window(
-                    states[anchor], plan, slot, al, ap,
+                    states[anchor], plan, slot,
+                    {z: scenario.load_kw[z][a:b] for z in members},
+                    {z: scenario.pv_kw[z][a:b] for z in members},
                     step_minutes=tl.dispatch_step_minutes,
-                    blocked_first_step=(blocked & set(order.members)
-                                        if slot == 0 else frozenset()))
-                for c, z in enumerate(win.zones):
-                    zc = zcol[z]
-                    served[a:b, zc] = win.served_kw[:, c]
-                    unserved[a:b, zc] = win.unserved_kw[:, c]
-                    pv_used[a:b, zc] = win.pv_used_kw[:, c]
-                    committed[a:b, zc] = win.committed[:, c]
-                    energized[a:b, zc] = win.energized[:, c]
+                    blocked_first_step=blocked if slot == 0 else frozenset())
+                zc = [zcol[z] for z in win.zones]
+                served[a:b, zc] = win.served_kw
+                unserved[a:b, zc] = win.unserved_kw
+                pv_used[a:b, zc] = win.pv_used_kw
+                committed[a:b, zc] = win.committed
+                energized[a:b, zc] = win.energized
                 gc = gcol[anchor]
                 battery[a:b, gc] = win.battery_kw
                 diesel[a:b, gc] = win.diesel_kw

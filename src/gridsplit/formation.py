@@ -99,14 +99,18 @@ class FormationSolution:
 
 @dataclass
 class FormationProblem:
-    """A built model plus the column map needed to decode its solution."""
+    """A built model plus the column map needed to decode its solution.
+
+    Assignment and product columns are keyed by (zone, GFM) and (edge, GFM),
+    as ``FormationSolution.trees`` is keyed by GFM; their names carry the
+    GFM's position in ``graph.gfm_nodes``.
+    """
 
     graph: ZoneGraph
     snapshot: FormationSnapshot
     weights: FormationWeights
     prev: FormationSolution | None
     model: MilpModel
-    gfm_order: tuple[int, ...]
     y: dict[int, int]
     x: dict[tuple[int, int], int]
     z: dict[tuple[int, int], int]
@@ -144,8 +148,8 @@ def build_milp(g: ZoneGraph, snap: FormationSnapshot, weights: FormationWeights,
     inputs and InfeasibleTopology when a lateral policy demands more
     downstream zones than the graph can route.
     """
-    gfm_order = g.gfm_nodes
-    if not gfm_order:
+    gfms = g.gfm_nodes
+    if not gfms:
         raise ModelError("graph has no grid-forming resources")
     for n in g.nodes:
         if n.id not in snap.load_kw or n.id not in snap.pv_kw:
@@ -167,9 +171,7 @@ def build_milp(g: ZoneGraph, snap: FormationSnapshot, weights: FormationWeights,
 
     edges = [e for e in g.active_edges() if e.tail not in g.island_zones]
     n_zones = len(zones)
-    n_mg = len(gfm_order)
     big_m = float(n_zones)
-    k_of = {gfm: k for k, gfm in enumerate(gfm_order)}
 
     # each zone's incident edges, signed +1 where the edge leaves it (tail)
     incident: dict[int, list[tuple[int, float]]] = {i: [] for i in zones}
@@ -186,19 +188,16 @@ def build_milp(g: ZoneGraph, snap: FormationSnapshot, weights: FormationWeights,
     # assignment binaries; each GFM is pinned to its own microgrid
     x: dict[tuple[int, int], int] = {}
     for i in zones:
-        for k in range(n_mg):
-            if i in k_of:
-                lo = hi = 1.0 if k_of[i] == k else 0.0
-                x[i, k] = mdl.add_variable(f"x_{i}_{k}", lo, hi, integer=True)
-            else:
-                x[i, k] = mdl.add_variable(f"x_{i}_{k}", 0, 1, integer=True)
+        for k, j in enumerate(gfms):
+            lo, hi = (float(i == j),) * 2 if g.node(i).has_gfm else (0, 1)
+            x[i, j] = mdl.add_variable(f"x_{i}_{k}", lo, hi, integer=True)
 
     # product columns z = x_tail * x_head, exact for binaries, so the
     # integrality declaration would only add dead branching candidates
     z: dict[tuple[int, int], int] = {}
     for e in edges:
-        for k in range(n_mg):
-            z[e.id, k] = mdl.add_variable(f"z_{e.id}_{k}", 0, 1)
+        for k, j in enumerate(gfms):
+            z[e.id, j] = mdl.add_variable(f"z_{e.id}_{k}", 0, 1)
 
     t: dict[int, int] = {}
     for e in edges:
@@ -215,13 +214,13 @@ def build_milp(g: ZoneGraph, snap: FormationSnapshot, weights: FormationWeights,
     mdl.offset += shed_w * sum(snap.load_kw[n.id] for n in g.nodes)
 
     inj: dict[int, int] = {}
-    for j in gfm_order:
+    for j in gfms:
         r = g.resource_at(j)
         inj[j] = mdl.add_variable(f"inj_{j}", -r.battery_power_kw,
                                   r.battery_power_kw + r.diesel_power_kw)
 
     w: dict[int, int] = {}
-    for j in gfm_order:
+    for j in gfms:
         w[j] = mdl.add_variable(f"w_{j}", 0, n_zones - 1)
 
     fp: dict[int, int] = {}
@@ -243,26 +242,26 @@ def build_milp(g: ZoneGraph, snap: FormationSnapshot, weights: FormationWeights,
 
     # each zone belongs to exactly one microgrid label
     for i in zones:
-        mdl.add_constraint({x[i, k]: 1.0 for k in range(n_mg)}, "==", 1.0,
+        mdl.add_constraint({x[i, j]: 1.0 for j in gfms}, "==", 1.0,
                            f"assign_{i}")
 
     # a closed edge requires both endpoints in the same microgrid
     for e in edges:
         mdl.add_constraint(
-            {y[e.id]: 1.0, **{z[e.id, k]: -1.0 for k in range(n_mg)}},
+            {y[e.id]: 1.0, **{z[e.id, j]: -1.0 for j in gfms}},
             "==", 0.0, f"link_{e.id}")
-        for k in range(n_mg):
-            mdl.add_constraint({z[e.id, k]: 1.0, x[e.tail, k]: -1.0}, "<=", 0.0,
+        for k, j in enumerate(gfms):
+            mdl.add_constraint({z[e.id, j]: 1.0, x[e.tail, j]: -1.0}, "<=", 0.0,
                                f"mc1_{e.id}_{k}")
-            mdl.add_constraint({z[e.id, k]: 1.0, x[e.head, k]: -1.0}, "<=", 0.0,
+            mdl.add_constraint({z[e.id, j]: 1.0, x[e.head, j]: -1.0}, "<=", 0.0,
                                f"mc2_{e.id}_{k}")
             mdl.add_constraint(
-                {z[e.id, k]: 1.0, x[e.tail, k]: -1.0, x[e.head, k]: -1.0},
+                {z[e.id, j]: 1.0, x[e.tail, j]: -1.0, x[e.head, j]: -1.0},
                 ">=", -1.0, f"mc3_{e.id}_{k}")
 
     # exact spanning-forest count: one closed switch per non-GFM zone
     mdl.add_constraint({y[e.id]: 1.0 for e in edges}, "==",
-                       float(n_zones - n_mg), "radial_count")
+                       float(n_zones - len(gfms)), "radial_count")
 
     # real power balance per zone (positive t flows tail -> head)
     for i in zones:
@@ -311,7 +310,7 @@ def build_milp(g: ZoneGraph, snap: FormationSnapshot, weights: FormationWeights,
 
     problem = FormationProblem(
         graph=g, snapshot=snap, weights=weights, prev=prev, model=mdl,
-        gfm_order=gfm_order, y=y, x=x, z=z, t=t, d=d, fp=fp, fn=fn)
+        y=y, x=x, z=z, t=t, d=d, fp=fp, fn=fn)
     topologies = []
     try:
         base = fixed_topology_solution(g)
@@ -363,17 +362,16 @@ def warm_values_from_topology(problem: FormationProblem,
     """Integer warm point for the solver from a known partition.
 
     Edges without a column (faulted or in a load island) are ignored, and
-    zones without an anchor are parked on microgrid 0; the solver only uses
-    the point if it is feasible.
+    zones without a GFM anchor are parked on the first GFM's microgrid; the
+    solver only uses the point if it is feasible.
     """
     vals: dict[int, float] = {}
-    k_of = {gfm: k for k, gfm in enumerate(problem.gfm_order)}
+    gfms = problem.graph.gfm_nodes
     for eid, col in problem.y.items():
         vals[col] = 1.0 if eid in closed_edges else 0.0
-    for (i, k), col in problem.x.items():
+    for (i, j), col in problem.x.items():
         anchor = assignment.get(i)
-        kk = k_of.get(anchor, 0) if anchor is not None else 0
-        vals[col] = 1.0 if k == kk else 0.0
+        vals[col] = 1.0 if j == (anchor if anchor in gfms else gfms[0]) else 0.0
     return vals
 
 
@@ -408,12 +406,13 @@ def decode(problem: FormationProblem, report: SolveReport) -> FormationSolution:
                        if _rounded(xv[col], f"switch y_{eid}") == 1)
     assignment: dict[int, int | None] = dict.fromkeys(
         sorted(n.id for n in g.nodes))
+    names = problem.model.var_names
     for i in problem.d:
-        picks = [k for k in range(len(problem.gfm_order))
-                 if _rounded(xv[problem.x[i, k]], f"assign x_{i}_{k}") == 1]
+        picks = [j for j in g.gfm_nodes if _rounded(
+            xv[problem.x[i, j]], f"assign {names[problem.x[i, j]]}") == 1]
         if len(picks) != 1:
             raise DecodeError(f"zone {i} assigned to {len(picks)} microgrids")
-        assignment[i] = problem.gfm_order[picks[0]]
+        assignment[i] = picks[0]
 
     check: RadialCheck = is_radial_forest(g, closed)
     if not check.is_radial:

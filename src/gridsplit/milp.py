@@ -232,58 +232,36 @@ class _Simplex:
         self.degenerate = 0
         self.bland = False
 
-        slack_lo = np.zeros(m)
-        slack_hi = np.zeros(m)
-        for i, s in enumerate(senses):
-            if s == "<=":
-                slack_lo[i], slack_hi[i] = 0.0, np.inf
-            elif s == ">=":
-                slack_lo[i], slack_hi[i] = -np.inf, 0.0
-            else:
-                slack_lo[i] = slack_hi[i] = 0.0
+        # slack bounds by row sense
+        sense = np.asarray(senses, dtype=str)
+        slack_lo = np.where(sense == ">=", -np.inf, 0.0)
+        slack_hi = np.where(sense == "<=", np.inf, 0.0)
+        self.a = np.ascontiguousarray(a, dtype=float)
+        self.b = b.astype(float)
+        # structurals park at a bound (0 when free); the start basis takes a
+        # row's slack when it absorbs the residual, a signed artificial else
+        vals = np.where(np.isfinite(lower), lower,
+                        np.where(np.isfinite(upper), upper, 0.0))
+        resid = self.b - self.a @ vals
+        fits = (slack_lo - 1e-11 <= resid) & (resid <= slack_hi + 1e-11)
+        near = np.where(fits, resid, np.clip(resid, slack_lo, slack_hi))
+        rho = resid - near
+        self.art_sign = np.where(fits, 0.0, np.where(rho > 0, 1.0, -1.0))
 
         # full column space: structural, slack, artificial
         self.art0 = n + m
-        self.full = np.concatenate([a, np.eye(m), np.zeros((m, m))], axis=1)
+        self.full = np.concatenate([self.a, np.eye(m), np.diag(self.art_sign)],
+                                   axis=1)
         self.lo = np.concatenate([lower, slack_lo, np.zeros(m)])
-        self.hi = np.concatenate([upper, slack_hi, np.zeros(m)])
+        self.hi = np.concatenate([upper, slack_hi, np.where(fits, 0.0, np.inf)])
         self.cost = np.concatenate([cost, np.zeros(2 * m)])
-        self.b = b.astype(float)
-
-        # park nonbasic columns at a bound (0 for fully free columns)
-        vals = np.where(np.isfinite(self.lo), self.lo,
-                        np.where(np.isfinite(self.hi), self.hi, 0.0))
-        stat = np.where(np.isfinite(self.lo) | ~np.isfinite(self.hi),
-                        _AT_LOWER, _AT_UPPER)
-        self.values = vals.astype(float)
-        self.stat = stat.astype(np.int8)
-
-        # initial basis: the row's slack when it can absorb the residual,
-        # a signed artificial otherwise
-        resid = self.b - a @ self.values[:n]
-        basis = np.empty(m, dtype=int)
-        for i in range(m):
-            s_req = resid[i]
-            if slack_lo[i] - 1e-11 <= s_req <= slack_hi[i] + 1e-11:
-                basis[i] = n + i
-                self.values[n + i] = s_req
-            else:
-                near = min(max(s_req, slack_lo[i]), slack_hi[i])
-                self.values[n + i] = near
-                rho = s_req - near
-                j = self.art0 + i
-                self.full[i, j] = 1.0 if rho > 0 else -1.0
-                self.hi[j] = np.inf
-                self.values[j] = abs(rho)
-                basis[i] = j
-        self.basis = basis
-        self.stat[basis] = _BASIC
-        self.binv = np.eye(m)
-        for i in range(m):
-            j = basis[i]
-            if j >= self.art0 and self.full[i, j] < 0:
-                self.binv[i, i] = -1.0
-        self.xb = self.values[basis].copy()
+        self.values = np.concatenate([vals, near, np.abs(rho)])
+        self.stat = np.where(np.isfinite(self.lo) | ~np.isfinite(self.hi),
+                             _AT_LOWER, _AT_UPPER).astype(np.int8)
+        self.basis = np.where(fits, n, self.art0) + np.arange(m)
+        self.stat[self.basis] = _BASIC
+        self.binv = np.diag(np.where(self.art_sign < 0, -1.0, 1.0))
+        self.xb = self.values[self.basis].copy()
 
     # -- helpers ------------------------------------------------------------
 
@@ -346,8 +324,7 @@ class _Simplex:
         m, n, art0 = self.m, self.n, self.art0
         # reduced costs by block: y @ A for structurals, identity slacks,
         # one signed (or empty) artificial column per row
-        a = np.ascontiguousarray(self.full[:, :n])
-        art_sign = self.full[np.arange(m), art0 + np.arange(m)]
+        a, art_sign = self.a, self.art_sign
         # entering score is d * sign; free columns score |d|
         self._track()
         sign, lo_b, hi_b = self.sign, self.lo_b, self.hi_b
@@ -443,7 +420,9 @@ class _Simplex:
             self._evict_artificials()
             self.hi[self.art0:] = 0.0
             self.values[self.art0:][self.stat[self.art0:] != _BASIC] = 0.0
+        return self._phase2(cap)
 
+    def _phase2(self, cap: int) -> tuple[SolveStatus, np.ndarray]:
         if self._run(self.cost, cap) is SolveStatus.ITERATION_LIMIT:
             return SolveStatus.ITERATION_LIMIT, self.values[:self.n]
         return SolveStatus.OPTIMAL, self._audit()
@@ -467,10 +446,7 @@ class _Simplex:
         if np.any(nonbasic & ~at_hi & ~at_lo & np.isfinite(self.lo[:n])):
             raise SolverError("nonbasic column strictly inside its bounds")
         self.stat[:n][nonbasic] = np.where(at_hi, _AT_UPPER, _AT_LOWER)[nonbasic]
-        if self._run(self.cost, self.pivots + self.pivot_cap) \
-                is SolveStatus.ITERATION_LIMIT:
-            return SolveStatus.ITERATION_LIMIT, self.values[:n]
-        return SolveStatus.OPTIMAL, self._audit()
+        return self._phase2(self.pivots + self.pivot_cap)
 
     def resolve(self, lower: np.ndarray, upper: np.ndarray, basis: np.ndarray,
                 stat: np.ndarray) -> tuple[SolveStatus, np.ndarray]:
@@ -533,30 +509,32 @@ class _Simplex:
         self._refactor()
         x = self.values.copy()
         resid = self.full @ x - self.b
-        if np.max(np.abs(resid), initial=0.0) > FEAS_TOL:
+        # written so that a NaN residual or bound gap fails as well
+        if not np.max(np.abs(resid), initial=0.0) <= FEAS_TOL:
             raise SolverError("optimal basis violates feasibility tolerance")
-        below = np.where(np.isfinite(self.lo), self.lo - x, 0.0)
-        above = np.where(np.isfinite(self.hi), x - self.hi, 0.0)
-        if max(below.max(initial=0.0), above.max(initial=0.0)) > FEAS_TOL:
+        below = np.where(np.isinf(self.lo), 0.0, self.lo - x)
+        above = np.where(np.isinf(self.hi), 0.0, x - self.hi)
+        if not np.max(np.maximum(below, above), initial=0.0) <= FEAS_TOL:
             raise SolverError("optimal point violates variable bounds")
         return x[:self.n]
 
 
 def _solve_lp_arrays(a, senses, b, lower, upper,
-                     cost) -> tuple[SolveStatus, float, np.ndarray, int]:
+                     cost) -> tuple[SolveStatus, _Simplex, np.ndarray]:
+    """Cold two-phase primal solve on a new system: every cold LP."""
     sx = _Simplex(a, senses, b, lower, upper, cost)
     status, x = sx.solve()
-    obj = float(cost @ x) if status is SolveStatus.OPTIMAL else float("nan")
-    return status, obj, x, sx.pivots
+    return status, sx, x
 
 
 def solve_lp(model: MilpModel) -> SolveReport:
     """Simplex on the LP relaxation (integrality ignored)."""
     a, senses, b, lower, upper, cost = model.dense()
     t0 = time.perf_counter()
-    status, obj, x, pivots = _solve_lp_arrays(a, senses, b, lower, upper, cost)
-    wall = time.perf_counter() - t0
-    return SolveReport(status, obj + model.offset, x, 0, pivots, wall)
+    status, sx, x = _solve_lp_arrays(a, senses, b, lower, upper, cost)
+    obj = float(cost @ x) if status is SolveStatus.OPTIMAL else float("nan")
+    return SolveReport(status, obj + model.offset, x, 0, sx.pivots,
+                       time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -628,8 +606,7 @@ def solve_milp(model: MilpModel, *,
                 hi: np.ndarray) -> tuple[SolveStatus, _Simplex, np.ndarray]:
         """Two-phase primal solve on a new system under these bounds."""
         nonlocal total_pivots
-        sx = _Simplex(a, senses, b, lo, hi, cost)
-        status, x = sx.solve()
+        status, sx, x = _solve_lp_arrays(a, senses, b, lo, hi, cost)
         total_pivots += sx.pivots
         return status, sx, x
 

@@ -45,6 +45,11 @@ class SwitchEdge:
     normally_open: bool = False
     flow_limit_kw: float = 0.0
 
+    def __post_init__(self) -> None:
+        if not 0 <= self.flow_limit_kw < math.inf:
+            raise ValueError(f"flow_limit_kw {self.flow_limit_kw!r} must be "
+                             f"finite and non-negative")
+
 
 @dataclass(frozen=True)
 class GridFormingResource:
@@ -114,8 +119,6 @@ class ZoneGraph:
                 raise ValueError(f"edge {e.id} references unknown node")
             if e.tail == e.head:
                 raise ValueError(f"edge {e.id} is a self-loop")
-            if e.flow_limit_kw < 0:
-                raise ValueError(f"edge {e.id} has negative flow limit")
         if len(rmap) != len(self.resources):
             raise ValueError("more than one resource at a node")
         for n in self.nodes:
@@ -164,7 +167,7 @@ class ZoneGraph:
     def _resource_map(self) -> dict[int, GridFormingResource]:
         return {r.node_id: r for r in self.resources}
 
-    @property
+    @cached_property
     def gfm_nodes(self) -> tuple[int, ...]:
         return tuple(sorted(n.id for n in self.nodes if n.has_gfm))
 

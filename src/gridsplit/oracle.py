@@ -21,6 +21,7 @@ from .formation import (
     InfeasibleTopology,
     build_milp,
     decode,
+    warm_values_from_topology,
 )
 from .milp import SolveReport, SolveStatus, _solve_lp_arrays
 from .netmodel import ZoneGraph, is_radial_forest, walk
@@ -69,10 +70,9 @@ def enumerate_optimal(g: ZoneGraph, snap: FormationSnapshot,
             f"({GUARD_MAX_EDGES})")
     mdl = problem.model
     a, senses, b, lower, upper, cost = mdl.dense()
-    target = len(problem.d) - len(problem.gfm_order)
+    target = len(problem.d) - len(g.gfm_nodes)
 
-    best_obj = np.inf
-    best: tuple[frozenset[int], np.ndarray] | None = None
+    best_obj, best_x = np.inf, None
     for combo in itertools.combinations(problem.y, target):
         closed = frozenset(combo)
         check = is_radial_forest(g, closed)
@@ -81,21 +81,17 @@ def enumerate_optimal(g: ZoneGraph, snap: FormationSnapshot,
         if not _policies_hold(g, closed):
             continue
 
+        fixed = warm_values_from_topology(
+            problem, closed,
+            {i: gfm for gfm, tree in check.trees.items() for i in tree})
         lo, hi = lower.copy(), upper.copy()
-        for eid, col in problem.y.items():
-            lo[col] = hi[col] = 1.0 if eid in closed else 0.0
-        # one tree per GFM, in GFM order: tree k is microgrid k
-        anchor_of = {i: k for k, tree in enumerate(check.trees.values())
-                     for i in tree}
-        for (i, k), col in problem.x.items():
-            lo[col] = hi[col] = 1.0 if anchor_of[i] == k else 0.0
-        status, obj, x, _ = _solve_lp_arrays(a, senses, b, lo, hi, cost)
-        if status is SolveStatus.OPTIMAL and obj + mdl.offset < best_obj:
-            best_obj = obj + mdl.offset
-            best = (closed, x)
+        lo[list(fixed)] = hi[list(fixed)] = list(fixed.values())
+        status, _, x = _solve_lp_arrays(a, senses, b, lo, hi, cost)
+        if status is SolveStatus.OPTIMAL and float(cost @ x) + mdl.offset < best_obj:
+            best_obj, best_x = float(cost @ x) + mdl.offset, x
 
-    if best is None:
+    if best_x is None:
         raise InfeasibleTopology(
             "no radial partition satisfies the lateral policies")
-    report = SolveReport(SolveStatus.OPTIMAL, float(best_obj), best[1])
+    report = SolveReport(SolveStatus.OPTIMAL, float(best_obj), best_x)
     return decode(problem, report)

@@ -49,9 +49,8 @@ class FaultWindow:
 
     def __post_init__(self):
         if self.end_min <= self.start_min:
-            raise ValidationError(
-                f"/fault_windows: end_min {self.end_min} must exceed "
-                f"start_min {self.start_min}")
+            raise ValueError(f"end_min {self.end_min} must exceed "
+                             f"start_min {self.start_min}")
 
     def active_at(self, t_min: int) -> bool:
         return self.start_min <= t_min < self.end_min

@@ -371,10 +371,10 @@ def test_near_half_binary_fails_decode(scenario):
 
 def test_decoded_assignment_matches_binary_argmax(scenario):
     prob, rep, sol = solve(scenario.graph, mksnap(scenario.graph))
+    gfms = prob.graph.gfm_nodes
     for i in (n.id for n in prob.graph.nodes):
-        k = int(np.argmax([rep.values[prob.x[i, kk]]
-                           for kk in range(len(prob.gfm_order))]))
-        assert sol.assignment[i] == prob.gfm_order[k]
+        k = int(np.argmax([rep.values[prob.x[i, j]] for j in gfms]))
+        assert sol.assignment[i] == gfms[k]
 
 
 def test_fixed_topology_on_the_fixture(scenario):

@@ -1,9 +1,11 @@
-"""Every name a program module imports is used in that module.
+"""Every name a program module imports is used in that module, and every
+name the benchmark's tracer wraps is still bound where it looks for it.
 
 ``__init__.py`` is skipped: its imports are the package's public names.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ import gridsplit
 
 MODULES = sorted(p for p in Path(gridsplit.__file__).parent.glob("*.py")
                  if p.name != "__init__.py")
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -43,3 +46,15 @@ def test_the_scan_flags_an_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_every_traced_name_resolves():
+    # perfbench/tracer.py replaces each (module, attribute) of WRAPS with a
+    # wrapper; a module that stops binding one of them breaks the benchmark
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [f"{owner}.{attr}" for owner, attr, _, _ in tracer.WRAPS
+               if not hasattr(tracer.resolve(owner), attr)]
+    assert tracer.WRAPS
+    assert missing == []

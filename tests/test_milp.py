@@ -41,6 +41,21 @@ def test_unbounded_lp_raises():
         solve_lp(m)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("coef, upper, solver", [
+    (np.nan, 4.0, solve_lp),      # a NaN residual
+    (1.0, np.nan, solve_lp),      # a NaN bound gap; the optimum is -4
+    (np.inf, 4.0, solve_milp),    # an infinite coefficient
+])
+def test_non_finite_model_fails_the_audit(coef, upper, solver):
+    m = MilpModel()
+    x = m.add_variable("x", 0, upper, objective=-1.0)
+    y = m.add_variable("y", 0, 4, integer=True, objective=-1.0)
+    m.add_constraint({x: 1.0, y: coef}, "<=", 4.0)
+    with pytest.raises(SolverError, match="violates"):
+        solver(m)
+
+
 def test_free_variable_and_equality():
     # minimize 2x + y, x + y == 4, x >= -3, y in [0,5]:
     # pushing x down is worth it until y hits its cap, so x=-1, y=5
@@ -308,12 +323,12 @@ def test_dual_children_match_cold_solves(monkeypatch, event_zero_model):
         status, x = resolve(self, lower, upper, basis, stat)
         if status is not SolveStatus.ITERATION_LIMIT:
             a, senses, b, _, _, cost = current["dense"]
-            ref, ref_obj, _, _ = milp._solve_lp_arrays(
+            ref, _, ref_x = milp._solve_lp_arrays(
                 a, senses, b, lower, upper, cost)
             assert status is ref
             if status is SolveStatus.OPTIMAL:
-                assert float(cost @ x) == pytest.approx(ref_obj, rel=1e-9,
-                                                        abs=1e-9)
+                assert float(cost @ x) == pytest.approx(float(cost @ ref_x),
+                                                        rel=1e-9, abs=1e-9)
             checked.append(status)
         return status, x
 
@@ -355,7 +370,7 @@ def test_reported_point_is_the_cold_lp_at_the_integer_optimum(
         ints = np.array(model.integer_indices(), dtype=int)
         # integral values, with -0.0 normalised to 0.0
         lower[ints] = upper[ints] = np.round(values[ints]) + 0.0
-        status, _, x, _ = milp._solve_lp_arrays(
+        status, _, x = milp._solve_lp_arrays(
             a, senses, b, lower, upper, cost)
         assert status is SolveStatus.OPTIMAL
         return x

@@ -18,6 +18,7 @@ from gridsplit import (
     load_scenario,
     save_scenario,
 )
+from gridsplit.cli import main
 
 
 class TestFixtureCensus:
@@ -247,9 +248,16 @@ class TestFileValidation:
          "^/forecast_sigma: must be finite and non-negative"),
         (("nodes", 0), "peak_load_kw", 10 ** 400,
          "/nodes/0/peak_load_kw: number out of range"),
+        (("edges", 3), "flow_limit_kw", math.nan,
+         "/edges/3: flow_limit_kw nan must be finite and non-neg"),
+        (("edges", 8), "flow_limit_kw", math.inf,
+         "/edges/8: flow_limit_kw inf must be finite and non-neg"),
+        (("fault_windows", 0), "end_min", 100,
+         "^/fault_windows/0: end_min 100 must exceed start_min 720$"),
     ], ids=["peak_load_kw", "battery_soc0", "battery_efficiency",
             "battery_power_kw", "battery_energy_kwh", "diesel_power_kw",
-            "diesel_fuel_kwh", "forecast_sigma", "integer-past-float"])
+            "diesel_fuel_kwh", "forecast_sigma", "integer-past-float",
+            "flow_limit_kw-nan", "flow_limit_kw-inf", "fault_window-order"])
     def test_physical_field_range_checked(self, scenario, tmp_path, where,
                                           key, value, message):
         doc = self._doc(scenario, tmp_path)
@@ -332,6 +340,8 @@ def _assert_physical_ranges(sc):
         for v in (r.battery_power_kw, r.battery_energy_kwh,
                   r.diesel_power_kw, r.diesel_fuel_kwh):
             assert 0 <= v < math.inf, r
+    for e in sc.graph.edges:
+        assert 0 <= e.flow_limit_kw < math.inf, e
     assert 0 <= sc.forecast_sigma < math.inf
 
 
@@ -392,9 +402,14 @@ class TestScenarioValidation:
             Scenario(name="x", graph=scenario.graph, step_minutes=5,
                      load_kw=scenario.load_kw, pv_kw=pv)
 
-    def test_fault_window_must_be_ordered(self):
-        with pytest.raises(ValidationError, match="must exceed"):
+    def test_fault_window_must_be_ordered(self, scenario, tmp_path):
+        with pytest.raises(ValueError, match="must exceed"):
             FaultWindow(edge_id=9, start_min=720, end_min=720)
+        save_scenario(scenario, tmp_path / "sc.json")
+        doc = json.loads((tmp_path / "sc.json").read_text())
+        doc["fault_windows"][0]["end_min"] = 720
+        (tmp_path / "sc.json").write_text(json.dumps(doc))
+        assert main(["validate", "--scenario", str(tmp_path / "sc.json")]) == 2
 
     def test_negative_sigma_rejected(self, scenario):
         with pytest.raises(ValidationError, match="/forecast_sigma"):
