@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 from .milp import INT_TOL, MilpModel, SolveReport, SolveStatus
 from .netmodel import (LateralPolicy, RadialCheck, ZoneGraph, forest_census,
-                       is_radial_forest, walk)
+                       is_radial_forest, subtrees, walk)
 
 OBJ_MATCH_RTOL = 1e-6            # decode recheck: |recomputed - reported|
 
@@ -468,14 +468,8 @@ def fixed_topology_solution(g: ZoneGraph, snap: FormationSnapshot | None = None,
     commodity = {e.id: 0.0 for e in g.edges}
     for anchor, tree in census.trees.items():
         assignment.update(dict.fromkeys(tree, anchor))
-        # post-order accumulation of subtree counts
-        order, parent = walk(adj, anchor)
-        counts = {u: 1 for u in order}
-        for u in reversed(order[1:]):
-            pu, eid = parent[u]
-            counts[pu] += counts[u]
-            toward_child = 1.0 if g.edge(eid).tail == pu else -1.0
-            commodity[eid] = toward_child * counts[u]
+        for eid, (sign, beyond) in subtrees(g, adj, anchor).items():
+            commodity[eid] = sign * len(beyond)
 
     served = {i: (load[i] if assignment[i] is not None else 0.0)
               for i in assignment}

@@ -37,6 +37,7 @@ Minimization throughout. Integer variables must carry integral finite bounds.
 from __future__ import annotations
 
 import heapq
+import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -105,8 +106,8 @@ class MilpModel:
 
     def add_variable(self, name: str, lower: float, upper: float, *,
                      integer: bool = False, objective: float = 0.0) -> int:
-        if lower > upper:
-            raise ValueError(f"variable {name}: lower {lower} > upper {upper}")
+        if not lower <= upper or lower == math.inf or upper == -math.inf:  # NaN too
+            raise ValueError(f"variable {name}: no value lies in [{lower}, {upper}]")
         if integer:
             if not (np.isfinite(lower) and np.isfinite(upper)):
                 raise ValueError(f"integer variable {name} needs finite bounds")
@@ -126,11 +127,15 @@ class MilpModel:
                        name: str = "") -> int:
         if sense not in ("<=", ">=", "=="):
             raise ValueError(f"bad sense {sense!r}")
-        for j in coeffs:
+        name = name or f"r{len(self.rows)}"
+        for j, v in coeffs.items():
             if not 0 <= j < len(self.var_names):
                 raise ValueError(f"constraint {name!r} references unknown column {j}")
-        self.rows.append(_Row(dict(coeffs), sense, float(rhs),
-                              name or f"r{len(self.rows)}"))
+            if not math.isfinite(v):
+                raise ValueError(f"constraint {name!r}: {v!r} on column {self.var_names[j]}")
+        if not math.isfinite(rhs):
+            raise ValueError(f"constraint {name!r}: right-hand side {rhs!r}")
+        self.rows.append(_Row(dict(coeffs), sense, float(rhs), name))
         return len(self.rows) - 1
 
     @property

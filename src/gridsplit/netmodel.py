@@ -222,6 +222,20 @@ def walk(adj: dict[int, list[tuple[int, int]]], root: int, *,
     return order, parent
 
 
+def subtrees(g: ZoneGraph, adj: dict[int, list[tuple[int, int]]],
+             root: int) -> dict[int, tuple[float, list[int]]]:
+    """Each edge of the tree ``root`` reaches over ``adj``, with +1.0 if its
+    tail is on the root's side, else -1.0, and the zones beyond it."""
+    order, parent = walk(adj, root)
+    beyond = {u: [u] for u in order}
+    out = {}
+    for u in reversed(order[1:]):      # children before their parent
+        pu, eid = parent[u]
+        beyond[pu] += beyond[u]
+        out[eid] = (1.0 if g.edge(eid).tail == pu else -1.0, beyond[u])
+    return out
+
+
 def _components(adj: dict[int, list[tuple[int, int]]]) -> list[frozenset[int]]:
     seen: set[int] = set()
     comps: list[frozenset[int]] = []

@@ -42,3 +42,13 @@ def ring_island_graph():
     res = (GridFormingResource(1, 500.0, 2000.0),
            GridFormingResource(3, 400.0, 2000.0))
     return ZoneGraph(nodes, edges, res, frozenset({10}))
+
+
+@pytest.fixture(scope="session")
+def four_zone_ring():
+    """The ring 1-2-3-4 fed by one grid-forming zone, zone 1; edge 4, from
+    zone 4 back to zone 1, is normally open."""
+    nodes = tuple(ZoneNode(i, 1, False, 100.0, i == 1) for i in range(1, 5))
+    edges = tuple(SwitchEdge(i, i, i % 4 + 1, i == 4, 1000.0)
+                  for i in range(1, 5))
+    return ZoneGraph(nodes, edges, (GridFormingResource(1, 500.0, 2000.0),))

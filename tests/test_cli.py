@@ -139,15 +139,12 @@ class TestRun:
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: graph has no grid-forming resources"] * 2
 
-    def test_infeasible_partition_model(self, tmp_path, capsys):
+    def test_infeasible_partition_model(self, tmp_path, capsys,
+                                        four_zone_ring):
         # a 4-zone ring fed by one grid-forming zone: the product rows force
         # every edge inside one microgrid label closed, so the ring can
         # never open and the model has no feasible point
-        nodes = tuple(ZoneNode(i, 1, False, 100.0, i == 1) for i in range(1, 5))
-        edges = tuple(SwitchEdge(i, i, i % 4 + 1, i == 4, 1000.0)
-                      for i in range(1, 5))
-        g = ZoneGraph(nodes, edges, (GridFormingResource(1, 500.0, 2000.0),))
-        sc = Scenario(name="ring", graph=g, step_minutes=5,
+        sc = Scenario(name="ring", graph=four_zone_ring, step_minutes=5,
                       load_kw={z: np.full(576, 50.0) for z in range(1, 5)},
                       pv_kw={z: np.zeros(576) for z in range(1, 5)})
         save_scenario(sc, tmp_path / "ring.json")

@@ -1,6 +1,6 @@
 """Differential test of the partition search over random small graphs.
 
-Three solvers price the same partition model: branch and bound
+Three solvers look for the same optimal partition: branch and bound
 (``solve_milp`` plus ``decode``), the brute-force oracle
 (``enumerate_optimal``) and HiGHS (``scipy.optimize.milp`` on the dense
 model). On every drawn graph they must agree on feasibility and, within
@@ -8,9 +8,13 @@ model). On every drawn graph they must agree on feasibility and, within
 with one closed switch per zone that is neither grid-forming nor in a load
 island. Some draws hold a cycle inside a load island; the model leaves
 islands out, so they must solve like any other draw, and faulting every
-edge inside an island must leave the model as it is. The model rows are
-shared, so the test checks the searches, not the formulation. Branch and bound also solves each model without the start
-points ``build_milp`` attaches, and must reach the same status and optimum.
+edge inside an island must leave the model as it is. The oracle prices
+each partition from its trees, not from the model's rows, so the test checks
+the formulation as well as the searches, apart from the one model rule the
+oracle shares: a switch between two zones of one microgrid is closed
+(``oracle._same_tree_rule``). Branch and bound also solves each model
+without the start points ``build_milp`` attaches, and must reach the same
+status and optimum.
 A second test re-solves each model from warm points, whose basis the root
 LP restarts from, and must reach the cold optimum.
 

@@ -42,18 +42,35 @@ def test_unbounded_lp_raises():
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-@pytest.mark.parametrize("coef, upper, solver", [
-    (np.nan, 4.0, solve_lp),      # a NaN residual
-    (1.0, np.nan, solve_lp),      # a NaN bound gap; the optimum is -4
-    (np.inf, 4.0, solve_milp),    # an infinite coefficient
+@pytest.mark.parametrize("coef, upper", [
+    (np.nan, 4.0),      # a NaN residual
+    (1.0, np.nan),      # a NaN bound gap; the optimum is -4
+    (np.inf, 4.0),      # an infinite coefficient
 ])
-def test_non_finite_model_fails_the_audit(coef, upper, solver):
-    m = MilpModel()
-    x = m.add_variable("x", 0, upper, objective=-1.0)
-    y = m.add_variable("y", 0, 4, integer=True, objective=-1.0)
-    m.add_constraint({x: 1.0, y: coef}, "<=", 4.0)
+def test_non_finite_model_fails_the_audit(coef, upper):
+    # MilpModel refuses these arrays, so they go to the solver directly:
+    # max x + y subject to x + coef * y <= 4, x in [0, upper], y in [0, 4]
     with pytest.raises(SolverError, match="violates"):
-        solver(m)
+        milp._solve_lp_arrays(np.array([[1.0, coef]]), ["<="], np.array([4.0]),
+                              np.zeros(2), np.array([upper, 4.0]),
+                              np.array([-1.0, -1.0]))
+
+
+def test_non_finite_model_input_is_refused_where_it_is_built():
+    m = MilpModel()
+    x = m.add_variable("x", -np.inf, np.inf)     # a free column is legal
+    for lower, upper in ((np.nan, 1.0), (0.0, np.nan), (np.inf, np.inf),
+                         (2.0, 1.0)):
+        with pytest.raises(ValueError, match="variable bad"):
+            m.add_variable("bad", lower, upper)
+    for coef in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="'cap': .* on column x"):
+            m.add_constraint({x: coef}, "<=", 1.0, "cap")
+    with pytest.raises(ValueError, match="'cap'.*right-hand side"):
+        m.add_constraint({x: 1.0}, "<=", np.nan, "cap")
+    with pytest.raises(ValueError, match="'r0'.*right-hand side"):
+        m.add_constraint({x: 1.0}, ">=", -np.inf)
+    assert (m.n_variables, m.n_constraints) == (1, 0)
 
 
 def test_free_variable_and_equality():

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import Bounds, LinearConstraint
+from scipy.optimize import milp as scipy_milp
 
 from gridsplit import (
     FormationSnapshot,
@@ -10,6 +12,7 @@ from gridsplit import (
     GuardExceeded,
     InfeasibleTopology,
     LateralPolicy,
+    SolveStatus,
     SwitchEdge,
     ZoneGraph,
     ZoneNode,
@@ -18,8 +21,11 @@ from gridsplit import (
     enumerate_optimal,
     is_radial_forest,
     solve_milp,
+    warm_values_from_topology,
 )
-from gridsplit.oracle import _policies_hold
+from gridsplit import oracle
+from gridsplit.milp import _solve_lp_arrays
+from gridsplit.oracle import _policies_hold, _price
 
 WTS = FormationWeights()
 
@@ -128,3 +134,132 @@ def test_guard_counts_switch_decisions_not_island_edges():
     assert sorted(prob.y) == [1, 2]
     assert decode(prob, solve_milp(prob.model)).objective_value == \
         pytest.approx(sol.objective_value, rel=1e-9)
+
+
+def candidates(g, prob):
+    """Radial closed sets of the model's switches that meet the policies,
+    with their trees."""
+    for combo in itertools.combinations(prob.y, len(prob.d) - len(g.gfm_nodes)):
+        check = is_radial_forest(g, frozenset(combo))
+        if check.is_radial and _policies_hold(g, frozenset(combo)):
+            yield frozenset(combo), check.trees
+
+
+def must_take_snap(rng, scenario):
+    """Loads as in ``snap_from``, PV in [0, 1600] kW that must all be taken,
+    so that some microgrids cannot absorb their PV."""
+    snap = snap_from(rng, scenario)
+    pv = {z: float(rng.uniform(0.0, 1600.0)) for z in snap.pv_kw}
+    return FormationSnapshot(0, snap.load_kw, pv, dict(pv))
+
+
+def test_graph_prices_match_the_model_lp(scenario):
+    # the reference: the model's own LP with the integer columns fixed at
+    # each candidate, solved cold
+    g = scenario.graph
+    rejected = priced = 0
+    rng = np.random.default_rng(13)
+    for graph in (g, g.with_faulted(g.faulted_edges | {9})):
+        for snap in [f(rng, scenario) for f in (snap_from, must_take_snap)
+                     for _ in range(3)]:
+            prob = build_milp(graph, snap, WTS)
+            a, senses, b, lower, upper, cost = prob.model.dense()
+            for closed, trees in candidates(graph, prob):
+                fixed = warm_values_from_topology(
+                    prob, closed, {z: j for j, tree in trees.items() for z in tree})
+                lo, hi = lower.copy(), upper.copy()
+                lo[list(fixed)] = hi[list(fixed)] = list(fixed.values())
+                status, _, x = _solve_lp_arrays(a, senses, b, lo, hi, cost)
+                by_graph = _price(prob, closed, trees, {})
+                assert (by_graph is None) == (status is not SolveStatus.OPTIMAL)
+                if by_graph is None:
+                    rejected += 1
+                    continue
+                priced += 1
+                assert by_graph[0] == pytest.approx(
+                    float(cost @ x) + prob.model.offset, rel=1e-9)
+    assert rejected > 0 and priced > 0
+
+
+def test_each_distinct_tree_is_priced_once(monkeypatch):
+    # zones 1-7 in a row fed by grid-forming zones 1, 4 and 7: each of the
+    # two stretches between them opens one of its three edges, so 9
+    # candidates hold 27 trees, of which 3 + 9 + 3 are distinct
+    nodes = tuple(ZoneNode(i, 1, False, 10.0, i in (1, 4, 7)) for i in range(1, 8))
+    edges = tuple(SwitchEdge(i, i, i + 1, False, 100.0) for i in range(1, 7))
+    g = ZoneGraph(nodes, edges, tuple(GridFormingResource(i, 50.0, 100.0)
+                                      for i in (1, 4, 7)))
+    snap = FormationSnapshot(0, dict.fromkeys(range(1, 8), 1.0),
+                             dict.fromkeys(range(1, 8), 0.0))
+    assert len(list(candidates(g, build_milp(g, snap, WTS)))) == 9
+    lps = []
+    solve = oracle._solve_lp_arrays
+    monkeypatch.setattr(oracle, "_solve_lp_arrays",
+                        lambda *args: lps.append(args) or solve(*args))
+    enumerate_optimal(g, snap, WTS)
+    assert len(lps) == 15
+
+
+def line3(limits, battery_kw, diesel_kw=0.0, pv=None, pv_min=None):
+    """Zones 1-2-3 in a row under the given edge flow limits, fed by the
+    grid-forming zone 1, each with a 10-kW load; no zone is critical, so
+    the flow term of the closed line is 2 + 1."""
+    nodes = tuple(ZoneNode(i, 1, False, 10.0, i == 1) for i in (1, 2, 3))
+    edges = (SwitchEdge(1, 1, 2, False, limits[0]),
+             SwitchEdge(2, 2, 3, False, limits[1]))
+    g = ZoneGraph(nodes, edges,
+                  (GridFormingResource(1, battery_kw, 100.0,
+                                       diesel_power_kw=diesel_kw),))
+    snap = FormationSnapshot(0, dict.fromkeys((1, 2, 3), 10.0),
+                             {1: 0.0, 2: 0.0, 3: 0.0, **(pv or {})}, pv_min or {})
+    return g, snap
+
+
+def test_an_edge_limit_caps_the_load_beyond_it():
+    # edge 2 carries at most 4 kW to zone 3: 6 kW shed
+    g, snap = line3((100.0, 4.0), 100.0)
+    sol = enumerate_optimal(g, snap, WTS)
+    assert sol.served_load_kw == pytest.approx({1: 10.0, 2: 10.0, 3: 4.0})
+    assert sol.objective_value == pytest.approx(6003.0, rel=1e-12)
+
+
+def test_the_injection_limit_caps_the_microgrid():
+    # 12 kW of battery, 5 of diesel and zone 3's 4 kW of PV serve 21 kW
+    g, snap = line3((100.0, 100.0), 12.0, diesel_kw=5.0, pv={3: 4.0})
+    sol = enumerate_optimal(g, snap, WTS)
+    assert sum(sol.served_load_kw.values()) == pytest.approx(21.0)
+    assert sol.objective_value == pytest.approx(9003.0, rel=1e-12)
+
+
+def test_a_pv_floor_beyond_the_battery_makes_the_tree_infeasible():
+    # 30 kW of load and a 5-kW battery absorb up to 35 kW of PV
+    g, snap = line3((100.0, 100.0), 5.0, pv={3: 40.0}, pv_min={3: 35.0})
+    assert enumerate_optimal(g, snap, WTS).objective_value == 3.0
+    g, snap = line3((100.0, 100.0), 5.0, pv={3: 40.0}, pv_min={3: 36.0})
+    with pytest.raises(InfeasibleTopology):
+        enumerate_optimal(g, snap, WTS)
+    assert solve_milp(build_milp(g, snap, WTS).model).status \
+        is SolveStatus.INFEASIBLE
+
+
+def test_the_same_tree_rule_leaves_a_one_source_ring_no_partition(
+        four_zone_ring):
+    # each radial forest of the ring leaves one switch open between two
+    # zones of the one microgrid, which the model's link rows forbid, so
+    # the oracle, branch and bound and HiGHS all find no partition. ROADMAP
+    # item 1 ("Let an open switch sit inside a microgrid") relaxes those
+    # rows and deletes the rule; the ring then solves at 4.0
+    g = four_zone_ring
+    snap = FormationSnapshot(0, dict.fromkeys(range(1, 5), 50.0),
+                             dict.fromkeys(range(1, 5), 0.0))
+    with pytest.raises(InfeasibleTopology):
+        enumerate_optimal(g, snap, WTS)
+    mdl = build_milp(g, snap, WTS).model
+    assert solve_milp(mdl).status is SolveStatus.INFEASIBLE
+    a, senses, b, lower, upper, cost = mdl.dense()
+    lb = np.where(np.array(senses) == "<=", -np.inf, b)
+    ub = np.where(np.array(senses) == ">=", np.inf, b)
+    res = scipy_milp(cost, constraints=LinearConstraint(a, lb, ub),
+                     integrality=np.array(mdl.is_integer, dtype=int),
+                     bounds=Bounds(lower, upper), options={"presolve": False})
+    assert res.status == 2          # infeasible
