@@ -2,16 +2,18 @@
 
 One solve re-partitions the zone graph into GFM-anchored radial microgrids
 for a single planning step. Binary switch states and zone-to-microgrid
-assignment binaries are coupled through an exact product linearization;
-radiality comes from an exact closed-switch count plus a single-commodity
-connectivity flow emitted by the GFMs. Served load and PV are continuous,
-so the objective trades weighted load shedding against weighted commodity
-flow (a proxy for how far from its source each zone sits) and, after the
-first step, switch toggles; ``FormationWeights`` prices all three. Line
-flows, PV and GFM injections constrain the partition but are not decoded:
-the energy management under it does its own dispatch. Load islands, the
-zones that no GFM can reach under the faults, are not decisions: the model
-leaves them and their switches out, and their load is charged as shed.
+assignment binaries are coupled through an exact product linearization: a
+closed switch needs both ends in one microgrid, while an open one may sit
+inside a microgrid, as a loop switch does. Radiality comes from an exact
+closed-switch count plus a single-commodity connectivity flow emitted by
+the GFMs. Served load and PV are continuous, so the objective trades
+weighted load shedding against weighted commodity flow (a proxy for how far
+from its source each zone sits) and, after the first step, switch toggles;
+``FormationWeights`` prices all three. Line flows, PV and GFM injections
+constrain the partition but are not decoded: the energy management under
+it does its own dispatch. Load islands, the zones that no GFM can reach
+under the faults, are not decisions: the model leaves them and their
+switches out, and their load is charged as shed.
 """
 
 from __future__ import annotations
@@ -245,11 +247,12 @@ def build_milp(g: ZoneGraph, snap: FormationSnapshot, weights: FormationWeights,
         mdl.add_constraint({x[i, j]: 1.0 for j in gfms}, "==", 1.0,
                            f"assign_{i}")
 
-    # a closed edge requires both endpoints in the same microgrid
+    # a closed edge requires both endpoints in the same microgrid; an open
+    # one may still sit inside one, as a loop switch does
     for e in edges:
         mdl.add_constraint(
             {y[e.id]: 1.0, **{z[e.id, j]: -1.0 for j in gfms}},
-            "==", 0.0, f"link_{e.id}")
+            "<=", 0.0, f"link_{e.id}")
         for k, j in enumerate(gfms):
             mdl.add_constraint({z[e.id, j]: 1.0, x[e.tail, j]: -1.0}, "<=", 0.0,
                                f"mc1_{e.id}_{k}")

@@ -656,8 +656,6 @@ def solve_milp(model: MilpModel, *,
         point = integral(warm_integer_values)
         if point is not None:
             status, sx, x = fixed_lp(point)
-            if status is SolveStatus.ITERATION_LIMIT:
-                return finish(status)
             if status is SolveStatus.OPTIMAL:
                 incumbent_obj, incumbent_x, source, start = \
                     float(cost @ x), x, "warm", sx

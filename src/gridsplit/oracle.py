@@ -1,8 +1,10 @@
 """Exhaustive partition oracle for small graphs.
 
 Independent route to the formation optimum: every radial closed-switch set
-of the right size that meets the lateral policies and ``_same_tree_rule`` is
-priced from its trees, not from the model's rows, each tree once per call.
+of the right size that meets the lateral policies is priced from its trees,
+not from the model's rows, each tree once per call. No rule is shared with
+the model: radiality, the policies and the trees' limits are checked on the
+graph.
 """
 
 from __future__ import annotations
@@ -36,15 +38,6 @@ def _policies_hold(g: ZoneGraph, closed: frozenset[int]) -> bool:
             if pol.edge_id not in closed or len(fed) < pol.min_downstream_nodes:
                 return False
     return True
-
-
-def _same_tree_rule(problem: FormationProblem, closed: frozenset[int],
-                    anchor: dict[int, int]) -> bool:
-    """Whether every switch between two zones of one tree is closed, as the
-    model's ``link_e`` row (``y_e = sum_j z_ej``) demands. ROADMAP item 1
-    relaxes that row and deletes this check with it."""
-    ends = (problem.graph.edge(eid) for eid in problem.y if eid not in closed)
-    return all(anchor[e.tail] != anchor[e.head] for e in ends)
 
 
 def _tree_price(problem: FormationProblem, gfm: int,
@@ -86,8 +79,6 @@ def _price(problem: FormationProblem, closed: frozenset[int],
     or None if the model has no point there; ``cache`` keys (GFM, edges)."""
     g, snap = problem.graph, problem.snapshot
     anchor = {z: gfm for gfm, tree in trees.items() for z in tree}
-    if not _same_tree_rule(problem, closed, anchor):
-        return None
     parts = []
     for gfm in trees:
         key = (gfm, frozenset(e for e in closed if anchor[g.edge(e).tail] == gfm))

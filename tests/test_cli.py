@@ -139,21 +139,31 @@ class TestRun:
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: graph has no grid-forming resources"] * 2
 
-    def test_infeasible_partition_model(self, tmp_path, capsys,
-                                        four_zone_ring):
-        # a 4-zone ring fed by one grid-forming zone: the product rows force
-        # every edge inside one microgrid label closed, so the ring can
-        # never open and the model has no feasible point
+    def test_one_source_ring_opens_a_switch_inside_its_microgrid(
+            self, tmp_path, four_zone_ring):
+        # a 4-zone ring fed by one grid-forming zone: every radial forest
+        # leaves one switch open between two zones of the one microgrid.
+        # Event 0 opens edge 3 and feeds zone 4 over tie 4 (flow 2 + 1 + 1),
+        # the shortest-path start point, where the normally-closed switches
+        # cost 3 + 2 + 1
         sc = Scenario(name="ring", graph=four_zone_ring, step_minutes=5,
                       load_kw={z: np.full(576, 50.0) for z in range(1, 5)},
                       pv_kw={z: np.zeros(576) for z in range(1, 5)})
         save_scenario(sc, tmp_path / "ring.json")
         path = str(tmp_path / "ring.json")
         assert main(["validate", "--scenario", path]) == 0
-        assert main(["run", "--scenario", path,
-                     "--out", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err.endswith(
-            "partition model of event 0 has no feasible point\n")
+        first = {}
+        for mode in ("flexible", "fixed"):
+            out = tmp_path / mode
+            assert main(["run", "--scenario", path, "--mode", mode,
+                         "--out", str(out)]) == 0
+            with open(out / "microgrids.csv", newline="") as f:
+                first[mode] = next(csv.DictReader(f))
+        assert first["flexible"]["closed_edges"] == "1;2;4"
+        assert float(first["flexible"]["objective"]) == pytest.approx(4.0, abs=1e-6)
+        assert first["fixed"]["closed_edges"] == "1;2;3"
+        assert float(first["fixed"]["objective"]) == 6.0
+        assert first["flexible"]["members"] == "1;2;3;4"
 
     def test_ring_inside_a_load_island_stays_dark(self, tmp_path,
                                                   ring_island_graph):

@@ -8,13 +8,13 @@ model). On every drawn graph they must agree on feasibility and, within
 with one closed switch per zone that is neither grid-forming nor in a load
 island. Some draws hold a cycle inside a load island; the model leaves
 islands out, so they must solve like any other draw, and faulting every
-edge inside an island must leave the model as it is. The oracle prices
-each partition from its trees, not from the model's rows, so the test checks
-the formulation as well as the searches, apart from the one model rule the
-oracle shares: a switch between two zones of one microgrid is closed
-(``oracle._same_tree_rule``). Branch and bound also solves each model
-without the start points ``build_milp`` attaches, and must reach the same
-status and optimum.
+edge inside an island must leave the model as it is. Other draws hold a
+cycle through at most one grid-forming zone, whose radial forests leave a
+switch open inside a microgrid. The oracle prices each partition from its
+trees, not from the model's rows, and shares no rule with the model, so the
+test checks the formulation as well as the searches. Branch and bound also
+solves each model without the start points ``build_milp`` attaches, and
+must reach the same status and optimum.
 A second test re-solves each model from warm points, whose basis the root
 LP restarts from, and must reach the cold optimum.
 
@@ -57,9 +57,10 @@ WTS = FormationWeights()
 @st.composite
 def restoration_case(draw):
     """2-3 radial feeders of 2-3 zones, each rooted at a grid-forming zone,
-    optionally one normally-closed chord inside a feeder, joined by 1-3
-    normally-open ties; 0-1 faulted edges, random flow limits, resources,
-    loads and PV, and optionally one lateral policy."""
+    optionally one normally-open or normally-closed chord inside a feeder,
+    joined by 1-3 normally-open ties; 0-2 distinct faulted edges, random
+    flow limits, resources, loads and PV, and optionally one lateral
+    policy."""
     # loads and PV at 1-W resolution: HiGHS fixes a column whose bound range
     # is within its tolerance, so a 1e-6 kW load would be shed by the
     # reference alone, at shed_weight * 1e-6 above the true optimum
@@ -85,7 +86,7 @@ def restoration_case(draw):
     chords = [c for zones in feeders for c in itertools.combinations(zones[1:], 2)]
     if chords and draw(st.booleans()):
         a, b = draw(st.sampled_from(chords))
-        edges.append(SwitchEdge(len(edges) + 1, a, b, False,
+        edges.append(SwitchEdge(len(edges) + 1, a, b, draw(st.booleans()),
                                 draw(st.floats(50.0, 1000.0))))
     pairs = [(a, b) for i, fa in enumerate(feeders) for fb in feeders[i + 1:]
              for a in fa for b in fb]
@@ -94,7 +95,7 @@ def restoration_case(draw):
         edges.append(SwitchEdge(len(edges) + 1, a, b, True,
                                 draw(st.floats(50.0, 1000.0))))
     faulted = frozenset(draw(st.lists(st.sampled_from([e.id for e in edges]),
-                                      max_size=1)))
+                                      max_size=2, unique=True)))
     policies = ()
     if draw(st.booleans()):
         roots = {zones[0] for zones in feeders}
@@ -213,6 +214,10 @@ def test_search_oracle_and_highs_agree(case):
         return
     assert reference is not None and by_oracle is not None
     by_search = decode(prob, rep)
+    if any(e.id not in by_search.closed
+           and by_search.assignment[e.tail] == by_search.assignment[e.head]
+           is not None for e in g.active_edges()):
+        event("switch open inside a microgrid")
     for sol in (by_search, by_oracle):
         check_partition(g, sol)
         assert abs(sol.objective_value - reference) <= REL_TOL * max(1.0, abs(reference))
@@ -231,8 +236,8 @@ def test_warm_started_search_reaches_the_cold_optimum(case):
     if cold.status is not SolveStatus.OPTIMAL:
         return
     # the optimum itself, and the normally-closed baseline, which may be
-    # infeasible in the model or far from the optimum; a chord closes a loop
-    # in the baseline, which then does not exist
+    # infeasible in the model or far from the optimum; a normally-closed
+    # chord closes a loop in the baseline, which then does not exist
     starts = [decode(prob, cold)]
     try:
         starts.append(fixed_topology_solution(g, snap, WTS))

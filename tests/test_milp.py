@@ -13,6 +13,7 @@ from gridsplit import (
     formation_inputs,
     solve_lp,
     solve_milp,
+    warm_values_from_topology,
 )
 from gridsplit import milp
 
@@ -533,6 +534,30 @@ def test_start_points_are_tried_only_without_an_optimal_warm_lp(monkeypatch):
     rep = solve_milp(m, warm_integer_values={x: 1.0, y: 1.0})
     assert rep.incumbent_source == "start" and len(calls) == 2
     assert rep.node_count == 1
+
+
+def test_start_points_are_tried_when_the_warm_lp_hits_the_pivot_cap(
+        monkeypatch, scenario):
+    # the fixed-integer LP at event 4's own optimum is cut off at the pivot
+    # cap: the search goes on from the model's start points
+    g_t, snap = formation_inputs(scenario, None, 4)
+    prob = build_milp(g_t, snap, FormationWeights())
+    best = decode(prob, solve_milp(prob.model))
+    warm = warm_values_from_topology(prob, best.closed, best.assignment)
+    calls = []
+    solve = milp._Simplex.solve
+
+    def capped_once(self):
+        calls.append(1)
+        if len(calls) == 1:
+            return SolveStatus.ITERATION_LIMIT, np.zeros(self.n)
+        return solve(self)
+
+    monkeypatch.setattr(milp._Simplex, "solve", capped_once)
+    rep = solve_milp(prob.model, warm_integer_values=warm)
+    assert rep.status is SolveStatus.OPTIMAL
+    assert rep.incumbent_source == "start"
+    assert rep.objective == pytest.approx(94.0, abs=1e-6)
 
 
 def test_incumbent_source_without_an_incumbent():

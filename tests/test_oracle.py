@@ -242,24 +242,62 @@ def test_a_pv_floor_beyond_the_battery_makes_the_tree_infeasible():
         is SolveStatus.INFEASIBLE
 
 
-def test_the_same_tree_rule_leaves_a_one_source_ring_no_partition(
+def test_a_one_source_ring_opens_a_switch_inside_its_microgrid(
         four_zone_ring):
     # each radial forest of the ring leaves one switch open between two
-    # zones of the one microgrid, which the model's link rows forbid, so
-    # the oracle, branch and bound and HiGHS all find no partition. ROADMAP
-    # item 1 ("Let an open switch sit inside a microgrid") relaxes those
-    # rows and deletes the rule; the ring then solves at 4.0
+    # zones of the one microgrid; closing edges 1, 2 and 4, or 1, 3 and 4,
+    # costs a flow term of 2 + 1 + 1, and the oracle keeps the first it
+    # meets. The oracle, branch and bound and HiGHS all reach 4.0
     g = four_zone_ring
     snap = FormationSnapshot(0, dict.fromkeys(range(1, 5), 50.0),
                              dict.fromkeys(range(1, 5), 0.0))
-    with pytest.raises(InfeasibleTopology):
-        enumerate_optimal(g, snap, WTS)
-    mdl = build_milp(g, snap, WTS).model
-    assert solve_milp(mdl).status is SolveStatus.INFEASIBLE
+    by_oracle = enumerate_optimal(g, snap, WTS)
+    assert by_oracle.closed == {1, 2, 4}
+    assert by_oracle.objective_value == pytest.approx(4.0, abs=1e-9)
+    prob = build_milp(g, snap, WTS)
+    by_search = decode(prob, solve_milp(prob.model))
+    assert by_search.objective_value == pytest.approx(4.0, abs=1e-6)
+    assert highs_objective(prob.model) == pytest.approx(4.0, abs=1e-6)
+
+
+def highs_objective(mdl):
+    """HiGHS without presolve on the dense model, with the offset."""
     a, senses, b, lower, upper, cost = mdl.dense()
     lb = np.where(np.array(senses) == "<=", -np.inf, b)
     ub = np.where(np.array(senses) == ">=", np.inf, b)
     res = scipy_milp(cost, constraints=LinearConstraint(a, lb, ub),
                      integrality=np.array(mdl.is_integer, dtype=int),
-                     bounds=Bounds(lower, upper), options={"presolve": False})
-    assert res.status == 2          # infeasible
+                     bounds=Bounds(lower, upper),
+                     options={"mip_rel_gap": 0.0, "presolve": False})
+    assert res.status == 0, res.message
+    return float(res.fun) + mdl.offset
+
+
+def test_two_ties_bypassing_both_roots_open_a_switch_inside_a_microgrid():
+    # feeders 1-2-3 and 4-5-6 under the grid-forming zones 1 and 4, joined
+    # by the normally-open ties 2-5 (edge 5) and 3-6 (edge 6). Zone 4's
+    # 60-kW battery cannot serve 5 or 6, so zone 1's feeds both over both
+    # ties or over one tie and the line 5-6; either way one switch stays
+    # open between two zones of microgrid 1, and nothing is shed at a flow
+    # term of 4 + 2 + 1 + 1 or 4 + 1 + 2 + 1
+    nodes = tuple(ZoneNode(i, 1 if i < 4 else 2, False, 100.0, i in (1, 4))
+                  for i in range(1, 7))
+    spans = {1: (1, 2), 2: (2, 3), 3: (4, 5), 4: (5, 6), 5: (2, 5), 6: (3, 6)}
+    edges = tuple(SwitchEdge(eid, t, h, eid > 4, 1000.0)
+                  for eid, (t, h) in spans.items())
+    g = ZoneGraph(nodes, edges, (GridFormingResource(1, 500.0, 2000.0),
+                                 GridFormingResource(4, 60.0, 2000.0)))
+    snap = FormationSnapshot(0, {1: 0.0, 2: 100.0, 3: 100.0, 4: 0.0,
+                                 5: 100.0, 6: 100.0}, dict.fromkeys(range(1, 7), 0.0))
+    prob = build_milp(g, snap, WTS)
+    by_search = decode(prob, solve_milp(prob.model))
+    # the two searches may pick different closed sets of the same price
+    by_oracle = enumerate_optimal(g, snap, WTS)
+    for sol in (by_search, by_oracle):
+        assert sol.objective_value == pytest.approx(8.0, abs=1e-6)
+        assert sol.load_shed_term == pytest.approx(0.0, abs=1e-6)
+    assert highs_objective(prob.model) == pytest.approx(8.0, abs=1e-6)
+    inside = [eid for eid, (t, h) in spans.items()
+              if eid not in by_search.closed
+              and by_search.assignment[t] == by_search.assignment[h] == 1]
+    assert len(inside) == 1
