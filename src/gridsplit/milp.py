@@ -8,9 +8,14 @@ through their bounds by the caller.
 
 Each pivot updates the inverse sparsely: the rank-1 term is applied only on
 the rows and columns where it is nonzero, which is a few percent of the
-entries on the formation models. The pivot path is reproducible bit for bit:
-for a given numpy and BLAS build, a model yields the same pivot sequence and
-the same floats on every run.
+entries on the formation models. A refactorization inverts only the basis's
+structural nucleus, the basic structural columns on the rows that no basic
+slack or artificial covers; the unit columns fill the rest of the inverse
+without arithmetic. It runs on entry to the dual simplex, after phase 1, in
+the audit and after every ``REFACTOR_EVERY`` basis exchanges since the last
+one. The pivot path is reproducible bit for bit: for a given numpy and BLAS
+build, a model yields the same pivot sequence and the same floats on every
+run.
 
 Branch and bound has two LP helpers. The fixed-integer LP fixes every
 integer column at an integral point: the incumbent, the caller's warm point
@@ -51,7 +56,7 @@ DUAL_TOL = 1e-9          # reduced-cost threshold for entering candidates
 PIVOT_TOL = 1e-9         # smallest pivot element magnitude accepted
 DEGEN_STEP = 1e-10       # step lengths below this count as degenerate
 BLAND_AFTER = 1000       # degenerate pivots before switching to Bland's rule
-REFACTOR_EVERY = 128     # pivots between basis-inverse refactorizations
+REFACTOR_EVERY = 128     # basis exchanges between inverse refactorizations
 PRUNE_EPS = 1e-9         # node bound vs incumbent pruning slack
 NODE_LIMIT = 1_000_000   # branch-and-bound nodes before ITERATION_LIMIT
 
@@ -234,6 +239,7 @@ class _Simplex:
         self.m, self.n = m, n
         self.pivot_cap = 100 * (m + n)
         self.pivots = 0
+        self.exchanges = 0       # basis exchanges since the last refactorization
         self.degenerate = 0
         self.bland = False
 
@@ -257,6 +263,9 @@ class _Simplex:
         self.art0 = n + m
         self.full = np.concatenate([self.a, np.eye(m), np.diag(self.art_sign)],
                                    axis=1)
+        # row and sign of each slack and artificial column, from column n on
+        self.unit_row = np.tile(np.arange(m), 2)
+        self.unit_sign = np.concatenate([np.ones(m), self.art_sign])
         self.lo = np.concatenate([lower, slack_lo, np.zeros(m)])
         self.hi = np.concatenate([upper, slack_hi, np.where(fits, 0.0, np.inf)])
         self.cost = np.concatenate([cost, np.zeros(2 * m)])
@@ -271,11 +280,36 @@ class _Simplex:
     # -- helpers ------------------------------------------------------------
 
     def _refactor(self) -> None:
-        bmat = self.full[:, self.basis]
-        try:
-            self.binv = np.linalg.inv(bmat)
-        except np.linalg.LinAlgError as exc:
-            raise SolverError("singular basis during refactorization") from exc
+        """Invert the basis through its structural nucleus.
+
+        Basic slacks and artificials are signed unit columns. They cover
+        rows I; the basic structurals S meet the other rows R in the nucleus
+        A_RS, the only block that needs a numerical inverse:
+        binv[S, R] = inv(A_RS), binv[U, row] = sign and
+        binv[U, R] = -sign * A_IS @ inv(A_RS) for the unit columns U.
+        """
+        m, n = self.m, self.n
+        unit = self.basis >= n
+        s_pos, u_pos = (~unit).nonzero()[0], unit.nonzero()[0]
+        u_col = self.basis[u_pos] - n
+        u_row, u_sign = self.unit_row[u_col], self.unit_sign[u_col]
+        covered = np.zeros(m, dtype=bool)
+        covered[u_row] = True
+        r_rows = (~covered).nonzero()[0]
+        if r_rows.size != s_pos.size or not u_sign.all():
+            raise SolverError("singular basis during refactorization")
+        self.binv = np.zeros((m, m))
+        self.binv[u_pos, u_row] = u_sign
+        if s_pos.size:
+            s_cols = self.basis[s_pos]
+            try:
+                nucleus = np.linalg.inv(self.a[np.ix_(r_rows, s_cols)])
+            except np.linalg.LinAlgError as exc:
+                raise SolverError("singular basis during refactorization") from exc
+            self.binv[np.ix_(s_pos, r_rows)] = nucleus
+            self.binv[np.ix_(u_pos, r_rows)] = \
+                -u_sign[:, None] * (self.a[np.ix_(u_row, s_cols)] @ nucleus)
+        self.exchanges = 0
         self.values[self.basis] = 0.0
         rhs = self.b - self.full @ self.values
         self.xb = self.binv @ rhs
@@ -322,7 +356,8 @@ class _Simplex:
         self.xb[r] = self.values[q]
         self.sign[q] = 0.0
         self.lo_b[r], self.hi_b[r] = self.lo[q], self.hi[q]
-        if self.pivots % REFACTOR_EVERY == 0:
+        self.exchanges += 1
+        if self.exchanges >= REFACTOR_EVERY:
             self._refactor()
 
     def _run(self, cost: np.ndarray, cap: int) -> SolveStatus:

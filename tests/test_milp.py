@@ -568,3 +568,112 @@ def test_incumbent_source_without_an_incumbent():
     assert rep.status is SolveStatus.INFEASIBLE
     assert rep.incumbent_source is None
     assert solve_lp(m).incumbent_source is None
+
+
+# ---------------------------------------------------------------------------
+# basis refactorization through the structural nucleus
+# ---------------------------------------------------------------------------
+
+class TestRefactor:
+    """``_Simplex._refactor`` on bases set by hand. The system has 8 rows
+    and 6 structurals; at the zero start point rows 0 and 2 need a +1
+    artificial, rows 1 and 3 a -1 artificial, rows 4-7 fit their slacks."""
+
+    @staticmethod
+    def system(a=None):
+        if a is None:
+            a = np.random.default_rng(42).normal(size=(8, 6))
+        senses = ["==", "==", "==", "==", "<=", ">=", "<=", "=="]
+        b = np.array([3.0, -2.0, 4.0, -1.0, 1.0, -1.0, 2.0, 0.0])
+        sx = milp._Simplex(a, senses, b, np.zeros(6), np.full(6, 10.0),
+                           np.ones(6))
+        assert sx.art_sign.tolist() == [1, -1, 1, -1, 0, 0, 0, 0]
+        return sx
+
+    @staticmethod
+    def columns(sx, spec):
+        """Column ids of ("s", j) structurals, ("slack", i) and ("art", i)."""
+        base = {"s": 0, "slack": sx.n, "art": sx.art0}
+        return np.array([base[kind] + i for kind, i in spec])
+
+    @pytest.mark.parametrize("spec", [
+        # both artificial signs, slacks and three structurals
+        [("art", 0), ("art", 1), ("slack", 2), ("art", 3), ("slack", 5),
+         ("s", 1), ("s", 4), ("s", 5)],
+        # every structural basic; the nucleus is 6 x 6
+        [("s", 0), ("art", 2), ("s", 1), ("s", 2), ("art", 1), ("s", 3),
+         ("s", 4), ("s", 5)],
+        # one structural, the rest slacks and artificials
+        [("slack", 0), ("art", 1), ("art", 2), ("slack", 3), ("s", 2),
+         ("slack", 5), ("slack", 6), ("slack", 7)],
+    ])
+    @pytest.mark.parametrize("order", range(3))
+    def test_mixed_basis_is_inverted(self, spec, order):
+        sx = self.system()
+        basis = self.columns(sx, spec)
+        sx.basis = np.random.default_rng(order).permutation(basis)
+        sx._refactor()
+        err = sx.binv @ sx.full[:, sx.basis] - np.eye(sx.m)
+        assert np.max(np.abs(err)) <= 1e-9
+
+    def test_all_unit_basis_is_the_signed_permutation(self, monkeypatch):
+        def no_inverse(_):
+            raise AssertionError("an all-unit basis needs no numerical inverse")
+
+        monkeypatch.setattr(milp.np.linalg, "inv", no_inverse)
+        sx = self.system()
+        rows = [5, 1, 7, 0, 2, 6, 3, 4]
+        sx.basis = self.columns(sx, [("art", i) if i < 4 and i != 2
+                                     else ("slack", i) for i in rows])
+        sx._refactor()
+        expected = np.zeros((8, 8))
+        expected[np.arange(8), rows] = [1, -1, 1, 1, 1, 1, -1, 1]
+        assert np.array_equal(sx.binv, expected)
+
+    @pytest.mark.parametrize("spec", [
+        # the slack and the artificial of row 0 are both basic
+        [("slack", 0), ("art", 0), ("slack", 1), ("slack", 2), ("slack", 3),
+         ("slack", 4), ("slack", 5), ("s", 0)],
+        # row 4 fits its slack, so its artificial column is zero
+        [("slack", 0), ("slack", 1), ("slack", 2), ("slack", 3), ("art", 4),
+         ("slack", 5), ("slack", 6), ("slack", 7)],
+    ])
+    def test_unit_columns_that_do_not_cover_distinct_rows_raise(self, spec):
+        sx = self.system()
+        sx.basis = self.columns(sx, spec)
+        with pytest.raises(SolverError, match="singular basis"):
+            sx._refactor()
+
+    def test_singular_nucleus_raises(self):
+        # powers of two keep the elimination exact, so the two equal
+        # columns leave an exactly zero pivot
+        a = np.random.default_rng(7).choice([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0],
+                                            size=(8, 6))
+        a[:, 1] = a[:, 0]
+        sx = self.system(a)
+        sx.basis = self.columns(sx, [("s", 0), ("s", 1), ("s", 2), ("slack", 3),
+                                     ("slack", 4), ("slack", 5), ("slack", 6),
+                                     ("slack", 7)])
+        with pytest.raises(SolverError, match="singular basis"):
+            sx._refactor()
+
+    def test_periodic_refactor_counts_exchanges_since_the_last(
+            self, monkeypatch, event_zero_model):
+        refactor = milp._Simplex._refactor
+        calls = []
+
+        def spy(self):
+            calls.append(None)
+            refactor(self)
+
+        monkeypatch.setattr(milp._Simplex, "_refactor", spy)
+        counts = []
+        for shift in (0, milp.REFACTOR_EVERY - 1):
+            calls.clear()
+            sx = milp._Simplex(*event_zero_model.model.dense())
+            sx.pivots = shift
+            status, _ = sx.solve()
+            assert status is SolveStatus.OPTIMAL
+            counts.append(len(calls))
+        # earlier pivots on the same system do not move the periodic refactor
+        assert counts[0] == counts[1]
