@@ -11,11 +11,15 @@ the rows and columns where it is nonzero, which is a few percent of the
 entries on the formation models. A refactorization inverts only the basis's
 structural nucleus, the basic structural columns on the rows that no basic
 slack or artificial covers; the unit columns fill the rest of the inverse
-without arithmetic. It runs on entry to the dual simplex, after phase 1, in
-the audit and after every ``REFACTOR_EVERY`` basis exchanges since the last
-one. The pivot path is reproducible bit for bit: for a given numpy and BLAS
-build, a model yields the same pivot sequence and the same floats on every
-run.
+without arithmetic. It runs after phase 1, in the audit and after every
+``REFACTOR_EVERY`` basis exchanges since the last one. The dual simplex
+starts from an inverse the system already holds when that is the inverse
+of its start basis: the one the last solve's audit left (for a child of
+that solve's node) or a copy of the one the last re-solve started from (for
+its sibling); else it refactorizes. No node carries an inverse. The pivot
+path is reproducible bit for bit: for a given numpy and BLAS build, a model
+yields the same pivot sequence and the same floats on every run, whichever
+inverse a re-solve starts from.
 
 Branch and bound has two LP helpers. The fixed-integer LP fixes every
 integer column at an integral point: the incumbent, the caller's warm point
@@ -259,9 +263,11 @@ class _Simplex:
         rho = resid - near
         self.art_sign = np.where(fits, 0.0, np.where(rho > 0, 1.0, -1.0))
 
-        # full column space: structural, slack, artificial
+        # full column space: structural, slack, artificial; the contiguous
+        # [A | slacks] block holds every column but the artificials
         self.art0 = n + m
-        self.full = np.concatenate([self.a, np.eye(m), np.diag(self.art_sign)],
+        self.a_slack = np.concatenate([self.a, np.eye(m)], axis=1)
+        self.full = np.concatenate([self.a_slack, np.diag(self.art_sign)],
                                    axis=1)
         # row and sign of each slack and artificial column, from column n on
         self.unit_row = np.tile(np.arange(m), 2)
@@ -276,10 +282,20 @@ class _Simplex:
         self.stat[self.basis] = _BASIC
         self.binv = np.diag(np.where(self.art_sign < 0, -1.0, 1.0))
         self.xb = self.values[self.basis].copy()
+        # binv is the refactorization of basis: set by _invert, cleared by
+        # _pivot
+        self.factored = False
+        # (basis, binv) the last dual re-solve started from
+        self.entry: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- helpers ------------------------------------------------------------
 
     def _refactor(self) -> None:
+        """Invert the basis, then recompute the basic values through it."""
+        self._invert()
+        self._basics()
+
+    def _invert(self) -> None:
         """Invert the basis through its structural nucleus.
 
         Basic slacks and artificials are signed unit columns. They cover
@@ -289,6 +305,7 @@ class _Simplex:
         binv[U, R] = -sign * A_IS @ inv(A_RS) for the unit columns U.
         """
         m, n = self.m, self.n
+        self.factored = False
         unit = self.basis >= n
         s_pos, u_pos = (~unit).nonzero()[0], unit.nonzero()[0]
         u_col = self.basis[u_pos] - n
@@ -303,12 +320,17 @@ class _Simplex:
         if s_pos.size:
             s_cols = self.basis[s_pos]
             try:
-                nucleus = np.linalg.inv(self.a[np.ix_(r_rows, s_cols)])
+                nucleus = np.linalg.inv(self.a[r_rows[:, None], s_cols])
             except np.linalg.LinAlgError as exc:
                 raise SolverError("singular basis during refactorization") from exc
-            self.binv[np.ix_(s_pos, r_rows)] = nucleus
-            self.binv[np.ix_(u_pos, r_rows)] = \
-                -u_sign[:, None] * (self.a[np.ix_(u_row, s_cols)] @ nucleus)
+            self.binv[s_pos[:, None], r_rows] = nucleus
+            self.binv[u_pos[:, None], r_rows] = \
+                -u_sign[:, None] * (self.a[u_row[:, None], s_cols] @ nucleus)
+        self.factored = True
+
+    def _basics(self) -> None:
+        """Basic values from the nonbasic ones through an inverse that no
+        basis exchange has updated since it was computed."""
         self.exchanges = 0
         self.values[self.basis] = 0.0
         rhs = self.b - self.full @ self.values
@@ -318,16 +340,22 @@ class _Simplex:
     def _pivot(self, r: int, q: int, w: np.ndarray) -> None:
         """Column ``q`` replaces ``basis[r]``; ``w`` is B^-1 times column q.
 
-        The rank-1 update of the inverse touches only rows where ``w`` is
-        nonzero and columns where the pivot row is nonzero: every other
-        entry would change by a product equal to zero.
+        The rank-1 update of the inverse touches only rows other than ``r``
+        where ``w`` is nonzero and columns where the pivot row is nonzero:
+        every other entry would change by a product equal to zero, and row
+        ``r`` becomes the pivot row.
         """
         piv_row = self.binv[r] / w[r]
-        rows, cols = np.flatnonzero(w), np.flatnonzero(piv_row)
-        self.binv[np.ix_(rows, cols)] -= np.outer(w[rows], piv_row[cols])
+        others = w != 0
+        others[r] = False
+        rows = others.nonzero()[0]
+        if rows.size:
+            cols = piv_row.nonzero()[0]
+            self.binv[rows[:, None], cols] -= np.outer(w[rows], piv_row[cols])
         self.binv[r] = piv_row
         self.basis[r] = q
         self.stat[q] = _BASIC
+        self.factored = False
 
     def _track(self) -> None:
         """Start the bookkeeping that the pivot loops update incrementally.
@@ -368,15 +396,17 @@ class _Simplex:
         # entering score is d * sign; free columns score |d|
         self._track()
         sign, lo_b, hi_b = self.sign, self.lo_b, self.hi_b
-        free = np.flatnonzero(self.free)
+        free = self.free.nonzero()[0]
+        d, score, limits = np.empty_like(cost), np.empty_like(cost), np.empty(m)
         with np.errstate(invalid="ignore"):
             while True:
                 if self.pivots >= cap:
                     return SolveStatus.ITERATION_LIMIT
                 y = cost[self.basis] @ self.binv
-                d = np.concatenate((cost[:n] - y @ a, cost[n:art0] - y,
-                                    cost[art0:] - y * art_sign))
-                score = d * sign
+                np.subtract(cost[:n], y @ a, out=d[:n])
+                np.subtract(cost[n:art0], y, out=d[n:art0])
+                np.subtract(cost[art0:], y * art_sign, out=d[art0:])
+                np.multiply(d, sign, out=score)
                 score[free] = np.abs(score[free])
                 # Bland's rule takes the lowest eligible index, Dantzig's the
                 # largest score (ties to the lowest index)
@@ -389,16 +419,16 @@ class _Simplex:
                 w = self.binv @ self.full[:, q]
                 rate = -sigma * w  # basic values move by t * rate
 
-                # ratio test: own bound span, then each basic variable's slack
+                # ratio test: own bound span, then each basic variable's
+                # slack; a NaN limit never binds
                 span = self.hi[q] - self.lo[q]
                 t_best = span if np.isfinite(span) else np.inf
-                limits = np.full(m, np.inf)
-                dec = rate < -PIVOT_TOL
-                inc = rate > PIVOT_TOL
-                limits[dec] = (self.xb[dec] - lo_b[dec]) / -rate[dec]
-                limits[inc] = (hi_b[inc] - self.xb[inc]) / rate[inc]
-                limits = np.where(np.isnan(limits), np.inf, limits)
-                t_rows = limits.min() if m else np.inf
+                limits.fill(np.inf)
+                np.divide(self.xb - lo_b, -rate, out=limits,
+                          where=rate < -PIVOT_TOL)
+                np.divide(hi_b - self.xb, rate, out=limits,
+                          where=rate > PIVOT_TOL)
+                t_rows = np.fmin.reduce(limits, initial=np.inf)
                 t_star = min(t_best, t_rows)
                 if not np.isfinite(t_star):
                     raise SolverError("LP is unbounded")
@@ -421,10 +451,13 @@ class _Simplex:
 
                 # leaving row: among tight rows take the largest pivot
                 # magnitude, ties to the lowest basic column
-                tight = np.flatnonzero(limits <= t_star + 1e-12)
-                mag = np.abs(w[tight])
-                tight = tight[mag == mag.max()]
-                r = int(tight[np.argmin(self.basis[tight])])
+                tight = (limits <= t_star + 1e-12).nonzero()[0]
+                if tight.size > 1:
+                    mag = np.abs(w[tight])
+                    tight = tight[mag == mag.max()]
+                    r = int(tight[np.argmin(self.basis[tight])])
+                else:
+                    r = int(tight[0])
                 if abs(w[r]) <= PIVOT_TOL:
                     raise SolverError("pivot element vanished in ratio test")
 
@@ -433,13 +466,11 @@ class _Simplex:
     def _evict_artificials(self) -> None:
         # swap any basic artificial for a real column sharing its row; the
         # row's own slack always qualifies, so no artificial stays basic
-        for r in range(self.m):
+        for r in (self.basis >= self.art0).nonzero()[0]:
             j = self.basis[r]
-            if j < self.art0:
-                continue
-            row = self.binv[r] @ self.full[:, :self.art0]
-            cands = np.flatnonzero((np.abs(row) > 1e-7)
-                                   & (self.stat[:self.art0] != _BASIC))
+            row = self.binv[r] @ self.a_slack
+            cands = ((np.abs(row) > 1e-7)
+                     & (self.stat[:self.art0] != _BASIC)).nonzero()[0]
             q = int(cands[0])
             self._pivot(r, q, self.binv @ self.full[:, q])
             self.stat[j] = _AT_LOWER
@@ -497,16 +528,30 @@ class _Simplex:
         reduced costs keep their signs: the basis stays dual feasible and
         only the primal side needs repair. Artificial columns stay nonbasic
         and fixed at zero. Counts its pivots into ``self.pivots``.
+
+        The inverse it starts from is the one this system holds when
+        ``basis`` is the basis its last solve ended on (a child of that
+        solve's node), the one the last re-solve started from when
+        ``basis`` is that one (a sibling), else a refactorization; each is
+        bit for bit the inverse ``_refactor`` would compute.
         """
         n, art0 = self.n, self.art0
         self.lo[:n], self.hi[:n] = lower, upper
+        held = self.factored and np.array_equal(basis, self.basis)
+        sibling = (not held and self.entry is not None
+                   and np.array_equal(basis, self.entry[0]))
         self.basis, self.stat = basis.copy(), stat.copy()
         self.values = np.where(self.stat == _AT_UPPER, self.hi,
                                np.where(np.isfinite(self.lo), self.lo, 0.0))
-        self._refactor()
+        if sibling:
+            self.binv, self.factored = self.entry[1].copy(), True
+        elif not held:
+            self._invert()
+        if not sibling:
+            self.entry = (self.basis.copy(), self.binv.copy())
+        self._basics()
 
-        a = np.ascontiguousarray(self.full[:, :art0])
-        cost = self.cost[:art0]
+        a, cost = self.a_slack, self.cost[:art0]
         self._track()
         sign, free = self.sign[:art0], self.free[:art0]
         lo_b, hi_b = self.lo_b, self.hi_b
@@ -526,8 +571,8 @@ class _Simplex:
                 # toward its bound; ties go to the largest |alpha|
                 alpha = self.binv[r] @ a
                 push = alpha * sign * (1.0 if rising else -1.0)
-                elig = np.flatnonzero((push > PIVOT_TOL)
-                                      | (free & (np.abs(alpha) > PIVOT_TOL)))
+                elig = ((push > PIVOT_TOL)
+                        | (free & (np.abs(alpha) > PIVOT_TOL))).nonzero()[0]
                 if not elig.size:
                     return SolveStatus.INFEASIBLE, self.values[:n]
                 y = cost[self.basis] @ self.binv

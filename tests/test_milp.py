@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from scipy.optimize import Bounds, LinearConstraint, linprog
@@ -360,6 +362,100 @@ def test_dual_children_match_cold_solves(monkeypatch, event_zero_model):
     # the dual path carried the search: 18 optimal and 5 infeasible children
     assert checked.count(SolveStatus.OPTIMAL) >= 15
     assert checked.count(SolveStatus.INFEASIBLE) >= 3
+
+
+@pytest.mark.parametrize("first_fails", [False, True],
+                         ids=["dual", "first-child-cold"])
+def test_reused_entry_inverses_leave_every_search_bit_identical(
+        monkeypatch, event_zero_model, first_fails):
+    # the same searches with every re-solve refactorizing on entry; with
+    # first_fails, each search's first re-solve raises, so that child is
+    # solved on a cold-fallback system and its children (4 here) re-solve
+    # from a basis of that system
+    monkeypatch.setattr(event_zero_model.model, "starts", [])
+    models = _fuzz_milps() + [event_zero_model.model]
+    resolve, invert = milp._Simplex.resolve, milp._Simplex._invert
+    inverts = []
+
+    def counted(self):
+        inverts.append(None)
+        invert(self)
+
+    def entered_cold(self, *args):
+        self.factored, self.entry = False, None
+        return resolve(self, *args)
+
+    def searched(entry):
+        calls = []
+
+        def patched(self, *args):
+            calls.append(None)
+            if first_fails and len(calls) == 1:
+                raise SolverError("singular basis during refactorization")
+            return entry(self, *args)
+
+        monkeypatch.setattr(milp._Simplex, "resolve", patched)
+        inverts.clear()
+        keys = []
+        for model in models:
+            calls.clear()
+            rep = solve_milp(model)
+            keys.append((rep.status, np.float64(rep.objective).tobytes(),
+                         rep.values.tobytes(), rep.node_count,
+                         rep.lp_iterations))
+        return keys, len(inverts)
+
+    monkeypatch.setattr(milp._Simplex, "_invert", counted)
+    reused, reused_inverts = searched(resolve)
+    cold, cold_inverts = searched(entered_cold)
+    assert reused == cold
+    # the reuse happened: fewer inversions for the same searches
+    assert reused_inverts < cold_inverts
+
+
+def _refactorized(sx, basis):
+    """The inverse a refactorization computes for ``basis`` on ``sx``'s system."""
+    fresh = copy.deepcopy(sx)
+    fresh.basis = basis.copy()
+    fresh._invert()
+    return fresh.binv
+
+
+def test_a_reused_entry_inverse_is_the_refactorization(monkeypatch,
+                                                       event_zero_model):
+    # whenever a re-solve starts from the inverse its system holds (a child
+    # of the node solved last) or from the one the last re-solve started
+    # from (a sibling), that inverse equals a fresh refactorization; so do
+    # the held inverse whenever the flag claims it, and the saved one
+    resolve, basics = milp._Simplex.resolve, milp._Simplex._basics
+    entering, reused = [], []
+
+    def spy(self, lower, upper, basis, stat):
+        if self.factored:
+            assert np.array_equal(self.binv, _refactorized(self, self.basis))
+        held = self.factored and np.array_equal(basis, self.basis)
+        sibling = self.entry is not None and np.array_equal(basis, self.entry[0])
+        entering.append("held" if held else "sibling" if sibling else None)
+        out = resolve(self, lower, upper, basis, stat)
+        saved_basis, saved_binv = self.entry
+        assert np.array_equal(saved_binv, _refactorized(self, saved_basis))
+        return out
+
+    def checked(self):
+        # the first _basics of a re-solve runs on its entry inverse
+        if entering and entering[-1] is not None:
+            reused.append(entering[-1])
+            entering[-1] = None
+            assert np.array_equal(self.binv, _refactorized(self, self.basis))
+        basics(self)
+
+    monkeypatch.setattr(milp._Simplex, "resolve", spy)
+    monkeypatch.setattr(milp._Simplex, "_basics", checked)
+    monkeypatch.setattr(event_zero_model.model, "starts", [])
+    for model in _fuzz_milps() + [event_zero_model.model]:
+        solve_milp(model)
+    # 5 held and 11 sibling entries in 23 re-solves
+    assert reused.count("held") >= 4 and reused.count("sibling") >= 8
 
 
 def test_failed_dual_re_solve_falls_back_to_the_cold_primal(
