@@ -3,7 +3,7 @@
 Subcommands: run a restoration horizon, compare two output directories,
 enumerate one partition step against the brute-force oracle, and validate a
 scenario file. Exit codes: 0 success, 2 bad input or an output path that
-cannot be written, 3 solver limit.
+cannot be written, 3 solver limit or a solution that cannot be decoded.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ import sys
 from pathlib import Path
 
 from . import coordinator, report
-from .formation import (FormationWeights, InfeasibleTopology, ModelError,
-                        build_milp)
+from .formation import (DecodeError, FormationWeights, InfeasibleTopology,
+                        ModelError, build_milp)
 from .milp import SolverError
 from .oracle import GuardExceeded, enumerate_optimal
 from .report import ScenarioMismatch
@@ -149,7 +149,7 @@ def main(argv: list[str] | None = None) -> int:
             ModelError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SolverError, GuardExceeded) as exc:
+    except (SolverError, GuardExceeded, DecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

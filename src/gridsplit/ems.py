@@ -139,6 +139,8 @@ def build_schedule(state: MicrogridState, order: ServiceOrder,
     remaining energy, diesel power and remaining fuel for the slot length.
     Energy is projected from slot to slot; the live state is untouched.
     """
+    if not slot_minutes > 0:
+        raise ValueError(f"slot length {slot_minutes!r} min is not positive")
     res = state.resource
     n_slots = min(len(load_kw[i]) for i in order.members)
     hours = slot_minutes / 60.0
@@ -181,6 +183,8 @@ def dispatch_window(state: MicrogridState, plan: SchedulePlan, slot_index: int,
     shed for the rest of the window. Zones in ``blocked_first_step`` sit out
     the first step only (switching interval after a topology change).
     """
+    if not step_minutes > 0:
+        raise ValueError(f"step length {step_minutes!r} min is not positive")
     if plan.slot_minutes % step_minutes != 0:
         raise ValueError("slot length must be a multiple of the step length")
     order = plan.order

@@ -2,9 +2,9 @@
 
 Scope is deliberately narrow. Models here have a hundred-odd variables with
 finite bounds on every structural column, so a dense revised simplex with an
-explicitly maintained basis inverse is both fast enough and easy to audit.
-No presolve, no cutting planes; faulted or otherwise dead binaries are fixed
-through their bounds by the caller.
+explicitly maintained basis inverse, over one constraint matrix per system,
+is fast enough and easy to audit. No presolve, no cutting planes; faulted or
+otherwise dead binaries are fixed through their bounds by the caller.
 
 Each pivot updates the inverse sparsely: the rank-1 term is applied only on
 the rows and columns where it is nonzero, which is a few percent of the
@@ -227,7 +227,10 @@ _AT_LOWER, _AT_UPPER, _BASIC = 0, 1, 2
 
 
 class _Simplex:
-    """LP solves over the augmented system [A | slacks | artificials].
+    """LP solves over the augmented system ``full`` = [A | I | diag(art_sign)]
+    of structural, slack and artificial columns, held once: ``a`` and
+    ``a_slack`` are views of its first n and n + m columns, and the loops
+    read basic values and bounds in place from ``values``, ``lo`` and ``hi``.
 
     Slack bounds encode the row sense ("<=": [0,inf), ">=": (-inf,0],
     "==": [0,0]). ``solve`` is the cold two-phase primal: phase 1 drives
@@ -251,27 +254,21 @@ class _Simplex:
         sense = np.asarray(senses, dtype=str)
         slack_lo = np.where(sense == ">=", -np.inf, 0.0)
         slack_hi = np.where(sense == "<=", np.inf, 0.0)
-        self.a = np.ascontiguousarray(a, dtype=float)
         self.b = b.astype(float)
         # structurals park at a bound (0 when free); the start basis takes a
         # row's slack when it absorbs the residual, a signed artificial else
         vals = np.where(np.isfinite(lower), lower,
                         np.where(np.isfinite(upper), upper, 0.0))
-        resid = self.b - self.a @ vals
+        resid = self.b - a @ vals
         fits = (slack_lo - 1e-11 <= resid) & (resid <= slack_hi + 1e-11)
         near = np.where(fits, resid, np.clip(resid, slack_lo, slack_hi))
         rho = resid - near
         self.art_sign = np.where(fits, 0.0, np.where(rho > 0, 1.0, -1.0))
 
-        # full column space: structural, slack, artificial; the contiguous
-        # [A | slacks] block holds every column but the artificials
         self.art0 = n + m
-        self.a_slack = np.concatenate([self.a, np.eye(m)], axis=1)
-        self.full = np.concatenate([self.a_slack, np.diag(self.art_sign)],
+        self.full = np.concatenate([a, np.eye(m), np.diag(self.art_sign)],
                                    axis=1)
-        # row and sign of each slack and artificial column, from column n on
-        self.unit_row = np.tile(np.arange(m), 2)
-        self.unit_sign = np.concatenate([np.ones(m), self.art_sign])
+        self.a, self.a_slack = self.full[:, :n], self.full[:, :self.art0]
         self.lo = np.concatenate([lower, slack_lo, np.zeros(m)])
         self.hi = np.concatenate([upper, slack_hi, np.where(fits, 0.0, np.inf)])
         self.cost = np.concatenate([cost, np.zeros(2 * m)])
@@ -281,7 +278,6 @@ class _Simplex:
         self.basis = np.where(fits, n, self.art0) + np.arange(m)
         self.stat[self.basis] = _BASIC
         self.binv = np.diag(np.where(self.art_sign < 0, -1.0, 1.0))
-        self.xb = self.values[self.basis].copy()
         # binv is the refactorization of basis: set by _invert, cleared by
         # _pivot
         self.factored = False
@@ -298,10 +294,10 @@ class _Simplex:
     def _invert(self) -> None:
         """Invert the basis through its structural nucleus.
 
-        Basic slacks and artificials are signed unit columns. They cover
-        rows I; the basic structurals S meet the other rows R in the nucleus
-        A_RS, the only block that needs a numerical inverse:
-        binv[S, R] = inv(A_RS), binv[U, row] = sign and
+        Basic slacks and artificials are signed unit columns; column n + c
+        covers row c % m. They cover rows I; the basic structurals S meet
+        the other rows R in the nucleus A_RS, the only block that needs a
+        numerical inverse: binv[S, R] = inv(A_RS), binv[U, row] = sign and
         binv[U, R] = -sign * A_IS @ inv(A_RS) for the unit columns U.
         """
         m, n = self.m, self.n
@@ -309,7 +305,8 @@ class _Simplex:
         unit = self.basis >= n
         s_pos, u_pos = (~unit).nonzero()[0], unit.nonzero()[0]
         u_col = self.basis[u_pos] - n
-        u_row, u_sign = self.unit_row[u_col], self.unit_sign[u_col]
+        u_row = u_col % m
+        u_sign = np.where(u_col < m, 1.0, self.art_sign[u_row])
         covered = np.zeros(m, dtype=bool)
         covered[u_row] = True
         r_rows = (~covered).nonzero()[0]
@@ -333,9 +330,7 @@ class _Simplex:
         basis exchange has updated since it was computed."""
         self.exchanges = 0
         self.values[self.basis] = 0.0
-        rhs = self.b - self.full @ self.values
-        self.xb = self.binv @ rhs
-        self.values[self.basis] = self.xb
+        self.values[self.basis] = self.binv @ (self.b - self.full @ self.values)
 
     def _pivot(self, r: int, q: int, w: np.ndarray) -> None:
         """Column ``q`` replaces ``basis[r]``; ``w`` is B^-1 times column q.
@@ -362,12 +357,11 @@ class _Simplex:
 
         ``sign`` is +1 for a movable nonbasic column at its upper bound, -1
         at its lower bound, 0 when basic or fixed; ``free`` columns may move
-        either way. ``lo_b``/``hi_b`` are the bounds of the basic columns.
+        either way.
         """
         self.sign = np.where(self.stat == _AT_UPPER, 1.0, -1.0)
         self.sign[(self.stat == _BASIC) | ~((self.hi - self.lo) > 0)] = 0.0
         self.free = ~np.isfinite(self.lo) & ~np.isfinite(self.hi)
-        self.lo_b, self.hi_b = self.lo[self.basis], self.hi[self.basis]
 
     def _exchange(self, r: int, q: int, w: np.ndarray, step: float,
                   to_upper: bool) -> None:
@@ -375,15 +369,13 @@ class _Simplex:
         ``q`` enters after moving by ``step``. The caller has already moved
         the other basic values by that step."""
         leave = self.basis[r]
-        self.values[leave] = self.hi_b[r] if to_upper else self.lo_b[r]
+        self.values[leave] = self.hi[leave] if to_upper else self.lo[leave]
         self.stat[leave] = _AT_UPPER if to_upper else _AT_LOWER
         self.sign[leave] = (1.0 if to_upper else -1.0) \
             if self.hi[leave] - self.lo[leave] > 0 else 0.0
         self.values[q] += step
         self._pivot(r, q, w)
-        self.xb[r] = self.values[q]
         self.sign[q] = 0.0
-        self.lo_b[r], self.hi_b[r] = self.lo[q], self.hi[q]
         self.exchanges += 1
         if self.exchanges >= REFACTOR_EVERY:
             self._refactor()
@@ -395,14 +387,14 @@ class _Simplex:
         a, art_sign = self.a, self.art_sign
         # entering score is d * sign; free columns score |d|
         self._track()
-        sign, lo_b, hi_b = self.sign, self.lo_b, self.hi_b
+        sign, basis, values = self.sign, self.basis, self.values
         free = self.free.nonzero()[0]
         d, score, limits = np.empty_like(cost), np.empty_like(cost), np.empty(m)
         with np.errstate(invalid="ignore"):
             while True:
                 if self.pivots >= cap:
                     return SolveStatus.ITERATION_LIMIT
-                y = cost[self.basis] @ self.binv
+                y = cost[basis] @ self.binv
                 np.subtract(cost[:n], y @ a, out=d[:n])
                 np.subtract(cost[n:art0], y, out=d[n:art0])
                 np.subtract(cost[art0:], y * art_sign, out=d[art0:])
@@ -423,10 +415,11 @@ class _Simplex:
                 # slack; a NaN limit never binds
                 span = self.hi[q] - self.lo[q]
                 t_best = span if np.isfinite(span) else np.inf
+                xb = values[basis]
                 limits.fill(np.inf)
-                np.divide(self.xb - lo_b, -rate, out=limits,
+                np.divide(xb - self.lo[basis], -rate, out=limits,
                           where=rate < -PIVOT_TOL)
-                np.divide(hi_b - self.xb, rate, out=limits,
+                np.divide(self.hi[basis] - xb, rate, out=limits,
                           where=rate > PIVOT_TOL)
                 t_rows = np.fmin.reduce(limits, initial=np.inf)
                 t_star = min(t_best, t_rows)
@@ -440,11 +433,10 @@ class _Simplex:
                         self.bland = True
 
                 self.pivots += 1
-                self.xb += t_star * rate
-                self.values[self.basis] = self.xb
+                values[basis] = xb + t_star * rate
                 if t_rows > t_star + 1e-12:
                     # entering variable swings to its other bound; basis unchanged
-                    self.values[q] = self.hi[q] if sigma > 0 else self.lo[q]
+                    values[q] = self.hi[q] if sigma > 0 else self.lo[q]
                     self.stat[q] = _AT_UPPER if sigma > 0 else _AT_LOWER
                     sign[q] = sigma
                     continue
@@ -455,7 +447,7 @@ class _Simplex:
                 if tight.size > 1:
                     mag = np.abs(w[tight])
                     tight = tight[mag == mag.max()]
-                    r = int(tight[np.argmin(self.basis[tight])])
+                    r = int(tight[np.argmin(basis[tight])])
                 else:
                     r = int(tight[0])
                 if abs(w[r]) <= PIVOT_TOL:
@@ -475,7 +467,6 @@ class _Simplex:
             self._pivot(r, q, self.binv @ self.full[:, q])
             self.stat[j] = _AT_LOWER
             self.values[j] = 0.0
-            self.xb[r] = self.values[q]
 
     def solve(self) -> tuple[SolveStatus, np.ndarray]:
         phase1 = np.zeros_like(self.cost)
@@ -554,18 +545,19 @@ class _Simplex:
         a, cost = self.a_slack, self.cost[:art0]
         self._track()
         sign, free = self.sign[:art0], self.free[:art0]
-        lo_b, hi_b = self.lo_b, self.hi_b
+        basis, values = self.basis, self.values
         cap = self.pivots + self.pivot_cap
         with np.errstate(invalid="ignore"):
             while True:
                 # leaving row: the basic variable farthest outside its bounds
-                viol = np.maximum(lo_b - self.xb, self.xb - hi_b)
+                xb, lo_b, hi_b = values[basis], self.lo[basis], self.hi[basis]
+                viol = np.maximum(lo_b - xb, xb - hi_b)
                 if not viol.max(initial=0.0) > PRIMAL_TOL:
                     return SolveStatus.OPTIMAL, self._audit()
                 if self.pivots >= cap:
-                    return SolveStatus.ITERATION_LIMIT, self.values[:n]
+                    return SolveStatus.ITERATION_LIMIT, values[:n]
                 r = int(np.argmax(viol))
-                rising = self.xb[r] < lo_b[r]
+                rising = xb[r] < lo_b[r]
 
                 # ratio test over the columns whose move pushes basic r
                 # toward its bound; ties go to the largest |alpha|
@@ -574,8 +566,8 @@ class _Simplex:
                 elig = ((push > PIVOT_TOL)
                         | (free & (np.abs(alpha) > PIVOT_TOL))).nonzero()[0]
                 if not elig.size:
-                    return SolveStatus.INFEASIBLE, self.values[:n]
-                y = cost[self.basis] @ self.binv
+                    return SolveStatus.INFEASIBLE, values[:n]
+                y = cost[basis] @ self.binv
                 ratio = np.abs(cost[elig] - y @ a[:, elig]) / np.abs(alpha[elig])
                 tied = elig[ratio <= ratio.min() + 1e-12]
                 q = int(tied[np.argmax(np.abs(alpha[tied]))])
@@ -583,10 +575,9 @@ class _Simplex:
                 w = self.binv @ self.full[:, q]
                 if abs(w[r]) <= PIVOT_TOL:
                     raise SolverError("pivot element vanished in dual ratio test")
-                theta = (self.xb[r] - (lo_b[r] if rising else hi_b[r])) / w[r]
+                theta = (xb[r] - (lo_b[r] if rising else hi_b[r])) / w[r]
                 self.pivots += 1
-                self.xb -= theta * w
-                self.values[self.basis] = self.xb
+                values[basis] = xb - theta * w
                 self._exchange(r, q, w, theta, not rising)
 
     def _audit(self) -> np.ndarray:
@@ -670,8 +661,9 @@ def solve_milp(model: MilpModel, *,
     incumbent_obj = np.inf
     incumbent_x: np.ndarray | None = None
     source: str | None = None  # the incumbent's SolveReport.incumbent_source
+    # the incumbent's fixed-integer LP system, which the root node restarts;
+    # the root's cold system when that restart fails or there is none
     root: _Simplex | None = None
-    start: _Simplex | None = None  # the incumbent's fixed-integer LP
 
     def integral(values: dict[int, float]) -> np.ndarray | None:
         """The point's rounded integer values, None when one lies outside
@@ -707,21 +699,20 @@ def solve_milp(model: MilpModel, *,
         re-solves from its parent's with the dual simplex; the cold primal
         when there is no such basis or the restart fails."""
         nonlocal total_pivots, root
-        sx = start if node.warm is None else root
-        if sx is not None:
-            before = sx.pivots
+        if root is not None:
+            before = root.pivots
             try:
-                status, x = (sx.release(node.lower, node.upper)
+                status, x = (root.release(node.lower, node.upper)
                              if node.warm is None
-                             else sx.resolve(node.lower, node.upper, *node.warm))
+                             else root.resolve(node.lower, node.upper, *node.warm))
             except SolverError:
                 status = SolveStatus.ITERATION_LIMIT
-            total_pivots += sx.pivots - before
+            total_pivots += root.pivots - before
             if status is not SolveStatus.ITERATION_LIMIT:
-                root = root or sx
-                return status, sx, x
+                return status, root, x
         status, sx, x = cold_lp(node.lower, node.upper)
-        root = root or sx
+        if node.warm is None:
+            root = sx
         return status, sx, x
 
     def finish(status: SolveStatus) -> SolveReport:
@@ -737,14 +728,14 @@ def solve_milp(model: MilpModel, *,
         if point is not None:
             status, sx, x = fixed_lp(point)
             if status is SolveStatus.OPTIMAL:
-                incumbent_obj, incumbent_x, source, start = \
+                incumbent_obj, incumbent_x, source, root = \
                     float(cost @ x), x, "warm", sx
-    if start is None:
+    if root is None:
         for point in starts:
             status, sx, x = fixed_lp(point)
             if (status is SolveStatus.OPTIMAL
                     and float(cost @ x) < incumbent_obj - PRUNE_EPS):
-                incumbent_obj, incumbent_x, source, start = \
+                incumbent_obj, incumbent_x, source, root = \
                     float(cost @ x), x, "start", sx
 
     heap = [_Node(-np.inf, 0, lower.copy(), upper.copy())]

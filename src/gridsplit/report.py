@@ -8,18 +8,19 @@ The per-step tables (``trace.csv`` and figures 5 to 7) go through the
 columnar block writer of ``scenario``: it turns a block of steps of each
 array into column lists in one call, formats them with repr (floats) or as
 integers (bools and ints) and writes the same bytes ``csv.writer`` wrote row
-by row. The event-sized files keep their row writers.
+by row. The event-sized files build rows of strings, which the same row
+formatter, ``scenario._csv_lines``, turns into those bytes.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .coordinator import RestorationRun
-from .scenario import _KINDS, ParseError, ValidationError, _need, _write_columns
+from .scenario import (_KINDS, ParseError, ValidationError, _csv_lines, _need,
+                       _write_columns)
 
 UNSERVED_TOL_KW = 1e-9
 
@@ -198,37 +199,35 @@ def _write_trace(run: RestorationRun, path: Path) -> None:
 
 def _write_microgrids(run: RestorationRun, path: Path) -> None:
     g = run.scenario.graph
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["time_min", "gfm", "members", "n_members", "n_critical",
-                     "objective", "load_shed_term", "flow_term",
-                     "switch_change_term", "closed_edges"])
-        for ev in run.events:
-            sol = ev.solution
-            closed = ";".join(str(e) for e in sorted(sol.closed))
-            for anchor, tree in sol.trees.items():
-                members = sorted(tree)
-                ncrit = sum(1 for z in members if g.node(z).is_critical)
-                wr.writerow([ev.time_min, anchor,
-                             ";".join(str(z) for z in members), len(members),
-                             ncrit, repr(sol.objective_value),
-                             repr(sol.load_shed_term), repr(sol.flow_term),
-                             repr(sol.switch_change_term), closed])
+    rows = [["time_min", "gfm", "members", "n_members", "n_critical",
+             "objective", "load_shed_term", "flow_term", "switch_change_term",
+             "closed_edges"]]
+    for ev in run.events:
+        sol = ev.solution
+        closed = ";".join(str(e) for e in sorted(sol.closed))
+        for anchor, tree in sol.trees.items():
+            members = sorted(tree)
+            ncrit = sum(1 for z in members if g.node(z).is_critical)
+            rows.append([str(ev.time_min), str(anchor),
+                         ";".join(str(z) for z in members), str(len(members)),
+                         str(ncrit), repr(sol.objective_value),
+                         repr(sol.load_shed_term), repr(sol.flow_term),
+                         repr(sol.switch_change_term), closed])
+    path.write_text(_csv_lines(rows), newline="")
 
 
 def _write_changes(run: RestorationRun, path: Path) -> None:
-    with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["time_min", "kind", "id", "before", "after"])
-        for ev in run.events:
-            for z, old, new in ev.diff.moved:
-                wr.writerow([ev.time_min, "zone", z,
-                             "" if old is None else old,
-                             "" if new is None else new])
-            for eid, was, now in ev.diff.toggled:
-                wr.writerow([ev.time_min, "switch", eid,
-                             "closed" if was else "open",
-                             "closed" if now else "open"])
+    rows = [["time_min", "kind", "id", "before", "after"]]
+    for ev in run.events:
+        for z, old, new in ev.diff.moved:
+            rows.append([str(ev.time_min), "zone", str(z),
+                         "" if old is None else str(old),
+                         "" if new is None else str(new)])
+        for eid, was, now in ev.diff.toggled:
+            rows.append([str(ev.time_min), "switch", str(eid),
+                         "closed" if was else "open",
+                         "closed" if now else "open"])
+    path.write_text(_csv_lines(rows), newline="")
 
 
 def _write_plot_csvs(run: RestorationRun, out: Path,
@@ -262,13 +261,11 @@ def _write_plot_csvs(run: RestorationRun, out: Path,
                    + [f"energized_{z}" for z in run.zone_ids],
                    [[run.time_min], [run.assignment], [run.energized]])
 
-    with open(out / PLOT_NAMES[3], "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["zone", "is_critical", "percent_served"])
-        for z in run.zone_ids:
-            wr.writerow([z, int(g.node(z).is_critical),
-                         repr(summary.percent_served[z])])
-        wr.writerow(["total", "", repr(summary.percent_served_total)])
+    rows = [["zone", "is_critical", "percent_served"]]
+    rows += [[str(z), str(int(g.node(z).is_critical)),
+              repr(summary.percent_served[z])] for z in run.zone_ids]
+    rows.append(["total", "", repr(summary.percent_served_total)])
+    (out / PLOT_NAMES[3]).write_text(_csv_lines(rows), newline="")
 
 
 def write_outputs(run: RestorationRun, out_dir: str | Path,

@@ -22,6 +22,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -290,17 +291,23 @@ def _write_columns(path: Path, header: list[str],
     Every array is 1-D or 2-D with one row per step. Within a group the
     arrays share their column count and interleave column by column (column
     0 of each, then column 1 of each, ...); the groups follow one another.
-    Rows end in ``\r\n`` and no field needs quoting, as with ``csv.writer``.
     """
     n = len(groups[0][0])
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
+        fh.write(_csv_lines([header]))
         for s0 in range(0, n, _BLOCK_ROWS):
             cols = []
             for group in groups:
                 parts = [_cells(a[s0:s0 + _BLOCK_ROWS]) for a in group]
                 cols += [col for cs in zip(*parts) for col in cs]
-            fh.write("".join([",".join(row) + "\r\n" for row in zip(*cols)]))
+            fh.write(_csv_lines(zip(*cols)))
+
+
+def _csv_lines(rows: Iterable[Sequence[str]]) -> str:
+    """Rows of string fields, comma-joined and ending in ``\r\n``: the bytes
+    ``csv.writer`` writes when no field needs quoting and no row is a lone
+    empty field. Written with ``newline=""``."""
+    return "".join([",".join(row) + "\r\n" for row in rows])
 
 
 def _write_profile_csv(path: Path, table: dict[int, np.ndarray],

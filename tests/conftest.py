@@ -1,7 +1,10 @@
 import os
 
+import numpy as np
 import pytest
 from hypothesis import settings
+from scipy.optimize import Bounds, LinearConstraint
+from scipy.optimize import milp as scipy_milp
 
 from gridsplit import (GridFormingResource, SwitchEdge, ZoneGraph, ZoneNode,
                        fixture_two_feeder, run)
@@ -11,6 +14,33 @@ from gridsplit import (GridFormingResource, SwitchEdge, ZoneGraph, ZoneNode,
 settings.register_profile("dev", max_examples=40)
 settings.register_profile("ci", max_examples=400)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "dev"))
+
+
+def _highs(model):
+    """Objective from HiGHS on ``model.dense()`` with the offset, or None
+    when the model is infeasible.
+
+    ``mip_rel_gap=0`` matters: the offset (shed weight times total load) is
+    about 1e7, so the default relative gap accepts clearly worse integer
+    points. Presolve is off: on ``presolve_bound_case``
+    (``tests/test_differential.py``) the presolved model proves a dual bound
+    of 25 and stops there, while 15 is feasible and HiGHS without presolve
+    reaches it."""
+    a, senses, b, lower, upper, cost = model.dense()
+    lb = np.array([-np.inf if s == "<=" else v for s, v in zip(senses, b)])
+    ub = np.array([np.inf if s == ">=" else v for s, v in zip(senses, b)])
+    res = scipy_milp(cost, constraints=LinearConstraint(a, lb, ub),
+                     integrality=np.array(model.is_integer, dtype=int),
+                     bounds=Bounds(lower, upper),
+                     options={"mip_rel_gap": 0.0, "presolve": False})
+    assert res.status in (0, 2), res.message
+    return float(res.fun) + model.offset if res.status == 0 else None
+
+
+@pytest.fixture(scope="session")
+def highs():
+    """The HiGHS reference objective of a model, as a function."""
+    return _highs
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,7 @@ import pytest
 
 from gridsplit import coordinator
 from gridsplit import (
+    DecodeError,
     GridFormingResource,
     Scenario,
     SolveReport,
@@ -86,6 +87,15 @@ class TestRun:
         assert main(["run", "--scenario", "builtin:two-feeder",
                      "--out", str(tmp_path / "out")]) == 3
         assert "t=0 min" in capsys.readouterr().err
+
+    def test_decode_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        def undecodable(problem, rep):
+            raise DecodeError("rounded switch set is not a radial forest")
+
+        monkeypatch.setattr(coordinator, "decode", undecodable)
+        assert main(["run", "--scenario", "builtin:two-feeder",
+                     "--out", str(tmp_path / "out")]) == 3
+        assert "not a radial forest" in capsys.readouterr().err
 
     def test_seed_override_accepted(self, tmp_path):
         assert main(["run", "--scenario", "builtin:two-feeder",

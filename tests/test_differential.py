@@ -24,11 +24,8 @@ The example count comes from the hypothesis profile (``tests/conftest.py``):
 
 import itertools
 
-import numpy as np
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import Bounds, LinearConstraint
-from scipy.optimize import milp as scipy_milp
 
 from gridsplit import (
     FormationSnapshot,
@@ -109,23 +106,6 @@ def restoration_case(draw):
     return g, snap
 
 
-def highs(model):
-    """Objective from HiGHS with the offset, or None when infeasible.
-
-    Presolve is off: on ``presolve_bound_case`` the presolved model proves a
-    dual bound of 25 and stops there, while 15 is feasible and HiGHS without
-    presolve reaches it."""
-    a, senses, b, lower, upper, cost = model.dense()
-    lb = np.array([-np.inf if s == "<=" else v for s, v in zip(senses, b)])
-    ub = np.array([np.inf if s == ">=" else v for s, v in zip(senses, b)])
-    res = scipy_milp(cost, constraints=LinearConstraint(a, lb, ub),
-                     integrality=np.array(model.is_integer, dtype=int),
-                     bounds=Bounds(lower, upper),
-                     options={"mip_rel_gap": 0.0, "presolve": False})
-    assert res.status in (0, 2), res.message
-    return float(res.fun) + model.offset if res.status == 0 else None
-
-
 def check_partition(g, sol):
     closed = frozenset(e for e, on in sol.switch_status.items() if on)
     assert is_radial_forest(g, closed).is_radial
@@ -175,7 +155,7 @@ def presolve_bound_case():
 @given(restoration_case())
 @example(parallel_line_island())
 @example(presolve_bound_case())
-def test_search_oracle_and_highs_agree(case):
+def test_search_oracle_and_highs_agree(highs, case):
     g, snap = case
     if island_holds_cycle(g):
         event("cycle inside a load island")

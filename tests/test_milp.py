@@ -692,6 +692,16 @@ class TestRefactor:
         base = {"s": 0, "slack": sx.n, "art": sx.art0}
         return np.array([base[kind] + i for kind, i in spec])
 
+    def test_one_constraint_matrix_per_system(self):
+        # the structural and [A | slacks] blocks are views of the one
+        # [A | I | diag(art_sign)] matrix, which _invert reads the unit
+        # columns' rows and signs from
+        sx = self.system()
+        assert np.shares_memory(sx.a, sx.full)
+        assert np.shares_memory(sx.a_slack, sx.full)
+        assert np.array_equal(sx.full[:, sx.n:],
+                              np.hstack([np.eye(8), np.diag(sx.art_sign)]))
+
     @pytest.mark.parametrize("spec", [
         # both artificial signs, slacks and three structurals
         [("art", 0), ("art", 1), ("slack", 2), ("art", 3), ("slack", 5),

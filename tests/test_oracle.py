@@ -2,8 +2,6 @@ import itertools
 
 import numpy as np
 import pytest
-from scipy.optimize import Bounds, LinearConstraint
-from scipy.optimize import milp as scipy_milp
 
 from gridsplit import (
     FormationSnapshot,
@@ -243,7 +241,7 @@ def test_a_pv_floor_beyond_the_battery_makes_the_tree_infeasible():
 
 
 def test_a_one_source_ring_opens_a_switch_inside_its_microgrid(
-        four_zone_ring):
+        four_zone_ring, highs):
     # each radial forest of the ring leaves one switch open between two
     # zones of the one microgrid; closing edges 1, 2 and 4, or 1, 3 and 4,
     # costs a flow term of 2 + 1 + 1, and the oracle keeps the first it
@@ -257,23 +255,10 @@ def test_a_one_source_ring_opens_a_switch_inside_its_microgrid(
     prob = build_milp(g, snap, WTS)
     by_search = decode(prob, solve_milp(prob.model))
     assert by_search.objective_value == pytest.approx(4.0, abs=1e-6)
-    assert highs_objective(prob.model) == pytest.approx(4.0, abs=1e-6)
+    assert highs(prob.model) == pytest.approx(4.0, abs=1e-6)
 
 
-def highs_objective(mdl):
-    """HiGHS without presolve on the dense model, with the offset."""
-    a, senses, b, lower, upper, cost = mdl.dense()
-    lb = np.where(np.array(senses) == "<=", -np.inf, b)
-    ub = np.where(np.array(senses) == ">=", np.inf, b)
-    res = scipy_milp(cost, constraints=LinearConstraint(a, lb, ub),
-                     integrality=np.array(mdl.is_integer, dtype=int),
-                     bounds=Bounds(lower, upper),
-                     options={"mip_rel_gap": 0.0, "presolve": False})
-    assert res.status == 0, res.message
-    return float(res.fun) + mdl.offset
-
-
-def test_two_ties_bypassing_both_roots_open_a_switch_inside_a_microgrid():
+def test_two_ties_bypassing_both_roots_open_a_switch_inside_a_microgrid(highs):
     # feeders 1-2-3 and 4-5-6 under the grid-forming zones 1 and 4, joined
     # by the normally-open ties 2-5 (edge 5) and 3-6 (edge 6). Zone 4's
     # 60-kW battery cannot serve 5 or 6, so zone 1's feeds both over both
@@ -296,7 +281,7 @@ def test_two_ties_bypassing_both_roots_open_a_switch_inside_a_microgrid():
     for sol in (by_search, by_oracle):
         assert sol.objective_value == pytest.approx(8.0, abs=1e-6)
         assert sol.load_shed_term == pytest.approx(0.0, abs=1e-6)
-    assert highs_objective(prob.model) == pytest.approx(8.0, abs=1e-6)
+    assert highs(prob.model) == pytest.approx(8.0, abs=1e-6)
     inside = [eid for eid, (t, h) in spans.items()
               if eid not in by_search.closed
               and by_search.assignment[t] == by_search.assignment[h] == 1]
