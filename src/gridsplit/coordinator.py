@@ -14,7 +14,7 @@ from dataclasses import astuple, dataclass
 import numpy as np
 
 from .ems import MicrogridState, build_schedule, dispatch_window, service_order
-from .formation import (FormationProblem, FormationSnapshot,
+from .formation import (DecodeError, FormationProblem, FormationSnapshot,
                         FormationSolution, FormationWeights,
                         InfeasibleTopology, build_milp, decode,
                         fixed_topology_solution, warm_values_from_topology)
@@ -245,8 +245,8 @@ def run(scenario: Scenario, mode: str = "flexible",
         else:
             try:
                 _prob, rep, sol = solve_partition(g_t, snap, prev_sol, wts)
-            except SolverError as exc:
-                raise SolverError(f"t={t} min: {exc}") from exc
+            except (SolverError, DecodeError) as exc:
+                raise type(exc)(f"t={t} min: {exc}") from exc
             nodes, lp_iters = rep.node_count, rep.lp_iterations
         wall = time.perf_counter() - t0
 

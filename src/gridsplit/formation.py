@@ -19,6 +19,7 @@ switches out, and their load is charged as shed.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 
 from .milp import INT_TOL, MilpModel, SolveReport, SolveStatus
@@ -47,13 +48,21 @@ class FormationSnapshot:
 
     ``load_kw`` is the servable demand ceiling, ``pv_kw`` the available PV.
     The optional PV floor defaults to zero; a positive ``pv_min_kw`` models
-    must-take PV that the step has to absorb somewhere.
+    must-take PV that the step has to absorb somewhere. Every value must be
+    finite and non-negative.
     """
 
     step_index: int
     load_kw: dict[int, float]
     pv_kw: dict[int, float]
     pv_min_kw: dict[int, float] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        for name in ("load_kw", "pv_kw", "pv_min_kw"):
+            for zone, v in getattr(self, name).items():
+                if not 0 <= v < math.inf:
+                    raise ValueError(f"zone {zone}: {name} {v!r} must be "
+                                     f"finite and non-negative")
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,12 @@
 """Small dense MILP solver: bounded-variable simplex plus branch and bound.
 
-Scope is deliberately narrow. Models here have a hundred-odd variables with
-finite bounds on every structural column, so a dense revised simplex with an
-explicitly maintained basis inverse, over one constraint matrix per system,
-is fast enough and easy to audit. No presolve, no cutting planes; faulted or
-otherwise dead binaries are fixed through their bounds by the caller.
+Scope is deliberately narrow. Models here have a hundred-odd variables, each
+a finite box (``MilpModel`` refuses an infinite bound), so a dense revised
+simplex with an explicitly maintained basis inverse, over one constraint
+matrix per system, is fast enough and easy to audit. Only slack and
+artificial columns have an infinite bound. No presolve, no cutting planes;
+faulted or otherwise dead binaries are fixed through their bounds by the
+caller.
 
 Each pivot updates the inverse sparsely: the rank-1 term is applied only on
 the rows and columns where it is nonzero, which is a few percent of the
@@ -40,14 +42,13 @@ falls back to the cold primal when it fails. Statuses are ``SolveStatus``
 members throughout.
 
 Budgets: 100 pivots per row and column for each LP, ``NODE_LIMIT`` nodes.
-Minimization throughout. Integer variables must carry integral finite bounds.
+Minimization throughout. Integer variables must carry integral bounds.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-import time
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -82,7 +83,6 @@ class SolveReport:
     values: np.ndarray
     node_count: int = 0
     lp_iterations: int = 0
-    wall_time_s: float = 0.0
     # where branch and bound found the reported point: "warm" (the caller's
     # warm point), "start" (one of the model's start points) or "search";
     # None without an incumbent, and from solve_lp
@@ -115,13 +115,12 @@ class MilpModel:
 
     def add_variable(self, name: str, lower: float, upper: float, *,
                      integer: bool = False, objective: float = 0.0) -> int:
-        if not lower <= upper or lower == math.inf or upper == -math.inf:  # NaN too
-            raise ValueError(f"variable {name}: no value lies in [{lower}, {upper}]")
-        if integer:
-            if not (np.isfinite(lower) and np.isfinite(upper)):
-                raise ValueError(f"integer variable {name} needs finite bounds")
-            if lower != round(lower) or upper != round(upper):
-                raise ValueError(f"integer variable {name} needs integral bounds")
+        """A column with the finite box ``[lower, upper]``, whose bounds are
+        integral when ``integer``; ``ValueError`` otherwise (NaN too)."""
+        if not (-math.inf < lower <= upper < math.inf and (
+                not integer or lower == round(lower) and upper == round(upper))):
+            box = "an integral finite box" if integer else "a finite box"
+            raise ValueError(f"variable {name}: [{lower}, {upper}] is not {box}")
         self.var_names.append(name)
         self.lower.append(float(lower))
         self.upper.append(float(upper))
@@ -176,7 +175,7 @@ class MilpModel:
         """Serialize in LP text format for cross-checking with other solvers.
 
         The objective constant (``offset``) has no LP-format slot and is noted
-        in a leading comment.
+        in a leading comment. Every bound is finite, so each is a number.
         """
         def num(x: float) -> str:
             return repr(float(x))
@@ -208,9 +207,7 @@ class MilpModel:
             if lo == hi:
                 out.append(f" {name} = {num(lo)}")
             else:
-                lo_s = num(lo) if np.isfinite(lo) else "-inf"
-                hi_s = num(hi) if np.isfinite(hi) else "+inf"
-                out.append(f" {lo_s} <= {name} <= {hi_s}")
+                out.append(f" {num(lo)} <= {name} <= {num(hi)}")
         ints = [self.var_names[j] for j in self.integer_indices()]
         if ints:
             out.append("Generals")
@@ -232,12 +229,13 @@ class _Simplex:
     ``a_slack`` are views of its first n and n + m columns, and the loops
     read basic values and bounds in place from ``values``, ``lo`` and ``hi``.
 
-    Slack bounds encode the row sense ("<=": [0,inf), ">=": (-inf,0],
-    "==": [0,0]). ``solve`` is the cold two-phase primal: phase 1 drives
-    artificial columns to zero; phase 2 minimizes the real cost with
-    artificials pinned. After it, ``release`` re-solves the same system
-    under wider structural bounds with primal phase 2, and ``resolve`` under
-    new structural bounds with the dual simplex.
+    Structural bounds are finite (``MilpModel`` boxes); slack bounds encode
+    the row sense ("<=": [0,inf), ">=": (-inf,0], "==": [0,0]). ``solve``
+    is the cold two-phase primal: phase 1 drives artificial columns to
+    zero; phase 2 minimizes the real cost with artificials pinned. After
+    it, ``release`` re-solves the same system under wider structural bounds
+    with primal phase 2, and ``resolve`` under new structural bounds with
+    the dual simplex.
     """
 
     def __init__(self, a: np.ndarray, senses: list[str], b: np.ndarray,
@@ -255,11 +253,9 @@ class _Simplex:
         slack_lo = np.where(sense == ">=", -np.inf, 0.0)
         slack_hi = np.where(sense == "<=", np.inf, 0.0)
         self.b = b.astype(float)
-        # structurals park at a bound (0 when free); the start basis takes a
+        # structurals start at their lower bound; the start basis takes a
         # row's slack when it absorbs the residual, a signed artificial else
-        vals = np.where(np.isfinite(lower), lower,
-                        np.where(np.isfinite(upper), upper, 0.0))
-        resid = self.b - a @ vals
+        resid = self.b - a @ lower
         fits = (slack_lo - 1e-11 <= resid) & (resid <= slack_hi + 1e-11)
         near = np.where(fits, resid, np.clip(resid, slack_lo, slack_hi))
         rho = resid - near
@@ -272,9 +268,10 @@ class _Simplex:
         self.lo = np.concatenate([lower, slack_lo, np.zeros(m)])
         self.hi = np.concatenate([upper, slack_hi, np.where(fits, 0.0, np.inf)])
         self.cost = np.concatenate([cost, np.zeros(2 * m)])
-        self.values = np.concatenate([vals, near, np.abs(rho)])
-        self.stat = np.where(np.isfinite(self.lo) | ~np.isfinite(self.hi),
-                             _AT_LOWER, _AT_UPPER).astype(np.int8)
+        self.values = np.concatenate([lower, near, np.abs(rho)])
+        # a nonbasic ">=" slack sits at its upper bound 0, all else at lower
+        self.stat = np.full(n + 2 * m, _AT_LOWER, dtype=np.int8)
+        self.stat[n:self.art0][sense == ">="] = _AT_UPPER
         self.basis = np.where(fits, n, self.art0) + np.arange(m)
         self.stat[self.basis] = _BASIC
         self.binv = np.diag(np.where(self.art_sign < 0, -1.0, 1.0))
@@ -356,12 +353,10 @@ class _Simplex:
         """Start the bookkeeping that the pivot loops update incrementally.
 
         ``sign`` is +1 for a movable nonbasic column at its upper bound, -1
-        at its lower bound, 0 when basic or fixed; ``free`` columns may move
-        either way.
+        at its lower bound, 0 when basic or fixed.
         """
         self.sign = np.where(self.stat == _AT_UPPER, 1.0, -1.0)
         self.sign[(self.stat == _BASIC) | ~((self.hi - self.lo) > 0)] = 0.0
-        self.free = ~np.isfinite(self.lo) & ~np.isfinite(self.hi)
 
     def _exchange(self, r: int, q: int, w: np.ndarray, step: float,
                   to_upper: bool) -> None:
@@ -385,75 +380,72 @@ class _Simplex:
         # reduced costs by block: y @ A for structurals, identity slacks,
         # one signed (or empty) artificial column per row
         a, art_sign = self.a, self.art_sign
-        # entering score is d * sign; free columns score |d|
+        # entering score is d * sign
         self._track()
         sign, basis, values = self.sign, self.basis, self.values
-        free = self.free.nonzero()[0]
         d, score, limits = np.empty_like(cost), np.empty_like(cost), np.empty(m)
-        with np.errstate(invalid="ignore"):
-            while True:
-                if self.pivots >= cap:
-                    return SolveStatus.ITERATION_LIMIT
-                y = cost[basis] @ self.binv
-                np.subtract(cost[:n], y @ a, out=d[:n])
-                np.subtract(cost[n:art0], y, out=d[n:art0])
-                np.subtract(cost[art0:], y * art_sign, out=d[art0:])
-                np.multiply(d, sign, out=score)
-                score[free] = np.abs(score[free])
-                # Bland's rule takes the lowest eligible index, Dantzig's the
-                # largest score (ties to the lowest index)
-                q = int(np.argmax(score > DUAL_TOL) if self.bland
-                        else np.argmax(score))
-                if not score[q] > DUAL_TOL:
-                    return SolveStatus.OPTIMAL
-                sigma = 1 if d[q] < 0 else -1
+        while True:
+            if self.pivots >= cap:
+                return SolveStatus.ITERATION_LIMIT
+            y = cost[basis] @ self.binv
+            np.subtract(cost[:n], y @ a, out=d[:n])
+            np.subtract(cost[n:art0], y, out=d[n:art0])
+            np.subtract(cost[art0:], y * art_sign, out=d[art0:])
+            np.multiply(d, sign, out=score)
+            # Bland's rule takes the lowest eligible index, Dantzig's the
+            # largest score (ties to the lowest index)
+            q = int(np.argmax(score > DUAL_TOL) if self.bland
+                    else np.argmax(score))
+            if not score[q] > DUAL_TOL:
+                return SolveStatus.OPTIMAL
+            sigma = 1 if d[q] < 0 else -1
 
-                w = self.binv @ self.full[:, q]
-                rate = -sigma * w  # basic values move by t * rate
+            w = self.binv @ self.full[:, q]
+            rate = -sigma * w  # basic values move by t * rate
 
-                # ratio test: own bound span, then each basic variable's
-                # slack; a NaN limit never binds
-                span = self.hi[q] - self.lo[q]
-                t_best = span if np.isfinite(span) else np.inf
-                xb = values[basis]
-                limits.fill(np.inf)
-                np.divide(xb - self.lo[basis], -rate, out=limits,
-                          where=rate < -PIVOT_TOL)
-                np.divide(self.hi[basis] - xb, rate, out=limits,
-                          where=rate > PIVOT_TOL)
-                t_rows = np.fmin.reduce(limits, initial=np.inf)
-                t_star = min(t_best, t_rows)
-                if not np.isfinite(t_star):
-                    raise SolverError("LP is unbounded")
-                t_star = max(t_star, 0.0)
+            # ratio test: own bound span, then each basic variable's
+            # slack; a NaN limit never binds
+            span = self.hi[q] - self.lo[q]
+            t_best = span if np.isfinite(span) else np.inf
+            xb = values[basis]
+            limits.fill(np.inf)
+            np.divide(xb - self.lo[basis], -rate, out=limits,
+                      where=rate < -PIVOT_TOL)
+            np.divide(self.hi[basis] - xb, rate, out=limits,
+                      where=rate > PIVOT_TOL)
+            t_rows = np.fmin.reduce(limits, initial=np.inf)
+            t_star = min(t_best, t_rows)
+            if not np.isfinite(t_star):
+                raise SolverError("LP is unbounded")
+            t_star = max(t_star, 0.0)
 
-                if t_star <= DEGEN_STEP:
-                    self.degenerate += 1
-                    if self.degenerate >= BLAND_AFTER:
-                        self.bland = True
+            if t_star <= DEGEN_STEP:
+                self.degenerate += 1
+                if self.degenerate >= BLAND_AFTER:
+                    self.bland = True
 
-                self.pivots += 1
-                values[basis] = xb + t_star * rate
-                if t_rows > t_star + 1e-12:
-                    # entering variable swings to its other bound; basis unchanged
-                    values[q] = self.hi[q] if sigma > 0 else self.lo[q]
-                    self.stat[q] = _AT_UPPER if sigma > 0 else _AT_LOWER
-                    sign[q] = sigma
-                    continue
+            self.pivots += 1
+            values[basis] = xb + t_star * rate
+            if t_rows > t_star + 1e-12:
+                # entering variable swings to its other bound; basis unchanged
+                values[q] = self.hi[q] if sigma > 0 else self.lo[q]
+                self.stat[q] = _AT_UPPER if sigma > 0 else _AT_LOWER
+                sign[q] = sigma
+                continue
 
-                # leaving row: among tight rows take the largest pivot
-                # magnitude, ties to the lowest basic column
-                tight = (limits <= t_star + 1e-12).nonzero()[0]
-                if tight.size > 1:
-                    mag = np.abs(w[tight])
-                    tight = tight[mag == mag.max()]
-                    r = int(tight[np.argmin(basis[tight])])
-                else:
-                    r = int(tight[0])
-                if abs(w[r]) <= PIVOT_TOL:
-                    raise SolverError("pivot element vanished in ratio test")
+            # leaving row: among tight rows take the largest pivot
+            # magnitude, ties to the lowest basic column
+            tight = (limits <= t_star + 1e-12).nonzero()[0]
+            if tight.size > 1:
+                mag = np.abs(w[tight])
+                tight = tight[mag == mag.max()]
+                r = int(tight[np.argmin(basis[tight])])
+            else:
+                r = int(tight[0])
+            if abs(w[r]) <= PIVOT_TOL:
+                raise SolverError("pivot element vanished in ratio test")
 
-                self._exchange(r, q, w, sigma * t_star, rate[r] >= 0)
+            self._exchange(r, q, w, sigma * t_star, rate[r] >= 0)
 
     def _evict_artificials(self) -> None:
         # swap any basic artificial for a real column sharing its row; the
@@ -505,7 +497,7 @@ class _Simplex:
         self.lo[:n], self.hi[:n] = lower, upper
         x, nonbasic = self.values[:n], self.stat[:n] != _BASIC
         at_hi, at_lo = x == self.hi[:n], x == self.lo[:n]
-        if np.any(nonbasic & ~at_hi & ~at_lo & np.isfinite(self.lo[:n])):
+        if np.any(nonbasic & ~at_hi & ~at_lo):
             raise SolverError("nonbasic column strictly inside its bounds")
         self.stat[:n][nonbasic] = np.where(at_hi, _AT_UPPER, _AT_LOWER)[nonbasic]
         return self._phase2(self.pivots + self.pivot_cap)
@@ -532,8 +524,7 @@ class _Simplex:
         sibling = (not held and self.entry is not None
                    and np.array_equal(basis, self.entry[0]))
         self.basis, self.stat = basis.copy(), stat.copy()
-        self.values = np.where(self.stat == _AT_UPPER, self.hi,
-                               np.where(np.isfinite(self.lo), self.lo, 0.0))
+        self.values = np.where(self.stat == _AT_UPPER, self.hi, self.lo)
         if sibling:
             self.binv, self.factored = self.entry[1].copy(), True
         elif not held:
@@ -544,41 +535,39 @@ class _Simplex:
 
         a, cost = self.a_slack, self.cost[:art0]
         self._track()
-        sign, free = self.sign[:art0], self.free[:art0]
+        sign = self.sign[:art0]
         basis, values = self.basis, self.values
         cap = self.pivots + self.pivot_cap
-        with np.errstate(invalid="ignore"):
-            while True:
-                # leaving row: the basic variable farthest outside its bounds
-                xb, lo_b, hi_b = values[basis], self.lo[basis], self.hi[basis]
-                viol = np.maximum(lo_b - xb, xb - hi_b)
-                if not viol.max(initial=0.0) > PRIMAL_TOL:
-                    return SolveStatus.OPTIMAL, self._audit()
-                if self.pivots >= cap:
-                    return SolveStatus.ITERATION_LIMIT, values[:n]
-                r = int(np.argmax(viol))
-                rising = xb[r] < lo_b[r]
+        while True:
+            # leaving row: the basic variable farthest outside its bounds
+            xb, lo_b, hi_b = values[basis], self.lo[basis], self.hi[basis]
+            viol = np.maximum(lo_b - xb, xb - hi_b)
+            if not viol.max(initial=0.0) > PRIMAL_TOL:
+                return SolveStatus.OPTIMAL, self._audit()
+            if self.pivots >= cap:
+                return SolveStatus.ITERATION_LIMIT, values[:n]
+            r = int(np.argmax(viol))
+            rising = xb[r] < lo_b[r]
 
-                # ratio test over the columns whose move pushes basic r
-                # toward its bound; ties go to the largest |alpha|
-                alpha = self.binv[r] @ a
-                push = alpha * sign * (1.0 if rising else -1.0)
-                elig = ((push > PIVOT_TOL)
-                        | (free & (np.abs(alpha) > PIVOT_TOL))).nonzero()[0]
-                if not elig.size:
-                    return SolveStatus.INFEASIBLE, values[:n]
-                y = cost[basis] @ self.binv
-                ratio = np.abs(cost[elig] - y @ a[:, elig]) / np.abs(alpha[elig])
-                tied = elig[ratio <= ratio.min() + 1e-12]
-                q = int(tied[np.argmax(np.abs(alpha[tied]))])
+            # ratio test over the columns whose move pushes basic r
+            # toward its bound; ties go to the largest |alpha|
+            alpha = self.binv[r] @ a
+            push = alpha * sign * (1.0 if rising else -1.0)
+            elig = (push > PIVOT_TOL).nonzero()[0]
+            if not elig.size:
+                return SolveStatus.INFEASIBLE, values[:n]
+            y = cost[basis] @ self.binv
+            ratio = np.abs(cost[elig] - y @ a[:, elig]) / np.abs(alpha[elig])
+            tied = elig[ratio <= ratio.min() + 1e-12]
+            q = int(tied[np.argmax(np.abs(alpha[tied]))])
 
-                w = self.binv @ self.full[:, q]
-                if abs(w[r]) <= PIVOT_TOL:
-                    raise SolverError("pivot element vanished in dual ratio test")
-                theta = (xb[r] - (lo_b[r] if rising else hi_b[r])) / w[r]
-                self.pivots += 1
-                values[basis] = xb - theta * w
-                self._exchange(r, q, w, theta, not rising)
+            w = self.binv @ self.full[:, q]
+            if abs(w[r]) <= PIVOT_TOL:
+                raise SolverError("pivot element vanished in dual ratio test")
+            theta = (xb[r] - (lo_b[r] if rising else hi_b[r])) / w[r]
+            self.pivots += 1
+            values[basis] = xb - theta * w
+            self._exchange(r, q, w, theta, not rising)
 
     def _audit(self) -> np.ndarray:
         """Refactorize, then check the point before claiming optimality."""
@@ -606,11 +595,9 @@ def _solve_lp_arrays(a, senses, b, lower, upper,
 def solve_lp(model: MilpModel) -> SolveReport:
     """Simplex on the LP relaxation (integrality ignored)."""
     a, senses, b, lower, upper, cost = model.dense()
-    t0 = time.perf_counter()
     status, sx, x = _solve_lp_arrays(a, senses, b, lower, upper, cost)
     obj = float(cost @ x) if status is SolveStatus.OPTIMAL else float("nan")
-    return SolveReport(status, obj + model.offset, x, 0, sx.pivots,
-                       time.perf_counter() - t0)
+    return SolveReport(status, obj + model.offset, x, 0, sx.pivots)
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +639,6 @@ def solve_milp(model: MilpModel, *,
     values and objective are those of the fixed-integer LP at the incumbent,
     so they depend on the integer optimum, not on the path the search took.
     """
-    t0 = time.perf_counter()
     a, senses, b, lower, upper, cost = model.dense()
     int_idx = np.array(model.integer_indices(), dtype=int)
 
@@ -720,7 +706,7 @@ def solve_milp(model: MilpModel, *,
         return SolveReport(
             status, incumbent_obj + model.offset if found else float("nan"),
             incumbent_x if found else np.full(model.n_variables, np.nan),
-            nodes, total_pivots, time.perf_counter() - t0, source)
+            nodes, total_pivots, source)
 
     starts = [p for p in map(integral, model.starts) if p is not None]
     if warm_integer_values is not None:

@@ -95,7 +95,8 @@ class TestRun:
         monkeypatch.setattr(coordinator, "decode", undecodable)
         assert main(["run", "--scenario", "builtin:two-feeder",
                      "--out", str(tmp_path / "out")]) == 3
-        assert "not a radial forest" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "t=0 min" in err and "not a radial forest" in err
 
     def test_seed_override_accepted(self, tmp_path):
         assert main(["run", "--scenario", "builtin:two-feeder",

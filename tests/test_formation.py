@@ -192,6 +192,18 @@ def test_weights_reject_a_flow_weight_not_below_shed(field, value):
         FormationWeights(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["load_kw", "pv_kw", "pv_min_kw"])
+@pytest.mark.parametrize("value", [float("inf"), float("nan"), -1.0])
+def test_snapshot_rejects_a_non_finite_or_negative_value(field, value):
+    # an infinite load would otherwise reach the objective as inf, and a
+    # load-island zone's without any column to refuse it
+    values = {"load_kw": {1: 10.0, 3: 10.0}, "pv_kw": {1: 0.0, 3: 0.0},
+              "pv_min_kw": {}}
+    values[field][3] = value
+    with pytest.raises(ValueError, match=f"zone 3: {field}"):
+        FormationSnapshot(0, **values)
+
+
 def test_large_penalty_freezes_the_topology(scenario):
     g = scenario.graph
     base = fixed_topology_solution(g, mksnap(g), WTS)

@@ -38,10 +38,12 @@ def test_contradictory_rows_are_infeasible():
 
 
 def test_unbounded_lp_raises():
-    m = MilpModel()
-    m.add_variable("x", 0, np.inf, objective=-1.0)
+    # MilpModel refuses a [0, inf) column, so it goes to the solver directly:
+    # min -x subject to y - x <= 1, y in [0, 1]
     with pytest.raises(SolverError, match="unbounded"):
-        solve_lp(m)
+        milp._solve_lp_arrays(np.array([[-1.0, 1.0]]), ["<="], np.array([1.0]),
+                              np.zeros(2), np.array([np.inf, 1.0]),
+                              np.array([-1.0, 0.0]))
 
 
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
@@ -61,7 +63,7 @@ def test_non_finite_model_fails_the_audit(coef, upper):
 
 def test_non_finite_model_input_is_refused_where_it_is_built():
     m = MilpModel()
-    x = m.add_variable("x", -np.inf, np.inf)     # a free column is legal
+    x = m.add_variable("x", -1.0, 1.0)
     for lower, upper in ((np.nan, 1.0), (0.0, np.nan), (np.inf, np.inf),
                          (2.0, 1.0)):
         with pytest.raises(ValueError, match="variable bad"):
@@ -76,19 +78,14 @@ def test_non_finite_model_input_is_refused_where_it_is_built():
     assert (m.n_variables, m.n_constraints) == (1, 0)
 
 
-def test_free_variable_and_equality():
-    # minimize 2x + y, x + y == 4, x >= -3, y in [0,5]:
-    # pushing x down is worth it until y hits its cap, so x=-1, y=5
+@pytest.mark.parametrize("lower, upper", [
+    (-np.inf, np.inf), (0.0, np.inf), (-np.inf, 0.0)])
+def test_infinite_bounds_are_refused(lower, upper):
+    # every column is a finite box: the simplex has no free-column path
     m = MilpModel()
-    x = m.add_variable("x", -np.inf, np.inf, objective=2.0)
-    y = m.add_variable("y", 0, 5, objective=1.0)
-    m.add_constraint({x: 1.0, y: 1.0}, "==", 4.0)
-    m.add_constraint({x: 1.0}, ">=", -3.0)
-    rep = solve_lp(m)
-    assert rep.status is SolveStatus.OPTIMAL
-    assert rep.objective == pytest.approx(3.0, abs=1e-7)
-    assert rep.values[0] == pytest.approx(-1.0, abs=1e-7)
-    assert rep.values[1] == pytest.approx(5.0, abs=1e-7)
+    with pytest.raises(ValueError, match="variable x: .* not a finite box"):
+        m.add_variable("x", lower, upper)
+    assert m.n_variables == 0
 
 
 def test_objective_offset_is_reported():
@@ -264,23 +261,6 @@ def test_lp_fuzz_matches_linprog_under_blands_rule(monkeypatch):
             row.rhs = 0.0
     assert _check_against_linprog(models) >= 20
     assert sum(switched) >= 30
-
-
-def test_free_columns_enter_the_basis_both_ways():
-    # A nonbasic free column is parked at 0, so the nonzero optimum
-    # x = -2, z = 4 means x entered falling and z entered rising.
-    m = MilpModel()
-    x = m.add_variable("x", -np.inf, np.inf, objective=1.0)
-    z = m.add_variable("z", -np.inf, np.inf, objective=-1.0)
-    y = m.add_variable("y", 0, 3, objective=2.0)
-    m.add_constraint({x: 1.0, y: 1.0}, ">=", -2.0)
-    m.add_constraint({x: 1.0, y: -1.0}, "<=", 1.0)
-    m.add_constraint({z: 1.0, y: 1.0}, "<=", 4.0)
-    m.add_constraint({z: 1.0, x: -1.0}, "<=", 7.0)
-    assert _check_against_linprog([m]) == 1
-    rep = solve_lp(m)
-    assert rep.objective == pytest.approx(-6.0, abs=1e-9)
-    assert rep.values == pytest.approx([-2.0, 4.0, 0.0], abs=1e-9)
 
 
 def test_redundant_equality_rows_match_linprog():
