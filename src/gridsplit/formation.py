@@ -48,8 +48,8 @@ class FormationSnapshot:
 
     ``load_kw`` is the servable demand ceiling, ``pv_kw`` the available PV.
     The optional PV floor defaults to zero; a positive ``pv_min_kw`` models
-    must-take PV that the step has to absorb somewhere. Every value must be
-    finite and non-negative.
+    must-take PV that the step has to absorb somewhere, and may not exceed
+    the zone's ``pv_kw``. Every value must be finite and non-negative.
     """
 
     step_index: int
@@ -63,6 +63,10 @@ class FormationSnapshot:
                 if not 0 <= v < math.inf:
                     raise ValueError(f"zone {zone}: {name} {v!r} must be "
                                      f"finite and non-negative")
+        for zone, v in self.pv_min_kw.items():
+            if v > self.pv_kw.get(zone, 0.0):
+                raise ValueError(f"zone {zone}: pv_min_kw {v!r} exceeds "
+                                 f"pv_kw {self.pv_kw.get(zone, 0.0)!r}")
 
 
 @dataclass(frozen=True)

@@ -3,43 +3,45 @@
 Scope is deliberately narrow. Models here have a hundred-odd variables, each
 a finite box (``MilpModel`` refuses an infinite bound), so a dense revised
 simplex with an explicitly maintained basis inverse, over one constraint
-matrix per system, is fast enough and easy to audit. Only slack and
-artificial columns have an infinite bound. No presolve, no cutting planes;
-faulted or otherwise dead binaries are fixed through their bounds by the
-caller.
+matrix per system, is fast enough and easy to audit. Only slack columns
+have an infinite bound. No presolve, no cutting planes; faulted or
+otherwise dead binaries are fixed through their bounds by the caller.
+
+Every cold LP starts from the slack basis, with each structural column at
+the bound its cost favours. Because every structural is a finite box, that
+basis is dual feasible, and the bounded dual simplex solves the LP from it
+with no phase 1 and no artificial columns (Bixby 1992; Koberstein 2005).
 
 Each pivot updates the inverse sparsely: the rank-1 term is applied only on
 the rows and columns where it is nonzero, which is a few percent of the
 entries on the formation models. A refactorization inverts only the basis's
 structural nucleus, the basic structural columns on the rows that no basic
-slack or artificial covers; the unit columns fill the rest of the inverse
-without arithmetic. It runs after phase 1, in the audit and after every
-``REFACTOR_EVERY`` basis exchanges since the last one. The dual simplex
-starts from an inverse the system already holds when that is the inverse
-of its start basis: the one the last solve's audit left (for a child of
-that solve's node) or a copy of the one the last re-solve started from (for
-its sibling); else it refactorizes. No node carries an inverse. The pivot
-path is reproducible bit for bit: for a given numpy and BLAS build, a model
-yields the same pivot sequence and the same floats on every run, whichever
-inverse a re-solve starts from.
+slack covers; the slacks fill the rest of the inverse without arithmetic.
+It runs in the audit and after every ``REFACTOR_EVERY`` basis exchanges
+since the last one. A dual re-solve starts from an inverse the system
+already holds when that is the inverse of its start basis: the one the
+last solve's audit left (for a child of that solve's node) or a copy of the
+one the last re-solve started from (for its sibling); else it refactorizes.
+No node carries an inverse. The pivot path is reproducible bit for bit: for
+a given numpy and BLAS build, a model yields the same pivot sequence and
+the same floats on every run, whichever inverse a re-solve starts from.
 
 Branch and bound has two LP helpers. The fixed-integer LP fixes every
 integer column at an integral point: the incumbent, the caller's warm point
 or one of the model's start points (``MilpModel.starts``), each of which
 must name every integer column. The start points are tried only when the
 warm point has no optimal fixed-integer LP. The fixed-integer LP is solved
-cold with the two-phase primal simplex, as is every LP of the oracle, and
-at the incumbent it is the reported point. That point depends on the
-integer optimum alone, not on the vertex the search reached, so the
-fixture's ``microgrids.csv``, which records ``repr`` of each objective,
-does not pin the search's path. The node LP restarts the root from the
-optimal basis of the incumbent's fixed-integer LP, which releasing the
-integer columns to their model bounds leaves primal feasible, so only
-primal phase 2 remains; without an incumbent it solves the root cold. It
-re-solves every other node with the bounded dual simplex from its parent's
-optimal basis, which a bound change leaves dual feasible. Either restart
-falls back to the cold primal when it fails. Statuses are ``SolveStatus``
-members throughout.
+cold, as is every LP of the oracle, and at the incumbent it is the
+reported point. That point depends on the integer optimum alone, not on
+the vertex the search reached, so the fixture's ``microgrids.csv``, which
+records ``repr`` of each objective, does not pin the search's path. The
+node LP restarts the root from the optimal basis of the incumbent's
+fixed-integer LP, which releasing the integer columns to their model
+bounds leaves primal feasible, so the primal simplex goes on from it;
+without an incumbent it solves the root cold. It re-solves every other node
+with the dual simplex from its parent's optimal basis, which a bound change
+leaves dual feasible. Either restart falls back to a cold solve when it
+fails. Statuses are ``SolveStatus`` members throughout.
 
 Budgets: 100 pivots per row and column for each LP, ``NODE_LIMIT`` nodes.
 Minimization throughout. Integer variables must carry integral bounds.
@@ -60,7 +62,7 @@ INT_TOL = 1e-6           # integrality acceptance in branch and bound
 DUAL_TOL = 1e-9          # reduced-cost threshold for entering candidates
 PIVOT_TOL = 1e-9         # smallest pivot element magnitude accepted
 DEGEN_STEP = 1e-10       # step lengths below this count as degenerate
-BLAND_AFTER = 1000       # degenerate pivots before switching to Bland's rule
+BLAND_AFTER = 1000       # degenerate pivots in a row before Bland's rule
 REFACTOR_EVERY = 128     # basis exchanges between inverse refactorizations
 PRUNE_EPS = 1e-9         # node bound vs incumbent pruning slack
 NODE_LIMIT = 1_000_000   # branch-and-bound nodes before ITERATION_LIMIT
@@ -73,7 +75,7 @@ class SolveStatus(Enum):
 
 
 class SolverError(Exception):
-    """Numerical failure or unsupported model (e.g. unbounded LP)."""
+    """Numerical failure or unsupported model (e.g. non-finite data)."""
 
 
 @dataclass
@@ -224,57 +226,50 @@ _AT_LOWER, _AT_UPPER, _BASIC = 0, 1, 2
 
 
 class _Simplex:
-    """LP solves over the augmented system ``full`` = [A | I | diag(art_sign)]
-    of structural, slack and artificial columns, held once: ``a`` and
-    ``a_slack`` are views of its first n and n + m columns, and the loops
-    read basic values and bounds in place from ``values``, ``lo`` and ``hi``.
+    """LP solves over the augmented system ``full`` = [A | I] of structural
+    and slack columns, held once: ``a`` is a view of its first n columns,
+    and the loops read basic values and bounds in place from ``values``,
+    ``lo`` and ``hi``.
 
     Structural bounds are finite (``MilpModel`` boxes); slack bounds encode
-    the row sense ("<=": [0,inf), ">=": (-inf,0], "==": [0,0]). ``solve``
-    is the cold two-phase primal: phase 1 drives artificial columns to
-    zero; phase 2 minimizes the real cost with artificials pinned. After
-    it, ``release`` re-solves the same system under wider structural bounds
-    with primal phase 2, and ``resolve`` under new structural bounds with
-    the dual simplex.
+    the row sense ("<=": [0,inf), ">=": (-inf,0], "==": [0,0]). The start
+    basis holds every slack, with each structural at the bound its cost
+    favours: the upper one when the cost is negative, else the lower. That
+    basis is dual feasible, so ``solve`` is the bounded dual simplex from
+    it. After it, ``release`` re-solves the same system under wider
+    structural bounds with the primal simplex, and ``resolve`` under new
+    structural bounds with the dual simplex. Non-finite model data raises
+    ``SolverError`` here: the dual start needs finite boxes, and with them
+    no LP is unbounded.
     """
 
     def __init__(self, a: np.ndarray, senses: list[str], b: np.ndarray,
                  lower: np.ndarray, upper: np.ndarray, cost: np.ndarray):
+        if not all(np.isfinite(v).all() for v in (a, b, lower, upper, cost)):
+            raise SolverError("non-finite bound, cost, coefficient or "
+                              "right-hand side")
         m, n = a.shape
         self.m, self.n = m, n
         self.pivot_cap = 100 * (m + n)
         self.pivots = 0
         self.exchanges = 0       # basis exchanges since the last refactorization
-        self.degenerate = 0
-        self.bland = False
 
+        self.b = b.astype(float)
+        self.full = np.concatenate([a, np.eye(m)], axis=1)
+        self.a = self.full[:, :n]
         # slack bounds by row sense
         sense = np.asarray(senses, dtype=str)
-        slack_lo = np.where(sense == ">=", -np.inf, 0.0)
-        slack_hi = np.where(sense == "<=", np.inf, 0.0)
-        self.b = b.astype(float)
-        # structurals start at their lower bound; the start basis takes a
-        # row's slack when it absorbs the residual, a signed artificial else
-        resid = self.b - a @ lower
-        fits = (slack_lo - 1e-11 <= resid) & (resid <= slack_hi + 1e-11)
-        near = np.where(fits, resid, np.clip(resid, slack_lo, slack_hi))
-        rho = resid - near
-        self.art_sign = np.where(fits, 0.0, np.where(rho > 0, 1.0, -1.0))
-
-        self.art0 = n + m
-        self.full = np.concatenate([a, np.eye(m), np.diag(self.art_sign)],
-                                   axis=1)
-        self.a, self.a_slack = self.full[:, :n], self.full[:, :self.art0]
-        self.lo = np.concatenate([lower, slack_lo, np.zeros(m)])
-        self.hi = np.concatenate([upper, slack_hi, np.where(fits, 0.0, np.inf)])
-        self.cost = np.concatenate([cost, np.zeros(2 * m)])
-        self.values = np.concatenate([lower, near, np.abs(rho)])
-        # a nonbasic ">=" slack sits at its upper bound 0, all else at lower
-        self.stat = np.full(n + 2 * m, _AT_LOWER, dtype=np.int8)
-        self.stat[n:self.art0][sense == ">="] = _AT_UPPER
-        self.basis = np.where(fits, n, self.art0) + np.arange(m)
-        self.stat[self.basis] = _BASIC
-        self.binv = np.diag(np.where(self.art_sign < 0, -1.0, 1.0))
+        self.lo = np.concatenate([lower, np.where(sense == ">=", -np.inf, 0.0)])
+        self.hi = np.concatenate([upper, np.where(sense == "<=", np.inf, 0.0)])
+        self.cost = np.concatenate([cost, np.zeros(m)])
+        # the slack basis, each structural at the bound its cost favours
+        up = cost < 0
+        self.stat = np.full(n + m, _BASIC, dtype=np.int8)
+        self.stat[:n] = np.where(up, _AT_UPPER, _AT_LOWER)
+        self.values = np.concatenate([np.where(up, upper, lower), np.zeros(m)])
+        self.basis = n + np.arange(m)
+        self.binv = np.eye(m)
+        self._basics()
         # binv is the refactorization of basis: set by _invert, cleared by
         # _pivot
         self.factored = False
@@ -291,26 +286,22 @@ class _Simplex:
     def _invert(self) -> None:
         """Invert the basis through its structural nucleus.
 
-        Basic slacks and artificials are signed unit columns; column n + c
-        covers row c % m. They cover rows I; the basic structurals S meet
-        the other rows R in the nucleus A_RS, the only block that needs a
-        numerical inverse: binv[S, R] = inv(A_RS), binv[U, row] = sign and
-        binv[U, R] = -sign * A_IS @ inv(A_RS) for the unit columns U.
+        Basic slacks are unit columns; slack column n + i covers row i.
+        They cover rows I; the basic structurals S meet the other rows R in
+        the nucleus A_RS, the only block that needs a numerical inverse:
+        binv[S, R] = inv(A_RS), binv[U, row] = 1 and
+        binv[U, R] = -A_IS @ inv(A_RS) for the slacks U.
         """
         m, n = self.m, self.n
         self.factored = False
         unit = self.basis >= n
         s_pos, u_pos = (~unit).nonzero()[0], unit.nonzero()[0]
-        u_col = self.basis[u_pos] - n
-        u_row = u_col % m
-        u_sign = np.where(u_col < m, 1.0, self.art_sign[u_row])
+        u_row = self.basis[u_pos] - n
         covered = np.zeros(m, dtype=bool)
         covered[u_row] = True
         r_rows = (~covered).nonzero()[0]
-        if r_rows.size != s_pos.size or not u_sign.all():
-            raise SolverError("singular basis during refactorization")
         self.binv = np.zeros((m, m))
-        self.binv[u_pos, u_row] = u_sign
+        self.binv[u_pos, u_row] = 1.0
         if s_pos.size:
             s_cols = self.basis[s_pos]
             try:
@@ -319,7 +310,7 @@ class _Simplex:
                 raise SolverError("singular basis during refactorization") from exc
             self.binv[s_pos[:, None], r_rows] = nucleus
             self.binv[u_pos[:, None], r_rows] = \
-                -u_sign[:, None] * (self.a[u_row[:, None], s_cols] @ nucleus)
+                -(self.a[u_row[:, None], s_cols] @ nucleus)
         self.factored = True
 
     def _basics(self) -> None:
@@ -353,10 +344,22 @@ class _Simplex:
         """Start the bookkeeping that the pivot loops update incrementally.
 
         ``sign`` is +1 for a movable nonbasic column at its upper bound, -1
-        at its lower bound, 0 when basic or fixed.
+        at its lower bound, 0 when basic or fixed. ``degenerate`` counts
+        the loop's consecutive degenerate pivots, and ``bland`` says whether
+        they have switched the loop to Bland's rule.
         """
         self.sign = np.where(self.stat == _AT_UPPER, 1.0, -1.0)
         self.sign[(self.stat == _BASIC) | ~((self.hi - self.lo) > 0)] = 0.0
+        self.degenerate, self.bland = 0, False
+
+    def _count_step(self, step: float) -> None:
+        """``BLAND_AFTER`` degenerate pivots in a row switch the rest of the
+        loop to Bland's rule."""
+        if step <= DEGEN_STEP:
+            self.degenerate += 1
+            self.bland |= self.degenerate >= BLAND_AFTER
+        else:
+            self.degenerate = 0
 
     def _exchange(self, r: int, q: int, w: np.ndarray, step: float,
                   to_upper: bool) -> None:
@@ -375,29 +378,29 @@ class _Simplex:
         if self.exchanges >= REFACTOR_EVERY:
             self._refactor()
 
-    def _run(self, cost: np.ndarray, cap: int) -> SolveStatus:
-        m, n, art0 = self.m, self.n, self.art0
-        # reduced costs by block: y @ A for structurals, identity slacks,
-        # one signed (or empty) artificial column per row
-        a, art_sign = self.a, self.art_sign
+    def _primal(self) -> tuple[SolveStatus, np.ndarray]:
+        """Bounded primal simplex from a primal feasible basis."""
+        n = self.n
+        # reduced costs by block: y @ A for structurals, identity slacks
+        a, cost = self.a, self.cost
         # entering score is d * sign
         self._track()
         sign, basis, values = self.sign, self.basis, self.values
-        d, score, limits = np.empty_like(cost), np.empty_like(cost), np.empty(m)
+        d, score, limits = np.empty_like(cost), np.empty_like(cost), np.empty(self.m)
+        cap = self.pivots + self.pivot_cap
         while True:
             if self.pivots >= cap:
-                return SolveStatus.ITERATION_LIMIT
+                return SolveStatus.ITERATION_LIMIT, values[:n]
             y = cost[basis] @ self.binv
             np.subtract(cost[:n], y @ a, out=d[:n])
-            np.subtract(cost[n:art0], y, out=d[n:art0])
-            np.subtract(cost[art0:], y * art_sign, out=d[art0:])
+            np.subtract(cost[n:], y, out=d[n:])
             np.multiply(d, sign, out=score)
             # Bland's rule takes the lowest eligible index, Dantzig's the
             # largest score (ties to the lowest index)
             q = int(np.argmax(score > DUAL_TOL) if self.bland
                     else np.argmax(score))
             if not score[q] > DUAL_TOL:
-                return SolveStatus.OPTIMAL
+                return SolveStatus.OPTIMAL, self._audit()
             sigma = 1 if d[q] < 0 else -1
 
             w = self.binv @ self.full[:, q]
@@ -418,11 +421,7 @@ class _Simplex:
             if not np.isfinite(t_star):
                 raise SolverError("LP is unbounded")
             t_star = max(t_star, 0.0)
-
-            if t_star <= DEGEN_STEP:
-                self.degenerate += 1
-                if self.degenerate >= BLAND_AFTER:
-                    self.bland = True
+            self._count_step(t_star)
 
             self.pivots += 1
             values[basis] = xb + t_star * rate
@@ -447,43 +446,61 @@ class _Simplex:
 
             self._exchange(r, q, w, sigma * t_star, rate[r] >= 0)
 
-    def _evict_artificials(self) -> None:
-        # swap any basic artificial for a real column sharing its row; the
-        # row's own slack always qualifies, so no artificial stays basic
-        for r in (self.basis >= self.art0).nonzero()[0]:
-            j = self.basis[r]
-            row = self.binv[r] @ self.a_slack
-            cands = ((np.abs(row) > 1e-7)
-                     & (self.stat[:self.art0] != _BASIC)).nonzero()[0]
-            q = int(cands[0])
-            self._pivot(r, q, self.binv @ self.full[:, q])
-            self.stat[j] = _AT_LOWER
-            self.values[j] = 0.0
+    def _dual(self) -> tuple[SolveStatus, np.ndarray]:
+        """Bounded dual simplex from a dual feasible basis whose basic
+        values are current."""
+        a, cost = self.full, self.cost
+        self._track()
+        sign, basis, values = self.sign, self.basis, self.values
+        cap = self.pivots + self.pivot_cap
+        while True:
+            # leaving row: the basic variable farthest outside its bounds;
+            # under Bland's rule the violated one of lowest column index
+            xb, lo_b, hi_b = values[basis], self.lo[basis], self.hi[basis]
+            viol = np.maximum(lo_b - xb, xb - hi_b)
+            if not viol.max(initial=0.0) > PRIMAL_TOL:
+                return SolveStatus.OPTIMAL, self._audit()
+            if self.pivots >= cap:
+                return SolveStatus.ITERATION_LIMIT, values[:self.n]
+            if self.bland:
+                out = (viol > PRIMAL_TOL).nonzero()[0]
+                r = int(out[np.argmin(basis[out])])
+            else:
+                r = int(np.argmax(viol))
+            rising = xb[r] < lo_b[r]
+
+            # ratio test over the columns whose move pushes basic r
+            # toward its bound; ties go to the largest |alpha|, under
+            # Bland's rule to the lowest index
+            alpha = self.binv[r] @ a
+            push = alpha * sign * (1.0 if rising else -1.0)
+            elig = (push > PIVOT_TOL).nonzero()[0]
+            if not elig.size:
+                return SolveStatus.INFEASIBLE, values[:self.n]
+            y = cost[basis] @ self.binv
+            ratio = np.abs(cost[elig] - y @ a[:, elig]) / np.abs(alpha[elig])
+            step = ratio.min()
+            tied = elig[ratio <= step + 1e-12]
+            q = int(tied[0] if self.bland
+                    else tied[np.argmax(np.abs(alpha[tied]))])
+            self._count_step(step)
+
+            w = self.binv @ self.full[:, q]
+            if abs(w[r]) <= PIVOT_TOL:
+                raise SolverError("pivot element vanished in dual ratio test")
+            theta = (xb[r] - (lo_b[r] if rising else hi_b[r])) / w[r]
+            self.pivots += 1
+            values[basis] = xb - theta * w
+            self._exchange(r, q, w, theta, not rising)
 
     def solve(self) -> tuple[SolveStatus, np.ndarray]:
-        phase1 = np.zeros_like(self.cost)
-        phase1[self.art0:] = 1.0
-        cap = self.pivots + self.pivot_cap
-        if np.any(self.basis >= self.art0):
-            if self._run(phase1, cap) is SolveStatus.ITERATION_LIMIT:
-                return SolveStatus.ITERATION_LIMIT, self.values[:self.n]
-            self._refactor()
-            infeas = float(np.sum(self.values[self.art0:]))
-            if infeas > FEAS_TOL:
-                return SolveStatus.INFEASIBLE, self.values[:self.n]
-            self._evict_artificials()
-            self.hi[self.art0:] = 0.0
-            self.values[self.art0:][self.stat[self.art0:] != _BASIC] = 0.0
-        return self._phase2(cap)
-
-    def _phase2(self, cap: int) -> tuple[SolveStatus, np.ndarray]:
-        if self._run(self.cost, cap) is SolveStatus.ITERATION_LIMIT:
-            return SolveStatus.ITERATION_LIMIT, self.values[:self.n]
-        return SolveStatus.OPTIMAL, self._audit()
+        """Bounded dual simplex from the slack start basis. Counts its
+        pivots into ``self.pivots``."""
+        return self._dual()
 
     def release(self, lower: np.ndarray,
                 upper: np.ndarray) -> tuple[SolveStatus, np.ndarray]:
-        """Primal phase 2 from this system's optimal basis under wider
+        """Primal simplex from this system's optimal basis under wider
         structural bounds that still hold every structural value.
 
         Nonbasic values do not move, so the basis stays primal feasible;
@@ -500,7 +517,7 @@ class _Simplex:
         if np.any(nonbasic & ~at_hi & ~at_lo):
             raise SolverError("nonbasic column strictly inside its bounds")
         self.stat[:n][nonbasic] = np.where(at_hi, _AT_UPPER, _AT_LOWER)[nonbasic]
-        return self._phase2(self.pivots + self.pivot_cap)
+        return self._primal()
 
     def resolve(self, lower: np.ndarray, upper: np.ndarray, basis: np.ndarray,
                 stat: np.ndarray) -> tuple[SolveStatus, np.ndarray]:
@@ -509,8 +526,8 @@ class _Simplex:
         ``basis`` and ``stat`` come from an optimal solve whose structural
         bounds differ from ``lower``/``upper`` only on basic columns, so the
         reduced costs keep their signs: the basis stays dual feasible and
-        only the primal side needs repair. Artificial columns stay nonbasic
-        and fixed at zero. Counts its pivots into ``self.pivots``.
+        only the primal side needs repair, as in ``solve``. Counts its
+        pivots into ``self.pivots``.
 
         The inverse it starts from is the one this system holds when
         ``basis`` is the basis its last solve ended on (a child of that
@@ -518,7 +535,7 @@ class _Simplex:
         ``basis`` is that one (a sibling), else a refactorization; each is
         bit for bit the inverse ``_refactor`` would compute.
         """
-        n, art0 = self.n, self.art0
+        n = self.n
         self.lo[:n], self.hi[:n] = lower, upper
         held = self.factored and np.array_equal(basis, self.basis)
         sibling = (not held and self.entry is not None
@@ -532,42 +549,7 @@ class _Simplex:
         if not sibling:
             self.entry = (self.basis.copy(), self.binv.copy())
         self._basics()
-
-        a, cost = self.a_slack, self.cost[:art0]
-        self._track()
-        sign = self.sign[:art0]
-        basis, values = self.basis, self.values
-        cap = self.pivots + self.pivot_cap
-        while True:
-            # leaving row: the basic variable farthest outside its bounds
-            xb, lo_b, hi_b = values[basis], self.lo[basis], self.hi[basis]
-            viol = np.maximum(lo_b - xb, xb - hi_b)
-            if not viol.max(initial=0.0) > PRIMAL_TOL:
-                return SolveStatus.OPTIMAL, self._audit()
-            if self.pivots >= cap:
-                return SolveStatus.ITERATION_LIMIT, values[:n]
-            r = int(np.argmax(viol))
-            rising = xb[r] < lo_b[r]
-
-            # ratio test over the columns whose move pushes basic r
-            # toward its bound; ties go to the largest |alpha|
-            alpha = self.binv[r] @ a
-            push = alpha * sign * (1.0 if rising else -1.0)
-            elig = (push > PIVOT_TOL).nonzero()[0]
-            if not elig.size:
-                return SolveStatus.INFEASIBLE, values[:n]
-            y = cost[basis] @ self.binv
-            ratio = np.abs(cost[elig] - y @ a[:, elig]) / np.abs(alpha[elig])
-            tied = elig[ratio <= ratio.min() + 1e-12]
-            q = int(tied[np.argmax(np.abs(alpha[tied]))])
-
-            w = self.binv @ self.full[:, q]
-            if abs(w[r]) <= PIVOT_TOL:
-                raise SolverError("pivot element vanished in dual ratio test")
-            theta = (xb[r] - (lo_b[r] if rising else hi_b[r])) / w[r]
-            self.pivots += 1
-            values[basis] = xb - theta * w
-            self._exchange(r, q, w, theta, not rising)
+        return self._dual()
 
     def _audit(self) -> np.ndarray:
         """Refactorize, then check the point before claiming optimality."""
@@ -586,7 +568,8 @@ class _Simplex:
 
 def _solve_lp_arrays(a, senses, b, lower, upper,
                      cost) -> tuple[SolveStatus, _Simplex, np.ndarray]:
-    """Cold two-phase primal solve on a new system: every cold LP."""
+    """Dual simplex solve from the slack basis of a new system: every
+    cold LP."""
     sx = _Simplex(a, senses, b, lower, upper, cost)
     status, x = sx.solve()
     return status, sx, x
@@ -630,12 +613,13 @@ def solve_milp(model: MilpModel, *,
     whose LP beats the incumbent by more than ``PRUNE_EPS`` replaces it.
     Neither kind of point changes the optimum, only the amount of pruning.
 
-    The root LP restarts with primal phase 2 from the optimal basis of the
-    fixed-integer LP at the incumbent so found, on that LP's own system;
-    without one it is solved cold with the two-phase primal simplex. Every
-    other node re-solves on the root's system with the dual simplex from its
-    parent's basis. Either restart falls back to a cold solve when it fails
-    (pivot cap, singular basis or a failed audit). An optimal report's
+    Every cold LP, the fixed-integer ones included, is the dual simplex
+    from the slack basis. The root LP restarts with the primal simplex from
+    the optimal basis of the fixed-integer LP at the incumbent so found, on
+    that LP's own system; without one it is solved cold. Every other node
+    re-solves on the root's system with the dual simplex from its parent's
+    basis. Either restart falls back to a cold solve when it fails (pivot
+    cap, singular basis or a failed audit). An optimal report's
     values and objective are those of the fixed-integer LP at the incumbent,
     so they depend on the integer optimum, not on the path the search took.
     """
@@ -667,7 +651,7 @@ def solve_milp(model: MilpModel, *,
 
     def cold_lp(lo: np.ndarray,
                 hi: np.ndarray) -> tuple[SolveStatus, _Simplex, np.ndarray]:
-        """Two-phase primal solve on a new system under these bounds."""
+        """Cold solve on a new system under these bounds."""
         nonlocal total_pivots
         status, sx, x = _solve_lp_arrays(a, senses, b, lo, hi, cost)
         total_pivots += sx.pivots
@@ -682,7 +666,7 @@ def solve_milp(model: MilpModel, *,
 
     def node_lp(node: _Node) -> tuple[SolveStatus, _Simplex, np.ndarray]:
         """The root restarts from the incumbent LP's basis, every other node
-        re-solves from its parent's with the dual simplex; the cold primal
+        re-solves from its parent's with the dual simplex; a cold solve
         when there is no such basis or the restart fails."""
         nonlocal total_pivots, root
         if root is not None:

@@ -97,7 +97,7 @@ class TestFlexibleRun:
         # microgrids.csv writes repr(objective), so the committed fixture
         # outputs hold these exact floats. Each is the objective of the cold
         # LP with the integer columns fixed at the optimum, so a change of
-        # search path leaves them alone; a change to the primal simplex or
+        # search path leaves them alone; a change to the cold simplex or
         # to the integer optimum of an event fails here
         assert [ev.solution.objective_value for ev in flex_run.events] \
             == FLEX_OBJECTIVES

@@ -204,6 +204,20 @@ def test_snapshot_rejects_a_non_finite_or_negative_value(field, value):
         FormationSnapshot(0, **values)
 
 
+def test_snapshot_rejects_a_pv_floor_above_the_available_pv(scenario):
+    # the floor would make the zone's p column an empty box; on a load
+    # island, which has no p column, the floor would pass unchecked
+    g = scenario.graph
+    with pytest.raises(ValueError, match=r"zone 3: pv_min_kw 5\.0 exceeds "
+                                         r"pv_kw 1\.0"):
+        mksnap(g, load=10.0, pv=1.0, pv_min={3: 5.0})
+    # a zone without a PV entry has no PV to take
+    with pytest.raises(ValueError, match="zone 3: pv_min_kw"):
+        FormationSnapshot(0, {1: 10.0, 3: 10.0}, {1: 1.0}, {3: 0.5})
+    # a floor equal to the available PV is must-take PV, and builds
+    build_milp(g, mksnap(g, load=10.0, pv=1.0, pv_min={3: 1.0}), WTS)
+
+
 def test_large_penalty_freezes_the_topology(scenario):
     g = scenario.graph
     base = fixed_topology_solution(g, mksnap(g), WTS)

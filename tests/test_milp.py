@@ -39,26 +39,65 @@ def test_contradictory_rows_are_infeasible():
 
 def test_unbounded_lp_raises():
     # MilpModel refuses a [0, inf) column, so it goes to the solver directly:
-    # min -x subject to y - x <= 1, y in [0, 1]
-    with pytest.raises(SolverError, match="unbounded"):
+    # min -x subject to y - x <= 1, y in [0, 1]. The dual start needs a
+    # finite box on every structural, so the system refuses the infinite
+    # bound before any pivot
+    with pytest.raises(SolverError, match="non-finite"):
         milp._solve_lp_arrays(np.array([[-1.0, 1.0]]), ["<="], np.array([1.0]),
                               np.zeros(2), np.array([np.inf, 1.0]),
                               np.array([-1.0, 0.0]))
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("coef, upper", [
-    (np.nan, 4.0),      # a NaN residual
-    (1.0, np.nan),      # a NaN bound gap; the optimum is -4
+    (np.nan, 4.0),      # a NaN coefficient
+    (1.0, np.nan),      # a NaN bound
     (np.inf, 4.0),      # an infinite coefficient
 ])
 def test_non_finite_model_fails_the_audit(coef, upper):
     # MilpModel refuses these arrays, so they go to the solver directly:
-    # max x + y subject to x + coef * y <= 4, x in [0, upper], y in [0, 4]
-    with pytest.raises(SolverError, match="violates"):
+    # max x + y subject to x + coef * y <= 4, x in [0, upper], y in [0, 4].
+    # The system refuses them when it is built, before the solve and its
+    # audit
+    with pytest.raises(SolverError, match="non-finite"):
         milp._solve_lp_arrays(np.array([[1.0, coef]]), ["<="], np.array([4.0]),
                               np.zeros(2), np.array([upper, 4.0]),
                               np.array([-1.0, -1.0]))
+
+
+@pytest.mark.parametrize("part", ["a", "b", "lower", "upper", "cost"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_solver_refuses_non_finite_data(part, value):
+    # each array a cold LP is built from, refused when the system is built
+    data = {"a": np.array([[1.0, 2.0]]), "b": np.array([4.0]),
+            "lower": np.zeros(2), "upper": np.full(2, 4.0),
+            "cost": np.array([-1.0, -1.0])}
+    data[part] = data[part].copy()
+    data[part].flat[-1] = value
+    with pytest.raises(SolverError, match="non-finite"):
+        milp._Simplex(data["a"], ["<="], data["b"], data["lower"],
+                      data["upper"], data["cost"])
+
+
+def test_cold_start_is_dual_feasible():
+    # every slack basic, every structural at the bound its cost favours:
+    # each nonbasic structural's reduced cost has its bound's sign, >= 0 at
+    # a lower bound and <= 0 at an upper one, so the dual simplex may start
+    rng = np.random.default_rng(5)
+    models = [_random_model(rng, with_integers=False) for _ in range(30)]
+    for model in models:
+        model.objective[0] = 0.0
+    for model in models:
+        sx = milp._Simplex(*model.dense())
+        assert np.array_equal(sx.basis, sx.n + np.arange(sx.m))
+        d = sx.cost - (sx.cost[sx.basis] @ sx.binv) @ sx.full
+        nonbasic = sx.stat[:sx.n]
+        assert np.all(d[:sx.n][nonbasic == milp._AT_LOWER] >= 0.0)
+        assert np.all(d[:sx.n][nonbasic == milp._AT_UPPER] <= 0.0)
+        # and the basic values are the slacks of that point
+        x = sx.values[:sx.n]
+        assert np.array_equal(x, np.where(sx.cost[:sx.n] < 0,
+                                          sx.hi[:sx.n], sx.lo[:sx.n]))
+        assert np.allclose(sx.values[sx.n:], sx.b - sx.a @ x, atol=1e-12)
 
 
 def test_non_finite_model_input_is_refused_where_it_is_built():
@@ -240,10 +279,11 @@ def test_lp_fuzz_matches_linprog():
 
 
 def test_lp_fuzz_matches_linprog_under_blands_rule(monkeypatch):
-    # The fuzz draws with every right-hand side zeroed: the starting vertex
-    # is then degenerate, and with BLAND_AFTER = 0 the first degenerate pivot
-    # switches to Bland's rule. The draws as they are make no degenerate
-    # pivot, so the rule would never switch on.
+    # The fuzz draws with the cost of every other column zeroed: the slack
+    # start basis is then dual degenerate, and with BLAND_AFTER = 0 the
+    # first degenerate dual pivot, a column of zero reduced cost entering,
+    # switches the dual loop to Bland's rule. The draws as they are make
+    # few degenerate pivots, so the rule would rarely switch on.
     monkeypatch.setattr(milp, "BLAND_AFTER", 0)
     switched = []
     solve = milp._Simplex.solve
@@ -257,16 +297,16 @@ def test_lp_fuzz_matches_linprog_under_blands_rule(monkeypatch):
     rng = np.random.default_rng(20240817)
     models = [_random_model(rng, with_integers=False) for _ in range(60)]
     for model in models:
-        for row in model.rows:
-            row.rhs = 0.0
+        for j in range(0, model.n_variables, 2):
+            model.objective[j] = 0.0
     assert _check_against_linprog(models) >= 20
     assert sum(switched) >= 30
 
 
 def test_redundant_equality_rows_match_linprog():
     # Each model's first row becomes an equality and gets an exact double
-    # as a second equality row. Phase 1 then ends with an artificial basic
-    # at zero on one of the pair, which _evict_artificials swaps out.
+    # as a second equality row: a basis then holds the slack of one of the
+    # pair, fixed at zero, for as long as the other row's is out.
     rng = np.random.default_rng(4242)
     models = []
     for _ in range(60):
@@ -535,12 +575,15 @@ def test_root_from_an_inner_integer_value_is_solved_cold(monkeypatch):
 def _face_model():
     # the root LP ends at the fractional vertex (0.75, 0.25) of the optimal
     # face x + y = 1, whose only integral point is (0, 1): the cold search
-    # needs a second node to find it
+    # needs a second node to find it. The third row is redundant in the box,
+    # but at the dual start (1, 1) it is the most violated row and x enters
+    # for it, which steers the dual simplex to that vertex, not to (0, 1)
     m = MilpModel()
     x = m.add_variable("x", 0, 1, integer=True, objective=-1.0)
     y = m.add_variable("y", 0, 1, integer=True, objective=-1.0)
     m.add_constraint({x: 1.0, y: 1.0}, "<=", 1.0)
     m.add_constraint({x: 1.0, y: -1.0}, "<=", 0.5)
+    m.add_constraint({x: 3.0, y: 2.0}, "<=", 3.0)
     return m, x, y
 
 
@@ -652,8 +695,8 @@ def test_incumbent_source_without_an_incumbent():
 
 class TestRefactor:
     """``_Simplex._refactor`` on bases set by hand. The system has 8 rows
-    and 6 structurals; at the zero start point rows 0 and 2 need a +1
-    artificial, rows 1 and 3 a -1 artificial, rows 4-7 fit their slacks."""
+    and 6 structurals; its columns are the structurals and one slack per
+    row."""
 
     @staticmethod
     def system(a=None):
@@ -661,36 +704,32 @@ class TestRefactor:
             a = np.random.default_rng(42).normal(size=(8, 6))
         senses = ["==", "==", "==", "==", "<=", ">=", "<=", "=="]
         b = np.array([3.0, -2.0, 4.0, -1.0, 1.0, -1.0, 2.0, 0.0])
-        sx = milp._Simplex(a, senses, b, np.zeros(6), np.full(6, 10.0),
-                           np.ones(6))
-        assert sx.art_sign.tolist() == [1, -1, 1, -1, 0, 0, 0, 0]
-        return sx
+        return milp._Simplex(a, senses, b, np.zeros(6), np.full(6, 10.0),
+                             np.ones(6))
 
     @staticmethod
     def columns(sx, spec):
-        """Column ids of ("s", j) structurals, ("slack", i) and ("art", i)."""
-        base = {"s": 0, "slack": sx.n, "art": sx.art0}
+        """Column ids of ("s", j) structurals and ("slack", i)."""
+        base = {"s": 0, "slack": sx.n}
         return np.array([base[kind] + i for kind, i in spec])
 
     def test_one_constraint_matrix_per_system(self):
-        # the structural and [A | slacks] blocks are views of the one
-        # [A | I | diag(art_sign)] matrix, which _invert reads the unit
-        # columns' rows and signs from
+        # the structural block is a view of the one [A | I] matrix, whose
+        # slack columns _invert reads as the rows they cover
         sx = self.system()
         assert np.shares_memory(sx.a, sx.full)
-        assert np.shares_memory(sx.a_slack, sx.full)
-        assert np.array_equal(sx.full[:, sx.n:],
-                              np.hstack([np.eye(8), np.diag(sx.art_sign)]))
+        assert sx.full.shape == (8, 14)
+        assert np.array_equal(sx.full[:, sx.n:], np.eye(8))
 
     @pytest.mark.parametrize("spec", [
-        # both artificial signs, slacks and three structurals
-        [("art", 0), ("art", 1), ("slack", 2), ("art", 3), ("slack", 5),
-         ("s", 1), ("s", 4), ("s", 5)],
+        # slacks of every sense and three structurals
+        [("slack", 0), ("slack", 1), ("slack", 2), ("slack", 4),
+         ("slack", 5), ("s", 1), ("s", 4), ("s", 5)],
         # every structural basic; the nucleus is 6 x 6
-        [("s", 0), ("art", 2), ("s", 1), ("s", 2), ("art", 1), ("s", 3),
+        [("s", 0), ("slack", 2), ("s", 1), ("s", 2), ("slack", 6), ("s", 3),
          ("s", 4), ("s", 5)],
-        # one structural, the rest slacks and artificials
-        [("slack", 0), ("art", 1), ("art", 2), ("slack", 3), ("s", 2),
+        # one structural, the rest slacks
+        [("slack", 0), ("slack", 1), ("slack", 2), ("slack", 3), ("s", 2),
          ("slack", 5), ("slack", 6), ("slack", 7)],
     ])
     @pytest.mark.parametrize("order", range(3))
@@ -701,34 +740,22 @@ class TestRefactor:
         sx._refactor()
         err = sx.binv @ sx.full[:, sx.basis] - np.eye(sx.m)
         assert np.max(np.abs(err)) <= 1e-9
+        assert np.allclose(sx.binv, np.linalg.inv(sx.full[:, sx.basis]),
+                           rtol=0.0, atol=1e-9)
 
     def test_all_unit_basis_is_the_signed_permutation(self, monkeypatch):
+        # every sign is +1 now that slacks are the only unit columns
         def no_inverse(_):
             raise AssertionError("an all-unit basis needs no numerical inverse")
 
         monkeypatch.setattr(milp.np.linalg, "inv", no_inverse)
         sx = self.system()
         rows = [5, 1, 7, 0, 2, 6, 3, 4]
-        sx.basis = self.columns(sx, [("art", i) if i < 4 and i != 2
-                                     else ("slack", i) for i in rows])
+        sx.basis = self.columns(sx, [("slack", i) for i in rows])
         sx._refactor()
         expected = np.zeros((8, 8))
-        expected[np.arange(8), rows] = [1, -1, 1, 1, 1, 1, -1, 1]
+        expected[np.arange(8), rows] = 1.0
         assert np.array_equal(sx.binv, expected)
-
-    @pytest.mark.parametrize("spec", [
-        # the slack and the artificial of row 0 are both basic
-        [("slack", 0), ("art", 0), ("slack", 1), ("slack", 2), ("slack", 3),
-         ("slack", 4), ("slack", 5), ("s", 0)],
-        # row 4 fits its slack, so its artificial column is zero
-        [("slack", 0), ("slack", 1), ("slack", 2), ("slack", 3), ("art", 4),
-         ("slack", 5), ("slack", 6), ("slack", 7)],
-    ])
-    def test_unit_columns_that_do_not_cover_distinct_rows_raise(self, spec):
-        sx = self.system()
-        sx.basis = self.columns(sx, spec)
-        with pytest.raises(SolverError, match="singular basis"):
-            sx._refactor()
 
     def test_singular_nucleus_raises(self):
         # powers of two keep the elimination exact, so the two equal
