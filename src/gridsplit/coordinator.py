@@ -165,13 +165,17 @@ def formation_inputs(scenario: Scenario, timeline: Timeline | None,
 
 def solve_partition(g_t: ZoneGraph, snap: FormationSnapshot,
                     prev: FormationSolution | None, weights: FormationWeights,
+                    warm_basis: tuple[np.ndarray, np.ndarray] | None = None,
                     ) -> tuple[FormationProblem, SolveReport, FormationSolution]:
-    """Build, warm-start from ``prev``, solve and decode one partition."""
+    """Build, warm-start from ``prev``, solve and decode one partition;
+    ``warm_basis`` (the previous event's ``SolveReport.basis``) is the
+    basis its fixed-integer LPs re-solve from."""
     prob = build_milp(g_t, snap, weights, prev=prev)
     warm = None
     if prev is not None:
         warm = warm_values_from_topology(prob, prev.closed, prev.assignment)
-    rep = solve_milp(prob.model, warm_integer_values=warm)
+    rep = solve_milp(prob.model, warm_integer_values=warm,
+                     warm_basis=warm_basis)
     if rep.status is SolveStatus.ITERATION_LIMIT:
         raise SolverError(
             f"partition solve of event {snap.step_index} hit the pivot budget")
@@ -231,6 +235,7 @@ def run(scenario: Scenario, mode: str = "flexible",
 
     events: list[FormationEvent] = []
     prev_sol: FormationSolution | None = None
+    basis = None  # the last flexible event's SolveReport.basis
 
     for k in range(tl.n_formation_events):
         t = k * tl.formation_step_minutes
@@ -244,10 +249,11 @@ def run(scenario: Scenario, mode: str = "flexible",
             nodes = lp_iters = 0
         else:
             try:
-                _prob, rep, sol = solve_partition(g_t, snap, prev_sol, wts)
+                _prob, rep, sol = solve_partition(g_t, snap, prev_sol, wts,
+                                                  basis)
             except (SolverError, DecodeError) as exc:
                 raise type(exc)(f"t={t} min: {exc}") from exc
-            nodes, lp_iters = rep.node_count, rep.lp_iterations
+            nodes, lp_iters, basis = rep.node_count, rep.lp_iterations, rep.basis
         wall = time.perf_counter() - t0
 
         diff = diff_topologies(prev_sol, sol)

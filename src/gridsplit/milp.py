@@ -17,8 +17,9 @@ the rows and columns where it is nonzero, which is a few percent of the
 entries on the formation models. A refactorization inverts only the basis's
 structural nucleus, the basic structural columns on the rows that no basic
 slack covers; the slacks fill the rest of the inverse without arithmetic.
-It runs in the audit and after every ``REFACTOR_EVERY`` basis exchanges
-since the last one. A dual re-solve starts from an inverse the system
+It runs in the audit, unless the inverse held is already the
+refactorization of the basis, and after every ``REFACTOR_EVERY`` basis
+exchanges since the last one. A dual re-solve starts from an inverse the system
 already holds when that is the inverse of its start basis: the one the
 last solve's audit left (for a child of that solve's node) or a copy of the
 one the last re-solve started from (for its sibling); else it refactorizes.
@@ -26,16 +27,29 @@ No node carries an inverse. The pivot path is reproducible bit for bit: for
 a given numpy and BLAS build, a model yields the same pivot sequence and
 the same floats on every run, whichever inverse a re-solve starts from.
 
+Every optimum is audited after a refactorization: row residuals and
+bounds within ``FEAS_TOL``, and a dual feasible basis, each movable
+nonbasic column's reduced cost of its bound's sign within ``FEAS_TOL``. A
+dual re-solve that inverts its start basis first checks that it is dual
+feasible within ``DUAL_TOL`` and raises ``SolverError`` when it is not.
+
 Branch and bound has two LP helpers. The fixed-integer LP fixes every
 integer column at an integral point: the incumbent, the caller's warm point
 or one of the model's start points (``MilpModel.starts``), each of which
 must name every integer column. The start points are tried only when the
-warm point has no optimal fixed-integer LP. The fixed-integer LP is solved
-cold, as is every LP of the oracle, and at the incumbent it is the
-reported point. That point depends on the integer optimum alone, not on
-the vertex the search reached, so the fixture's ``microgrids.csv``, which
-records ``repr`` of each objective, does not pin the search's path. The
-node LP restarts the root from the optimal basis of the incumbent's
+warm point has no optimal fixed-integer LP. Each fixed-integer LP re-solves
+on a new system with the dual simplex from one carried basis: the last
+optimal fixed-integer LP's, or before the first the caller's (in a rolling
+horizon, the previous event's), when it has the system's shape. It is
+solved cold when there is none, or when that re-solve ends in anything but
+an audited optimum; every LP of the oracle is cold. At the incumbent the
+fixed-integer LP is the reported point. That point depends on the integer
+optimum and on the carried basis, not on the vertex the search reached, so
+the fixture's ``microgrids.csv``, which records ``repr`` of each
+objective, does not pin the search's path. Runs stay deterministic: the
+same models, solved in the same order, carry the same bases.
+
+The node LP restarts the root from the optimal basis of the incumbent's
 fixed-integer LP, which releasing the integer columns to their model
 bounds leaves primal feasible, so the primal simplex goes on from it;
 without an incumbent it solves the root cold. It re-solves every other node
@@ -89,6 +103,10 @@ class SolveReport:
     # warm point), "start" (one of the model's start points) or "search";
     # None without an incumbent, and from solve_lp
     incumbent_source: str | None = None
+    # (basis, column statuses) of the last optimal fixed-integer LP, which
+    # the next solve_milp of the same shape takes as warm_basis; None when
+    # there was none, and from solve_lp
+    basis: tuple[np.ndarray, np.ndarray] | None = None
 
 
 @dataclass
@@ -238,7 +256,8 @@ class _Simplex:
     basis is dual feasible, so ``solve`` is the bounded dual simplex from
     it. After it, ``release`` re-solves the same system under wider
     structural bounds with the primal simplex, and ``resolve`` under new
-    structural bounds with the dual simplex. Non-finite model data raises
+    structural bounds with the dual simplex, from a basis of this system or
+    of another with the same shape. Non-finite model data raises
     ``SolverError`` here: the dual start needs finite boxes, and with them
     no LP is unbounded.
     """
@@ -340,16 +359,30 @@ class _Simplex:
         self.stat[q] = _BASIC
         self.factored = False
 
+    def _signs(self) -> np.ndarray:
+        """+1 for a movable nonbasic column at its upper bound, -1 at its
+        lower bound, 0 when basic or fixed."""
+        sign = np.where(self.stat == _AT_UPPER, 1.0, -1.0)
+        sign[(self.stat == _BASIC) | ~((self.hi - self.lo) > 0)] = 0.0
+        return sign
+
+    def _dual_infeasibility(self) -> float:
+        """Largest reduced cost of the wrong sign on a movable nonbasic
+        column (positive at its lower bound, negative at its upper), priced
+        through the inverse held; 0 when the basis is dual feasible, NaN on
+        a NaN price."""
+        y = self.cost[self.basis] @ self.binv
+        return float(np.max((self.cost - y @ self.full) * self._signs(),
+                            initial=0.0))
+
     def _track(self) -> None:
         """Start the bookkeeping that the pivot loops update incrementally.
 
-        ``sign`` is +1 for a movable nonbasic column at its upper bound, -1
-        at its lower bound, 0 when basic or fixed. ``degenerate`` counts
-        the loop's consecutive degenerate pivots, and ``bland`` says whether
-        they have switched the loop to Bland's rule.
+        ``sign`` is ``_signs()``. ``degenerate`` counts the loop's
+        consecutive degenerate pivots, and ``bland`` says whether they have
+        switched the loop to Bland's rule.
         """
-        self.sign = np.where(self.stat == _AT_UPPER, 1.0, -1.0)
-        self.sign[(self.stat == _BASIC) | ~((self.hi - self.lo) > 0)] = 0.0
+        self.sign = self._signs()
         self.degenerate, self.bland = 0, False
 
     def _count_step(self, step: float) -> None:
@@ -521,13 +554,17 @@ class _Simplex:
 
     def resolve(self, lower: np.ndarray, upper: np.ndarray, basis: np.ndarray,
                 stat: np.ndarray) -> tuple[SolveStatus, np.ndarray]:
-        """Bounded dual simplex from an optimal basis of this same system.
+        """Bounded dual simplex from a dual feasible basis of a system with
+        this shape.
 
-        ``basis`` and ``stat`` come from an optimal solve whose structural
-        bounds differ from ``lower``/``upper`` only on basic columns, so the
-        reduced costs keep their signs: the basis stays dual feasible and
-        only the primal side needs repair, as in ``solve``. Counts its
-        pivots into ``self.pivots``.
+        ``basis`` and ``stat`` come from an optimal solve, of this system
+        under structural bounds that differ from ``lower``/``upper`` only
+        on basic columns, or of another fixed-integer LP whose costs differ
+        only on fixed columns. Either way the reduced costs keep their
+        signs, and only the primal side needs repair, as in ``solve``. A
+        start basis it inverts that is singular, leaves a column at an
+        infinite bound or is not dual feasible within ``DUAL_TOL`` raises
+        ``SolverError``. Counts its pivots into ``self.pivots``.
 
         The inverse it starts from is the one this system holds when
         ``basis`` is the basis its last solve ended on (a child of that
@@ -546,14 +583,24 @@ class _Simplex:
             self.binv, self.factored = self.entry[1].copy(), True
         elif not held:
             self._invert()
+            # checked where it is inverted: a fixed-integer LP's carried
+            # basis may come from another system
+            if not np.isfinite(self.values[self.stat != _BASIC]).all():
+                raise SolverError("nonbasic column at an infinite bound")
+            if not self._dual_infeasibility() <= DUAL_TOL:
+                raise SolverError("start basis is not dual feasible")
         if not sibling:
             self.entry = (self.basis.copy(), self.binv.copy())
         self._basics()
         return self._dual()
 
     def _audit(self) -> np.ndarray:
-        """Refactorize, then check the point before claiming optimality."""
-        self._refactor()
+        """Refactorize, then check the point before claiming optimality.
+        An inverse that is already the refactorization of the basis is
+        kept: ``_invert`` would compute it again bit for bit."""
+        if not self.factored:
+            self._invert()
+        self._basics()
         x = self.values.copy()
         resid = self.full @ x - self.b
         # written so that a NaN residual or bound gap fails as well
@@ -563,6 +610,8 @@ class _Simplex:
         above = np.where(np.isinf(self.hi), 0.0, x - self.hi)
         if not np.max(np.maximum(below, above), initial=0.0) <= FEAS_TOL:
             raise SolverError("optimal point violates variable bounds")
+        if not self._dual_infeasibility() <= FEAS_TOL:
+            raise SolverError("optimal basis is not dual feasible")
         return x[:self.n]
 
 
@@ -599,7 +648,9 @@ class _Node:
 
 
 def solve_milp(model: MilpModel, *,
-               warm_integer_values: dict[int, float] | None = None) -> SolveReport:
+               warm_integer_values: dict[int, float] | None = None,
+               warm_basis: tuple[np.ndarray, np.ndarray] | None = None,
+               ) -> SolveReport:
     """Best-first branch and bound over the model's integer variables.
 
     Branches on the most fractional integer variable (ties to the lowest
@@ -613,15 +664,20 @@ def solve_milp(model: MilpModel, *,
     whose LP beats the incumbent by more than ``PRUNE_EPS`` replaces it.
     Neither kind of point changes the optimum, only the amount of pruning.
 
-    Every cold LP, the fixed-integer ones included, is the dual simplex
-    from the slack basis. The root LP restarts with the primal simplex from
-    the optimal basis of the fixed-integer LP at the incumbent so found, on
-    that LP's own system; without one it is solved cold. Every other node
-    re-solves on the root's system with the dual simplex from its parent's
-    basis. Either restart falls back to a cold solve when it fails (pivot
-    cap, singular basis or a failed audit). An optimal report's
-    values and objective are those of the fixed-integer LP at the incumbent,
-    so they depend on the integer optimum, not on the path the search took.
+    Each fixed-integer LP re-solves with the dual simplex from the carried
+    basis, which ``warm_basis`` seeds (a previous report's ``basis``) and
+    every optimal fixed-integer LP replaces, when that basis has the
+    system's shape; it is the dual simplex from the slack basis when there
+    is none or that re-solve does not end in an audited optimum. The root
+    LP restarts with the primal simplex from the optimal basis of the
+    fixed-integer LP at the incumbent so found, on that LP's own system;
+    without one it is solved cold. Every other node re-solves on the root's
+    system with the dual simplex from its parent's basis. Either restart
+    falls back to a cold solve when it fails (pivot cap, singular or dual
+    infeasible basis, or a failed audit). An optimal report's values and
+    objective are those of the fixed-integer LP at the incumbent, so they
+    depend on the integer optimum and the carried basis, not on the path
+    the search took; the report's ``basis`` is the carried one at the end.
     """
     a, senses, b, lower, upper, cost = model.dense()
     int_idx = np.array(model.integer_indices(), dtype=int)
@@ -634,6 +690,8 @@ def solve_milp(model: MilpModel, *,
     # the incumbent's fixed-integer LP system, which the root node restarts;
     # the root's cold system when that restart fails or there is none
     root: _Simplex | None = None
+    # (basis, stat) the next fixed-integer LP re-solves from
+    carried = warm_basis
 
     def integral(values: dict[int, float]) -> np.ndarray | None:
         """The point's rounded integer values, None when one lies outside
@@ -658,11 +716,28 @@ def solve_milp(model: MilpModel, *,
         return status, sx, x
 
     def fixed_lp(values: np.ndarray) -> tuple[SolveStatus, _Simplex, np.ndarray]:
-        """Cold LP with every integer column fixed at the integral
-        ``values``."""
+        """LP with every integer column fixed at the integral ``values``:
+        the dual simplex from the carried basis on a new system when that
+        basis has the system's shape, cold when there is none or that
+        re-solve ends in anything but an audited optimum. An optimum
+        becomes the carried basis."""
+        nonlocal total_pivots, carried
         lo, hi = lower.copy(), upper.copy()
         lo[int_idx] = hi[int_idx] = values
-        return cold_lp(lo, hi)
+        status = None
+        if (carried is not None and carried[0].shape == (len(b),)
+                and carried[1].shape == (len(cost) + len(b),)):
+            sx = _Simplex(a, senses, b, lo, hi, cost)
+            try:
+                status, x = sx.resolve(lo, hi, *carried)
+            except SolverError:
+                pass
+            total_pivots += sx.pivots
+        if status is not SolveStatus.OPTIMAL:
+            status, sx, x = cold_lp(lo, hi)
+        if status is SolveStatus.OPTIMAL:
+            carried = (sx.basis.copy(), sx.stat.copy())
+        return status, sx, x
 
     def node_lp(node: _Node) -> tuple[SolveStatus, _Simplex, np.ndarray]:
         """The root restarts from the incumbent LP's basis, every other node
@@ -690,7 +765,7 @@ def solve_milp(model: MilpModel, *,
         return SolveReport(
             status, incumbent_obj + model.offset if found else float("nan"),
             incumbent_x if found else np.full(model.n_variables, np.nan),
-            nodes, total_pivots, source)
+            nodes, total_pivots, source, carried)
 
     starts = [p for p in map(integral, model.starts) if p is not None]
     if warm_integer_values is not None:

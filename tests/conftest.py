@@ -1,4 +1,5 @@
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import settings
 from scipy.optimize import Bounds, LinearConstraint
 from scipy.optimize import milp as scipy_milp
 
-from gridsplit import (GridFormingResource, SwitchEdge, ZoneGraph, ZoneNode,
-                       fixture_two_feeder, run)
+from gridsplit import (GridFormingResource, SolverError, SwitchEdge,
+                       ZoneGraph, ZoneNode, fixture_two_feeder, milp, run)
 
 # example counts for property tests that do not set their own: the default
 # keeps the tier-1 suite short, "ci" draws ten times as many
@@ -82,3 +83,40 @@ def four_zone_ring():
     edges = tuple(SwitchEdge(i, i, i % 4 + 1, i == 4, 1000.0)
                   for i in range(1, 5))
     return ZoneGraph(nodes, edges, (GridFormingResource(1, 500.0, 2000.0),))
+
+
+@pytest.fixture
+def first_lps(monkeypatch):
+    """Each new simplex system's first LP, in order, as ``(start, status,
+    args, x)``. ``start`` is "cold" for ``solve`` from the slack basis and
+    "warm" for ``resolve`` from a given basis, which in branch and bound is
+    a fixed-integer LP re-solving from the carried basis; ``status`` is
+    None when the LP raised ``SolverError``; ``args`` are the system's
+    constructor arguments and ``x`` its structural values."""
+    log = []
+    new = weakref.WeakKeyDictionary()
+    init = milp._Simplex.__init__
+    solve, resolve = milp._Simplex.solve, milp._Simplex.resolve
+
+    def made(self, *args):
+        init(self, *args)
+        new[self] = args
+
+    def logged(start, fn):
+        def first(self, *args):
+            made_with = new.pop(self, None)
+            try:
+                status, x = fn(self, *args)
+            except SolverError:
+                if made_with is not None:
+                    log.append((start, None, made_with, None))
+                raise
+            if made_with is not None:
+                log.append((start, status, made_with, x.copy()))
+            return status, x
+        return first
+
+    monkeypatch.setattr(milp._Simplex, "__init__", made)
+    monkeypatch.setattr(milp._Simplex, "solve", logged("cold", solve))
+    monkeypatch.setattr(milp._Simplex, "resolve", logged("warm", resolve))
+    return log

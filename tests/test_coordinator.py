@@ -95,22 +95,33 @@ class TestTimeline:
 class TestFlexibleRun:
     def test_objectives_are_reproduced_bit_for_bit(self, flex_run):
         # microgrids.csv writes repr(objective), so the committed fixture
-        # outputs hold these exact floats. Each is the objective of the cold
-        # LP with the integer columns fixed at the optimum, so a change of
-        # search path leaves them alone; a change to the cold simplex or
-        # to the integer optimum of an event fails here
+        # outputs hold these exact floats. Each is the objective of the LP
+        # with the integer columns fixed at the optimum, re-solved from the
+        # basis carried from the last fixed-integer LP or cold, so a change
+        # of search path leaves them alone; a change to the simplex, to the
+        # carried basis or to the integer optimum of an event fails here
         assert [ev.solution.objective_value for ev in flex_run.events] \
             == FLEX_OBJECTIVES
 
-    def test_warm_events_restart_the_root_lp(self, flex_run):
-        # events 1-15 start from the previous partition; solving their
-        # roots cold as well gives the same nodes at 4,175 pivots, where the
-        # restart from the warm LP's basis takes 1,544. Events 0 and 4 have
-        # no optimal warm LP and restart from the model's start points
-        # instead: 1,381 pivots, and event 0 takes 6 nodes, not 12
+    def test_warm_events_restart_the_root_lp(self, flex_run, scenario,
+                                             first_lps):
+        # events 1-15 start from the previous partition and restart the
+        # root from the warm LP's basis; events 0 and 4 have no optimal warm
+        # LP and restart from the model's start points instead, and event 0
+        # takes 6 nodes, not 12. Each fixed-integer LP re-solves from the
+        # last optimal one's basis, carried from event to event: 16 of the
+        # 21 re-solve warm, and the run takes 356 pivots (964 with every
+        # fixed-integer LP cold). Event 0 has no basis to carry and events
+        # 4 and 9 change the model's shape, so their fixed-integer LPs start
+        # cold until one is optimal; at event 0 one warm re-solve ends
+        # infeasible and falls back cold
         assert [ev.node_count for ev in flex_run.events] \
             == [6, 1, 1, 1, 1, 1, 1, 1, 1, 9, 1, 1, 1, 1, 1, 1]
-        assert sum(ev.lp_iterations for ev in flex_run.events) <= 1450
+        assert sum(ev.lp_iterations for ev in flex_run.events) <= 370
+        run(scenario, mode="flexible")
+        warm = [status for start, status, _, _ in first_lps if start == "warm"]
+        assert warm.count(SolveStatus.OPTIMAL) == 16
+        assert len(warm) == 17
 
     def test_event_grid(self, flex_run):
         assert [ev.time_min for ev in flex_run.events] \

@@ -13,6 +13,7 @@ from gridsplit import (
     build_milp,
     decode,
     formation_inputs,
+    run,
     solve_lp,
     solve_milp,
     warm_values_from_topology,
@@ -98,6 +99,56 @@ def test_cold_start_is_dual_feasible():
         assert np.array_equal(x, np.where(sx.cost[:sx.n] < 0,
                                           sx.hi[:sx.n], sx.lo[:sx.n]))
         assert np.allclose(sx.values[sx.n:], sx.b - sx.a @ x, atol=1e-12)
+
+
+def _one_column_lp():
+    # min -x over x in [0, 1] under the row x <= 2: optimal at x = 1
+    return milp._Simplex(np.array([[1.0]]), ["<="], np.array([2.0]),
+                         np.array([0.0]), np.array([1.0]), np.array([-1.0]))
+
+
+def test_audit_refuses_a_dual_infeasible_point():
+    # x = 0 at its lower bound is primal feasible, but its reduced cost -1
+    # says raising x lowers the objective: no optimum
+    sx = _one_column_lp()
+    sx.stat[0], sx.values[0] = milp._AT_LOWER, 0.0
+    with pytest.raises(SolverError, match="optimal basis is not dual feasible"):
+        sx._audit()
+    status, x = _one_column_lp().solve()
+    assert status is SolveStatus.OPTIMAL and x.tolist() == [1.0]
+
+
+@pytest.mark.parametrize("entry_check", [True, False],
+                         ids=["at-entry", "in-the-audit"])
+def test_resolve_from_a_dual_infeasible_basis_is_never_optimal(
+        monkeypatch, entry_check):
+    # the slack basis with x at its lower bound is primal feasible, so the
+    # dual loop would stop at once, at x = 0. The re-solve refuses that
+    # start; let past that check, its audit refuses the point
+    sx = _one_column_lp()
+    stat = sx.stat.copy()
+    stat[0] = milp._AT_LOWER
+    if not entry_check:
+        check = milp._Simplex._dual_infeasibility
+        calls = []
+
+        def passed_once(self):
+            calls.append(None)
+            return 0.0 if len(calls) == 1 else check(self)
+
+        monkeypatch.setattr(milp._Simplex, "_dual_infeasibility", passed_once)
+    with pytest.raises(SolverError, match="basis is not dual feasible"):
+        sx.resolve(np.array([0.0]), np.array([1.0]), sx.basis.copy(), stat)
+
+
+def test_resolve_refuses_a_nonbasic_column_at_an_infinite_bound():
+    # x basic and the ">=" row's slack nonbasic at its lower bound, -inf:
+    # a basis of another model's row senses
+    sx = milp._Simplex(np.array([[1.0]]), [">="], np.array([0.5]),
+                       np.array([0.0]), np.array([1.0]), np.array([1.0]))
+    stat = np.array([milp._BASIC, milp._AT_LOWER], dtype=np.int8)
+    with pytest.raises(SolverError, match="infinite bound"):
+        sx.resolve(np.array([0.0]), np.array([1.0]), np.array([0]), stat)
 
 
 def test_non_finite_model_input_is_refused_where_it_is_built():
@@ -478,6 +529,25 @@ def test_a_reused_entry_inverse_is_the_refactorization(monkeypatch,
     assert reused.count("held") >= 4 and reused.count("sibling") >= 8
 
 
+def test_an_audit_keeps_only_the_refactorization(monkeypatch, scenario):
+    # an audit refactorizes unless the flag says the inverse it holds is
+    # already the refactorization of its basis, as after a warm
+    # fixed-integer LP or a root restart that took no pivot
+    audit = milp._Simplex._audit
+    kept = []
+
+    def audited(self):
+        if self.factored:
+            kept.append(None)
+            assert np.array_equal(self.binv, _refactorized(self, self.basis))
+        return audit(self)
+
+    monkeypatch.setattr(milp._Simplex, "_audit", audited)
+    run(scenario, mode="flexible")
+    # 17 of the fixture run's 46 audits
+    assert len(kept) >= 13
+
+
 def test_failed_dual_re_solve_falls_back_to_the_cold_primal(
         monkeypatch, event_zero_model):
     prob = event_zero_model
@@ -491,7 +561,10 @@ def test_failed_dual_re_solve_falls_back_to_the_cold_primal(
     monkeypatch.setattr(milp._Simplex, "resolve", broken)
     rep = solve_milp(prob.model)
     sol = decode(prob, rep)
-    assert rep.node_count > 1 and len(calls) == rep.node_count - 1
+    # every node re-solve raised and fell back cold, and so did the two
+    # fixed-integer LPs that re-solve from the carried basis: the second
+    # start point's and the polish LP at the incumbent
+    assert rep.node_count > 1 and len(calls) == rep.node_count - 1 + 2
     assert sol.objective_value == expected.objective_value
     assert sol.switch_status == expected.switch_status
     assert sol.assignment == expected.assignment
@@ -549,23 +622,125 @@ def test_polish_lp_skipped_after_a_full_warm_point(monkeypatch,
 def test_root_from_an_inner_integer_value_is_solved_cold(monkeypatch):
     # x = 2 is no bound of x in [0, 10], so the warm basis is no vertex of
     # the root LP: marked at a bound, x could never move down, and the root
-    # would end at the warm point. The restart refuses it, and the warm LP,
-    # the root and the polish LP at x = 1 are the three cold solves
+    # would end at the warm point. The restart refuses it, and the root is
+    # solved cold on a new system; its two children re-solve on that
+    # system, and the polish LP at x = 1 re-solves on a new one from the
+    # basis carried from the warm LP
     m = MilpModel()
     x = m.add_variable("x", 0, 10, integer=True, objective=1.0)
     m.add_constraint({x: 2.0}, ">=", 1.0)
-    calls = []
-    solve = milp._Simplex.solve
+    calls, systems = [], []
 
-    def spy(self):
-        calls.append(1)
-        return solve(self)
+    def spied(name):
+        method = getattr(milp._Simplex, name)
 
-    monkeypatch.setattr(milp._Simplex, "solve", spy)
+        def spy(self, *args):
+            if self not in systems:
+                systems.append(self)
+            try:
+                out = method(self, *args)
+            except SolverError:
+                calls.append((name, systems.index(self), None))
+                raise
+            calls.append((name, systems.index(self), out[0]))
+            return out
+        return spy
+
+    for name in ("solve", "release", "resolve"):
+        monkeypatch.setattr(milp._Simplex, name, spied(name))
     rep = solve_milp(m, warm_integer_values={x: 2.0})
     assert rep.status is SolveStatus.OPTIMAL
     assert rep.objective == 1.0
-    assert len(calls) == 3
+    opt, inf = SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE
+    assert calls == [("solve", 0, opt),       # the warm LP at x = 2, cold
+                     ("release", 0, None),    # the root restart, refused
+                     ("solve", 1, opt),       # the root, cold
+                     ("resolve", 1, inf),     # the child x <= 0
+                     ("resolve", 1, opt),     # the child x >= 1
+                     ("resolve", 2, opt)]     # the polish LP, warm
+
+
+# ---------------------------------------------------------------------------
+# the fixed-integer LP basis carried from one LP, and one solve, to the next
+# ---------------------------------------------------------------------------
+
+def test_warm_fixed_integer_lps_match_cold_solves(scenario, first_lps):
+    # every fixed-integer LP of the fixture's flexible run that re-solves
+    # warm from the carried basis (16 of its 21) reaches the cold LP's
+    # objective
+    run(scenario, mode="flexible")
+    warm = [(args, x) for start, status, args, x in first_lps
+            if start == "warm" and status is SolveStatus.OPTIMAL]
+    assert len(warm) >= 13
+    for args, x in warm:
+        status, _, ref = milp._solve_lp_arrays(*args)
+        assert status is SolveStatus.OPTIMAL
+        cost = args[-1]
+        assert abs(float(cost @ x) - float(cost @ ref)) <= milp.PRUNE_EPS
+
+
+def _bad_basis(model, kind):
+    """A warm basis for ``model`` that cannot start its fixed-integer LPs."""
+    a, senses, _, _, _, cost = model.dense()
+    m, n = a.shape
+    basis = n + np.arange(m)
+    stat = np.full(n + m, milp._BASIC, dtype=np.int8)
+    if kind == "wrong-shape":
+        # one row short, as from a model of another graph
+        return basis[:-1], np.delete(stat, n)
+    if kind == "singular":
+        # structural 0 replaces the slack of a row it has no entry in: the
+        # nucleus is that zero entry
+        i = next(i for i in range(m) if a[i, 0] == 0 and senses[i] != ">=")
+        basis[i] = 0
+        stat[:n] = milp._AT_LOWER
+        stat[0], stat[n + i] = milp._BASIC, milp._AT_LOWER
+        return basis, stat
+    # the slack basis with each structural at the bound its cost disfavours
+    stat[:n] = np.where(cost < 0, milp._AT_LOWER, milp._AT_UPPER)
+    return basis, stat
+
+
+def _key(rep):
+    return (rep.status, np.float64(rep.objective).tobytes(),
+            rep.values.tobytes(), rep.node_count, rep.lp_iterations,
+            rep.incumbent_source, rep.basis[0].tobytes(),
+            rep.basis[1].tobytes())
+
+
+@pytest.mark.parametrize("kind", ["wrong-shape", "singular",
+                                  "dual-infeasible"])
+def test_a_bad_warm_basis_falls_back_cold(event_zero_model, first_lps, kind):
+    model = event_zero_model.model
+    cold = solve_milp(model)
+    first_lps.clear()
+    rep = solve_milp(model, warm_basis=_bad_basis(model, kind))
+    # the first start point's LP starts cold at once, or after its warm
+    # re-solve raised; every LP after it matches the solve without a basis
+    starts = [(start, status) for start, status, _, _ in first_lps[:2]]
+    if kind == "wrong-shape":
+        assert starts[0] == ("cold", SolveStatus.OPTIMAL)
+    else:
+        assert starts == [("warm", None), ("cold", SolveStatus.OPTIMAL)]
+    assert _key(rep) == _key(cold)
+
+
+def test_report_carries_the_last_optimal_fixed_integer_lp_basis(
+        event_zero_model):
+    # the basis the report returns is the polish LP's here, and a solve
+    # seeded with it re-solves its first fixed-integer LP warm
+    model = event_zero_model.model
+    rep = solve_milp(model)
+    basis, stat = rep.basis
+    assert basis.shape == (model.n_constraints,)
+    assert stat.shape == (model.n_variables + model.n_constraints,)
+    assert np.all(stat[basis] == milp._BASIC)
+    warm = {j: float(rep.values[j]) for j in model.integer_indices()}
+    seeded = solve_milp(model, warm_integer_values=warm, warm_basis=rep.basis)
+    assert seeded.values.tobytes() == rep.values.tobytes()
+    assert seeded.lp_iterations < solve_milp(
+        model, warm_integer_values=warm).lp_iterations
+    assert solve_lp(model).basis is None
 
 
 # ---------------------------------------------------------------------------
