@@ -113,28 +113,33 @@ class RestorationRun:
         return len(self.time_min)
 
 
-def _slot_means(table: dict[int, np.ndarray], s0: int, s1: int,
-                n_slots: int) -> dict[int, np.ndarray]:
-    """Per-zone means of steps ``s0:s1`` over ``n_slots`` equal slots."""
-    return {z: a[s0:s1].reshape(n_slots, -1).mean(axis=1)
-            for z, a in table.items()}
+def _profiles(table: dict[int, np.ndarray], zone_ids: tuple[int, ...],
+              n_steps: int) -> np.ndarray:
+    """(steps x zones) matrix of the first ``n_steps`` of each zone's profile."""
+    return np.column_stack([table[z][:n_steps] for z in zone_ids])
+
+
+def _event_forecast(tl: Timeline, event_index: int, zone_ids: tuple[int, ...],
+                    forecast: tuple[dict[int, np.ndarray], dict[int, np.ndarray]],
+                    ) -> list[np.ndarray]:
+    """One event's steps of the load and PV forecasts as (zones x steps)
+    matrices: a mean along their contiguous last axis sums each zone's steps
+    as the mean of that zone's own profile slice does, bit for bit."""
+    s0 = event_index * tl.formation_step_minutes // tl.dispatch_step_minutes
+    s1 = s0 + tl.formation_step_minutes // tl.dispatch_step_minutes
+    return [np.array([t[z][s0:s1] for z in zone_ids]) for t in forecast]
 
 
 def _event_inputs(scenario: Scenario, tl: Timeline, event_index: int,
-                  forecast: tuple[dict[int, np.ndarray], dict[int, np.ndarray]]):
+                  zone_ids: tuple[int, ...], forecast: list[np.ndarray]):
     """Faulted graph and forecast-mean snapshot of one formation event."""
-    fc_load, fc_pv = forecast
     t = event_index * tl.formation_step_minutes
     g0 = scenario.graph
     g_t = g0.with_faulted(g0.faulted_edges | scenario.faulted_at(t))
-    s0 = t // tl.dispatch_step_minutes
-    s1 = s0 + tl.formation_step_minutes // tl.dispatch_step_minutes
-    zones = sorted(fc_load)
-    snap = FormationSnapshot(
-        step_index=event_index,
-        load_kw={z: float(fc_load[z][s0:s1].mean()) for z in zones},
-        pv_kw={z: float(fc_pv[z][s0:s1].mean()) for z in zones})
-    return g_t, snap
+    load, pv = (dict(zip(zone_ids, a.mean(axis=1).tolist()))
+                for a in forecast)
+    return g_t, FormationSnapshot(step_index=event_index, load_kw=load,
+                                  pv_kw=pv)
 
 
 def _check_scenario(scenario: Scenario, tl: Timeline) -> None:
@@ -160,7 +165,9 @@ def formation_inputs(scenario: Scenario, timeline: Timeline | None,
     if not 0 <= event_index < tl.n_formation_events:
         raise ValueError(
             f"event index {event_index} outside 0..{tl.n_formation_events - 1}")
-    return _event_inputs(scenario, tl, event_index, scenario.forecast())
+    zone_ids = tuple(sorted(n.id for n in scenario.graph.nodes))
+    forecast = _event_forecast(tl, event_index, zone_ids, scenario.forecast())
+    return _event_inputs(scenario, tl, event_index, zone_ids, forecast)
 
 
 def solve_partition(g_t: ZoneGraph, snap: FormationSnapshot,
@@ -208,14 +215,16 @@ def run(scenario: Scenario, mode: str = "flexible",
     zcol = {z: c for c, z in enumerate(zone_ids)}
     gcol = {j: c for c, j in enumerate(gfm_ids)}
     n_steps = tl.n_steps
-    steps_per_slot = tl.schedule_slot_minutes // tl.dispatch_step_minutes
     slots_per_event = tl.formation_step_minutes // tl.schedule_slot_minutes
+    steps_per_event = tl.formation_step_minutes // tl.dispatch_step_minutes
 
-    fc_load, fc_pv = scenario.forecast()
+    # (steps x zones), like the run's arrays: pv is the run's PV potential
+    load = _profiles(scenario.load_kw, zone_ids, n_steps)
+    pv = _profiles(scenario.pv_kw, zone_ids, n_steps)
+    fc = scenario.forecast()
 
     served = np.zeros((n_steps, len(zone_ids)))
     unserved = np.zeros_like(served)
-    pv_pot = np.zeros_like(served)
     pv_used = np.zeros_like(served)
     committed = np.zeros(served.shape, dtype=bool)
     energized = np.zeros(served.shape, dtype=bool)
@@ -224,8 +233,6 @@ def run(scenario: Scenario, mode: str = "flexible",
     diesel = np.zeros_like(battery)
     soc = np.zeros_like(battery)
     fuel = np.zeros_like(battery)
-    for z in zone_ids:
-        pv_pot[:, zcol[z]] = scenario.pv_kw[z][:n_steps]
 
     states = {}
     for j in gfm_ids:
@@ -239,9 +246,10 @@ def run(scenario: Scenario, mode: str = "flexible",
 
     for k in range(tl.n_formation_events):
         t = k * tl.formation_step_minutes
-        g_t, snap = _event_inputs(scenario, tl, k, (fc_load, fc_pv))
+        forecast = _event_forecast(tl, k, zone_ids, fc)
+        g_t, snap = _event_inputs(scenario, tl, k, zone_ids, forecast)
         s0 = t // tl.dispatch_step_minutes
-        s1 = s0 + slots_per_event * steps_per_slot
+        s1 = s0 + steps_per_event
 
         t0 = time.perf_counter()
         if mode == "fixed":
@@ -264,41 +272,33 @@ def run(scenario: Scenario, mode: str = "flexible",
         blocked = frozenset(z for z, _old, new in diff.moved
                             if new is not None)
 
-        fl = _slot_means(fc_load, s0, s1, slots_per_event)
-        fp = _slot_means(fc_pv, s0, s1, slots_per_event)
-        plans = [build_schedule(states[anchor],
-                                service_order(g_t, tree, anchor, sol.closed),
-                                fl, fp, slot_minutes=tl.schedule_slot_minutes)
-                 for anchor, tree in sol.trees.items()]
+        anchors = [sol.assignment[z] for z in zone_ids]
+        assign_arr[s0:s1] = [-1 if a is None else a for a in anchors]
+        off = [c for c, a in enumerate(anchors) if a is None]
+        unserved[s0:s1, off] = load[s0:s1, off]
 
-        for z, anchor in sol.assignment.items():
-            if anchor is None:
-                unserved[s0:s1, zcol[z]] = scenario.load_kw[z][s0:s1]
-            else:
-                assign_arr[s0:s1, zcol[z]] = anchor
-
-        for slot in range(slots_per_event):
-            a = s0 + slot * steps_per_slot
-            b = a + steps_per_slot
-            for plan in plans:
-                anchor, members = plan.order.gfm_node_id, plan.order.members
-                win = dispatch_window(
-                    states[anchor], plan, slot,
-                    {z: scenario.load_kw[z][a:b] for z in members},
-                    {z: scenario.pv_kw[z][a:b] for z in members},
-                    step_minutes=tl.dispatch_step_minutes,
-                    blocked_first_step=blocked if slot == 0 else frozenset())
-                zc = [zcol[z] for z in win.zones]
-                served[a:b, zc] = win.served_kw
-                unserved[a:b, zc] = win.unserved_kw
-                pv_used[a:b, zc] = win.pv_used_kw
-                committed[a:b, zc] = win.committed
-                energized[a:b, zc] = win.energized
-                gc = gcol[anchor]
-                battery[a:b, gc] = win.battery_kw
-                diesel[a:b, gc] = win.diesel_kw
-                soc[a:b, gc] = win.soc_kwh
-                fuel[a:b, gc] = win.fuel_kwh
+        # (zones x slots) forecast slot means
+        fl, fp = (a.reshape(len(zone_ids), slots_per_event, -1).mean(axis=2)
+                  for a in forecast)
+        for anchor, tree in sol.trees.items():
+            order = service_order(g_t, tree, anchor, sol.closed)
+            zc = [zcol[z] for z in order.members]
+            plan = build_schedule(states[anchor], order, fl[zc].T, fp[zc].T,
+                                  slot_minutes=tl.schedule_slot_minutes)
+            win = dispatch_window(states[anchor], plan, load[s0:s1, zc],
+                                  pv[s0:s1, zc],
+                                  step_minutes=tl.dispatch_step_minutes,
+                                  blocked_first_step=blocked)
+            served[s0:s1, zc] = win.served_kw
+            unserved[s0:s1, zc] = win.unserved_kw
+            pv_used[s0:s1, zc] = win.pv_used_kw
+            committed[s0:s1, zc] = win.committed
+            energized[s0:s1, zc] = win.energized
+            gc = gcol[anchor]
+            battery[s0:s1, gc] = win.battery_kw
+            diesel[s0:s1, gc] = win.diesel_kw
+            soc[s0:s1, gc] = win.soc_kwh
+            fuel[s0:s1, gc] = win.fuel_kwh
 
         prev_sol = sol
 
@@ -306,7 +306,7 @@ def run(scenario: Scenario, mode: str = "flexible",
         scenario=scenario, mode=mode, timeline=tl, zone_ids=zone_ids,
         gfm_ids=gfm_ids,
         time_min=np.arange(n_steps) * tl.dispatch_step_minutes,
-        served_kw=served, unserved_kw=unserved, pv_potential_kw=pv_pot,
+        served_kw=served, unserved_kw=unserved, pv_potential_kw=pv,
         pv_used_kw=pv_used, committed=committed, energized=energized,
         assignment=assign_arr, battery_kw=battery, diesel_kw=diesel,
         soc_kwh=soc, fuel_kwh=fuel, events=tuple(events),

@@ -2,11 +2,14 @@
 
 Two stages on different clocks share one storage step. The scheduler walks
 30-minute slots and commits the longest priority prefix of zones that
-battery plus diesel can carry; the dispatcher replays each slot in 5-minute
-steps against actuals and, when both run out, sheds from the bottom of the
-priority order down to the longest prefix that still fits. Both settle each
-interval alike: battery first, diesel second, and a PV surplus charges the
-battery up to its power and headroom.
+battery plus diesel can carry; the dispatcher replays a plan's slots in
+5-minute steps against actuals, in one call, and, when both run out, sheds
+from the bottom of the priority order down to the longest prefix that still
+fits. Both settle each interval alike: battery first, diesel second, and a
+PV surplus charges the battery up to its power and headroom. Profiles come
+in as (rows x members) arrays; the prefix search reads running sums in
+priority order, and only the storage state is stepped in Python: served
+load, commitment, energized zones and PV shares are filled as whole arrays.
 
 Zone priority: critical zones first, then electrical distance from the
 grid-forming node, then zone id. Energy accounting is construction-exact:
@@ -16,7 +19,8 @@ every step satisfies served = pv_used + diesel + discharge - charge.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from itertools import accumulate
+from typing import Sequence
 
 import numpy as np
 
@@ -76,24 +80,48 @@ class MicrogridState:
         self.fuel_kwh = max(self.fuel_kwh, 0.0)
 
 
+def _ranked_columns(order: ServiceOrder) -> list[int]:
+    """Column of each ranked zone in a (rows x members) profile array."""
+    col = {i: c for c, i in enumerate(order.members)}
+    return [col[i] for i in order.ranked]
+
+
+def _member_profiles(order: ServiceOrder, load: np.ndarray,
+                     pv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Load and PV as float (rows x members) arrays, columns in member order."""
+    load = np.asarray(load, dtype=float)
+    pv = np.asarray(pv, dtype=float)
+    shape = (len(load), len(order.members))
+    if load.ndim != 2 or load.shape != shape or pv.shape != shape:
+        raise ValueError(f"load {load.shape} and PV {pv.shape} are not "
+                         f"(rows x {len(order.members)} members) arrays")
+    return load, pv
+
+
+def _running_sums(load: np.ndarray, pv: np.ndarray,
+                  rank: list[int]) -> list[list[list[float]]]:
+    """Row by row, running sums of load and of PV over the columns ``rank``,
+    left to right."""
+    return [np.cumsum(a[:, rank], axis=1).tolist() for a in (load, pv)]
+
+
 def _carried(res: GridFormingResource, soc: float, fuel: float, hours: float,
-             zones: Sequence[int], load_kw: Mapping[int, Sequence[float]],
-             pv_kw: Mapping[int, Sequence[float]],
-             t: int) -> tuple[int, float, float]:
-    """The longest prefix of ``zones`` that storage can carry at index ``t``:
+             load_sums: Sequence[float], pv_sums: Sequence[float],
+             k: int) -> tuple[int, float, float]:
+    """The longest prefix, of at most ``k`` zones, that storage can carry:
     its length, load and PV.
 
-    A prefix fits when its net deficit is within battery power and remaining
-    energy plus diesel power and remaining fuel.
+    ``load_sums`` and ``pv_sums`` are running sums over the zones in priority
+    order. A prefix fits when its net deficit is within battery power and
+    remaining energy plus diesel power and remaining fuel.
     """
     cap = min(res.battery_power_kw, soc / hours) + min(res.diesel_power_kw,
                                                        fuel / hours)
-    for k in range(len(zones), 0, -1):
-        load = sum(load_kw[i][t] for i in zones[:k])
-        pv = sum(pv_kw[i][t] for i in zones[:k])
-        if load - pv <= cap + BALANCE_TOL:
-            return k, load, pv
-    return 0, 0, 0
+    while k and not load_sums[k - 1] - pv_sums[k - 1] <= cap + BALANCE_TOL:
+        k -= 1
+    if not k:
+        return 0, 0.0, 0.0
+    return k, load_sums[k - 1], pv_sums[k - 1]
 
 
 def _settle(res: GridFormingResource, soc: float, fuel: float, hours: float,
@@ -130,26 +158,29 @@ class SchedulePlan:
 
 
 def build_schedule(state: MicrogridState, order: ServiceOrder,
-                   load_kw: Mapping[int, Sequence[float]],
-                   pv_kw: Mapping[int, Sequence[float]],
+                   load: np.ndarray, pv: np.ndarray,
                    *, slot_minutes: int = 30) -> SchedulePlan:
     """Commit the largest feasible priority prefix in every slot.
 
-    A prefix is feasible when its net deficit fits under battery power,
-    remaining energy, diesel power and remaining fuel for the slot length.
-    Energy is projected from slot to slot; the live state is untouched.
+    ``load`` and ``pv`` are (slots x members) forecasts, columns in
+    ``order.members`` order. A prefix is feasible when its net deficit fits
+    under battery power, remaining energy, diesel power and remaining fuel
+    for the slot length. Energy is projected from slot to slot; the live
+    state is untouched.
     """
     if not slot_minutes > 0:
         raise ValueError(f"slot length {slot_minutes!r} min is not positive")
+    load, pv = _member_profiles(order, load, pv)
     res = state.resource
-    n_slots = min(len(load_kw[i]) for i in order.members)
     hours = slot_minutes / 60.0
     soc, fuel = state.soc_kwh, state.fuel_kwh
+    rank = _ranked_columns(order)
+    load_sums, pv_sums = _running_sums(load, pv, rank)
 
     committed: list[tuple[int, ...]] = []
-    for s in range(n_slots):
-        k, load_tot, pv_tot = _carried(res, soc, fuel, hours, order.ranked,
-                                       load_kw, pv_kw, s)
+    for s in range(len(load)):
+        k, load_tot, pv_tot = _carried(res, soc, fuel, hours, load_sums[s],
+                                       pv_sums[s], len(rank))
         _, _, soc, fuel = _settle(res, soc, fuel, hours, load_tot - pv_tot)
         committed.append(order.ranked[:k])
     return SchedulePlan(order, slot_minutes, tuple(committed))
@@ -157,7 +188,7 @@ def build_schedule(state: MicrogridState, order: ServiceOrder,
 
 @dataclass(frozen=True)
 class DispatchWindow:
-    """Step-resolution outcome of one schedule slot against actuals."""
+    """Step-resolution outcome of a plan's slots against actuals."""
     zones: tuple[int, ...]
     served_kw: np.ndarray        # (steps, zones)
     unserved_kw: np.ndarray
@@ -168,82 +199,103 @@ class DispatchWindow:
     diesel_kw: np.ndarray
     soc_kwh: np.ndarray          # end of step
     fuel_kwh: np.ndarray
-    shed_zones: tuple[int, ...] = ()
+    shed_zones: tuple[int, ...] = ()   # in shedding order, slot after slot
 
 
-def dispatch_window(state: MicrogridState, plan: SchedulePlan, slot_index: int,
-                    load_kw: Mapping[int, Sequence[float]],
-                    pv_kw: Mapping[int, Sequence[float]],
+def dispatch_window(state: MicrogridState, plan: SchedulePlan,
+                    load: np.ndarray, pv: np.ndarray,
                     *, step_minutes: int = 5,
                     blocked_first_step: frozenset[int] = frozenset()) -> DispatchWindow:
-    """Run one slot step by step, mutating the live storage state.
+    """Run a plan's slots step by step, mutating the live storage state.
 
-    Actual imbalance lands on the battery first, then diesel. When neither
-    can close the gap the lowest-priority committed zone is shed and stays
-    shed for the rest of the window. Zones in ``blocked_first_step`` sit out
-    the first step only (switching interval after a topology change).
+    ``load`` and ``pv`` are (steps x members) actuals, columns in
+    ``plan.order.members`` order; they cover a whole number of slots, at
+    most ``plan.n_slots``, from the plan's first. Actual imbalance lands on
+    the battery first, then diesel. When neither can close the gap the
+    lowest-priority committed zone is shed and stays shed for the rest of
+    its slot. Zones in ``blocked_first_step`` sit out the first step only
+    (switching interval after a topology change).
     """
     if not step_minutes > 0:
         raise ValueError(f"step length {step_minutes!r} min is not positive")
     if plan.slot_minutes % step_minutes != 0:
         raise ValueError("slot length must be a multiple of the step length")
     order = plan.order
+    load, pv = _member_profiles(order, load, pv)
+    per_slot = plan.slot_minutes // step_minutes
+    n_steps = len(load)
+    n_slots, rest = divmod(n_steps, per_slot)
+    if rest or n_slots > plan.n_slots:
+        raise ValueError(f"{n_steps} steps are not a whole number of at most "
+                         f"{plan.n_slots} slots of {per_slot} steps")
     res = state.resource
-    n_steps = plan.slot_minutes // step_minutes
     hours = step_minutes / 60.0
-    zones = order.members
-    col = {i: c for c, i in enumerate(zones)}
-    nz = len(zones)
+    ranked = order.ranked
+    rank = _ranked_columns(order)
+    load_sums, pv_sums = _running_sums(load, pv, rank)
+    blocked = {r for r, i in enumerate(ranked) if i in blocked_first_step}
 
-    served = np.zeros((n_steps, nz))
-    unserved = np.zeros((n_steps, nz))
-    pv_used = np.zeros((n_steps, nz))
-    com_mask = np.zeros((n_steps, nz), dtype=bool)
-    ener_mask = np.zeros((n_steps, nz), dtype=bool)
-    battery = np.zeros(n_steps)
-    diesel = np.zeros(n_steps)
-    soc_t = np.zeros(n_steps)
-    fuel_t = np.zeros(n_steps)
-
+    # the sequential part: each step's carried prefix and storage settlement;
+    # active sets are lists of priority ranks, usually a prefix 0..m-1; a
+    # step that serves no prefix (a blocked zone ranked behind a shed one)
+    # is kept in ``scattered``
+    n_on, last, scattered, flows = [], [], [], []
     shed: list[int] = []
-    base = plan.committed[slot_index]       # a priority prefix, in order
-
-    for step in range(n_steps):
-        active = [i for i in base if i not in shed]
-        if step == 0:
-            active = [i for i in active if i not in blocked_first_step]
-
-        k, load_tot, pv_tot = _carried(res, state.soc_kwh, state.fuel_kwh,
-                                       hours, active, load_kw, pv_kw, step)
-        shed += reversed(active[k:])    # lowest priority first
-        del active[k:]
-        bat, die, state.soc_kwh, state.fuel_kwh = _settle(
-            res, state.soc_kwh, state.fuel_kwh, hours, load_tot - pv_tot)
-
-        used_tot = load_tot - die - bat  # exact balance residual lands on PV
-        energized = {order.gfm_node_id}
-        for i in active:
-            energized |= order.path_zones[i]
-
-        for i in zones:
-            c = col[i]
-            if i in active:
-                served[step, c] = load_kw[i][step]
-                com_mask[step, c] = True
+    for s in range(n_slots):
+        kept = list(range(len(plan.committed[s])))   # not shed in this slot
+        for step in range(s * per_slot, (s + 1) * per_slot):
+            active = kept
+            if step == 0 and blocked:
+                active = [r for r in kept if r not in blocked]
+            m = len(active)
+            if m and active[-1] != m - 1:   # not a priority prefix
+                sums = (list(accumulate(a[step, [rank[r] for r in active]]))
+                        for a in (load, pv))
             else:
-                unserved[step, c] = load_kw[i][step]
-            ener_mask[step, c] = i in energized
-        if pv_tot > 0 and active:
-            for i in active:
-                pv_used[step, col[i]] = used_tot * pv_kw[i][step] / pv_tot
-            # pin the row sum to the exact total despite share rounding
-            c_last = col[active[-1]]
-            pv_used[step, c_last] += used_tot - pv_used[step].sum()
-        battery[step] = bat
-        diesel[step] = die
-        soc_t[step] = state.soc_kwh
-        fuel_t[step] = state.fuel_kwh
+                sums = (load_sums[step], pv_sums[step])
+            k, load_tot, pv_tot = _carried(res, state.soc_kwh, state.fuel_kwh,
+                                           hours, *sums, m)
+            if k < m:
+                shed += (ranked[r] for r in reversed(active[k:]))
+                kept = [r for r in kept if r not in active[k:]]
+            bat, die, state.soc_kwh, state.fuel_kwh = _settle(
+                res, state.soc_kwh, state.fuel_kwh, hours, load_tot - pv_tot)
+            last.append(active[k - 1] if k else -1)
+            if k and active[k - 1] != k - 1:   # served ranks not a prefix
+                scattered.append((step, active[:k]))
+                n_on.append(0)
+            else:
+                n_on.append(k)
+            # the exact balance residual, load - diesel - battery, lands on PV
+            flows.append((bat, die, state.soc_kwh, state.fuel_kwh,
+                          load_tot - die - bat, pv_tot))
+    battery, diesel, soc_t, fuel_t, used, pv_tot = \
+        np.array(flows, dtype=float).reshape(-1, 6).T
 
-    return DispatchWindow(zones, served, unserved, pv_used, com_mask,
-                          ener_mask, battery, diesel, soc_t, fuel_t,
+    nz = len(rank)
+    on_ranked = np.arange(nz) < np.array(n_on, dtype=int)[:, None]
+    for step, on in scattered:
+        on_ranked[step, on] = True
+    committed = np.empty_like(on_ranked)
+    committed[:, rank] = on_ranked
+
+    col = dict(zip(order.members, range(nz)))
+    feeds = np.zeros((nz, nz), dtype=bool)   # member x the members feeding it
+    for i, path in order.path_zones.items():
+        feeds[col[i], [col[v] for v in path]] = True
+    energized = committed @ feeds
+    energized[:, col[order.gfm_node_id]] = True
+
+    lit = pv_tot > 0
+    pv_used = np.zeros(load.shape)
+    np.divide(used[:, None] * pv, pv_tot[:, None], out=pv_used,
+              where=committed & lit[:, None])
+    # pin each row sum to the exact total despite share rounding
+    rows = lit.nonzero()[0]
+    cols = np.array(rank)[np.array(last, dtype=int)[rows]]
+    pv_used[rows, cols] += used[rows] - pv_used.sum(axis=1)[rows]
+
+    return DispatchWindow(order.members, np.where(committed, load, 0.0),
+                          np.where(committed, 0.0, load), pv_used, committed,
+                          energized, battery, diesel, soc_t, fuel_t,
                           tuple(shed))

@@ -40,9 +40,10 @@ must name every integer column. The start points are tried only when the
 warm point has no optimal fixed-integer LP. Each fixed-integer LP re-solves
 on a new system with the dual simplex from one carried basis: the last
 optimal fixed-integer LP's, or before the first the caller's (in a rolling
-horizon, the previous event's), when it has the system's shape. It is
-solved cold when there is none, or when that re-solve ends in anything but
-an audited optimum; every LP of the oracle is cold. At the incumbent the
+horizon, the previous event's), when it has the system's shape. Its
+audited optimum or its INFEASIBLE stands (the start basis is checked dual
+feasible); it is solved cold when there is no such basis, or when that
+re-solve raises or hits the pivot cap; every LP of the oracle is cold. At the incumbent the
 fixed-integer LP is the reported point. That point depends on the integer
 optimum and on the carried basis, not on the vertex the search reached, so
 the fixture's ``microgrids.csv``, which records ``repr`` of each
@@ -359,30 +360,30 @@ class _Simplex:
         self.stat[q] = _BASIC
         self.factored = False
 
-    def _signs(self) -> np.ndarray:
-        """+1 for a movable nonbasic column at its upper bound, -1 at its
-        lower bound, 0 when basic or fixed."""
-        sign = np.where(self.stat == _AT_UPPER, 1.0, -1.0)
-        sign[(self.stat == _BASIC) | ~((self.hi - self.lo) > 0)] = 0.0
-        return sign
-
     def _dual_infeasibility(self) -> float:
         """Largest reduced cost of the wrong sign on a movable nonbasic
         column (positive at its lower bound, negative at its upper), priced
         through the inverse held; 0 when the basis is dual feasible, NaN on
-        a NaN price."""
+        a NaN price. The movable nonbasic columns and their signs are read
+        from ``stat`` and the bounds, not from the loops' ``sign``; one
+        product prices every column, which on these dense systems is
+        cheaper than gathering the movable ones first."""
         y = self.cost[self.basis] @ self.binv
-        return float(np.max((self.cost - y @ self.full) * self._signs(),
-                            initial=0.0))
+        d = self.cost - y @ self.full
+        movable = (self.stat != _BASIC) & (self.hi > self.lo)
+        return float(np.max(np.where(self.stat == _AT_UPPER, d, -d),
+                            where=movable, initial=0.0))
 
     def _track(self) -> None:
         """Start the bookkeeping that the pivot loops update incrementally.
 
-        ``sign`` is ``_signs()``. ``degenerate`` counts the loop's
-        consecutive degenerate pivots, and ``bland`` says whether they have
-        switched the loop to Bland's rule.
+        ``sign`` is +1 for a movable nonbasic column at its upper bound, -1
+        at its lower bound, 0 when basic or fixed. ``degenerate`` counts the
+        loop's consecutive degenerate pivots, and ``bland`` says whether
+        they have switched the loop to Bland's rule.
         """
-        self.sign = self._signs()
+        self.sign = np.where(self.stat == _AT_UPPER, 1.0, -1.0)
+        self.sign[(self.stat == _BASIC) | ~((self.hi - self.lo) > 0)] = 0.0
         self.degenerate, self.bland = 0, False
 
     def _count_step(self, step: float) -> None:
@@ -667,8 +668,9 @@ def solve_milp(model: MilpModel, *,
     Each fixed-integer LP re-solves with the dual simplex from the carried
     basis, which ``warm_basis`` seeds (a previous report's ``basis``) and
     every optimal fixed-integer LP replaces, when that basis has the
-    system's shape; it is the dual simplex from the slack basis when there
-    is none or that re-solve does not end in an audited optimum. The root
+    system's shape, and its audited optimum or INFEASIBLE stands; it is the
+    dual simplex from the slack basis when there is no such basis or that
+    re-solve raises ``SolverError`` or hits the pivot cap. The root
     LP restarts with the primal simplex from the optimal basis of the
     fixed-integer LP at the incumbent so found, on that LP's own system;
     without one it is solved cold. Every other node re-solves on the root's
@@ -718,8 +720,11 @@ def solve_milp(model: MilpModel, *,
     def fixed_lp(values: np.ndarray) -> tuple[SolveStatus, _Simplex, np.ndarray]:
         """LP with every integer column fixed at the integral ``values``:
         the dual simplex from the carried basis on a new system when that
-        basis has the system's shape, cold when there is none or that
-        re-solve ends in anything but an audited optimum. An optimum
+        basis has the system's shape. Its audited optimum stands, and so
+        does its INFEASIBLE: ``resolve`` has checked the start basis dual
+        feasible, so the dual simplex proves infeasibility as a cold solve
+        would. The LP is solved cold when there is no such basis, or that
+        re-solve raises ``SolverError`` or hits the pivot cap. An optimum
         becomes the carried basis."""
         nonlocal total_pivots, carried
         lo, hi = lower.copy(), upper.copy()
@@ -733,7 +738,7 @@ def solve_milp(model: MilpModel, *,
             except SolverError:
                 pass
             total_pivots += sx.pivots
-        if status is not SolveStatus.OPTIMAL:
+        if status in (None, SolveStatus.ITERATION_LIMIT):
             status, sx, x = cold_lp(lo, hi)
         if status is SolveStatus.OPTIMAL:
             carried = (sx.basis.copy(), sx.stat.copy())

@@ -20,6 +20,7 @@ from gridsplit import (
     build_schedule,
     decode,
     diff_topologies,
+    dispatch_window,
     fixed_topology_solution,
     formation_inputs,
     run,
@@ -109,15 +110,15 @@ class TestFlexibleRun:
         # root from the warm LP's basis; events 0 and 4 have no optimal warm
         # LP and restart from the model's start points instead, and event 0
         # takes 6 nodes, not 12. Each fixed-integer LP re-solves from the
-        # last optimal one's basis, carried from event to event: 16 of the
-        # 21 re-solve warm, and the run takes 356 pivots (964 with every
+        # last optimal one's basis, carried from event to event: 17 of the
+        # 21 re-solve warm, and the run takes 319 pivots (964 with every
         # fixed-integer LP cold). Event 0 has no basis to carry and events
         # 4 and 9 change the model's shape, so their fixed-integer LPs start
         # cold until one is optimal; at event 0 one warm re-solve ends
-        # infeasible and falls back cold
+        # infeasible, a verdict that stands without a cold solve
         assert [ev.node_count for ev in flex_run.events] \
             == [6, 1, 1, 1, 1, 1, 1, 1, 1, 9, 1, 1, 1, 1, 1, 1]
-        assert sum(ev.lp_iterations for ev in flex_run.events) <= 370
+        assert sum(ev.lp_iterations for ev in flex_run.events) <= 330
         run(scenario, mode="flexible")
         warm = [status for start, status, _, _ in first_lps if start == "warm"]
         assert warm.count(SolveStatus.OPTIMAL) == 16
@@ -238,6 +239,28 @@ class TestEventPath:
         assert set(n_slots) \
             == {tl.formation_step_minutes // tl.schedule_slot_minutes}
 
+    @pytest.mark.parametrize("mode", ["flexible", "fixed"])
+    def test_one_dispatch_call_per_microgrid_and_event(self, scenario,
+                                                       monkeypatch, mode):
+        calls = []
+
+        def spy(state, plan, load, pv, **kwargs):
+            calls.append((plan.order.gfm_node_id, plan.order.members,
+                          load.shape, pv.shape))
+            return dispatch_window(state, plan, load, pv, **kwargs)
+
+        monkeypatch.setattr(coordinator, "dispatch_window", spy)
+        tl = Timeline()
+        r = run(scenario, mode, tl)
+        # each call dispatches all of one event's steps for one microgrid
+        steps = tl.formation_step_minutes // tl.dispatch_step_minutes
+        assert [(anchor, members) for anchor, members, _, _ in calls] \
+            == [(anchor, tuple(sorted(tree))) for ev in r.events
+                for anchor, tree in ev.solution.trees.items()]
+        assert len(calls) == 2 * len(r.events)
+        for _, members, load_shape, pv_shape in calls:
+            assert load_shape == pv_shape == (steps, len(members))
+
     def test_pivot_budget_names_the_event_time(self, monkeypatch):
         calls = []
 
@@ -268,6 +291,19 @@ class TestFormationInputs:
                 == pytest.approx(scenario.load_kw[3][s0:s1].mean())
             assert snap.pv_kw[8] \
                 == pytest.approx(scenario.pv_kw[8][s0:s1].mean())
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.1])
+    def test_snapshot_means_are_the_per_zone_means(self, scenario, sigma):
+        sc = dataclasses.replace(scenario, forecast_sigma=sigma,
+                                 forecast_seed=3)
+        fc_load, fc_pv = sc.forecast()
+        for k in (0, 4, 9):
+            _, snap = formation_inputs(sc, Timeline(), k)
+            s0, s1 = k * 36, (k + 1) * 36
+            assert snap.load_kw \
+                == {z: float(a[s0:s1].mean()) for z, a in fc_load.items()}
+            assert snap.pv_kw \
+                == {z: float(a[s0:s1].mean()) for z, a in fc_pv.items()}
 
     def test_solving_event_zero_reproduces_the_run(self, scenario, flex_run):
         g_t, snap = formation_inputs(scenario, None, 0)

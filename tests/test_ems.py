@@ -39,6 +39,11 @@ def flat(v, n=6):
     return [float(v)] * n
 
 
+def prof(order, table):
+    """(rows x members) array of per-zone profiles, in member order."""
+    return np.array([table[z] for z in order.members], dtype=float).T
+
+
 class TestServiceOrder:
     def test_fixture_feeder_two_ranking(self, scenario):
         order = service_order(scenario.graph, {6, 7, 8, 9, 10}, 7,
@@ -67,30 +72,31 @@ class TestServiceOrder:
 class TestSchedule:
     def test_flat_load_draws_battery_linearly(self):
         _, order, state = chain_microgrid(1)
-        plan = build_schedule(state, order, {1: flat(100.0, 48)},
-                              {1: flat(0.0, 48)})
+        plan = build_schedule(state, order, prof(order, {1: flat(100.0, 48)}),
+                              prof(order, {1: flat(0.0, 48)}))
         assert all(c == (1,) for c in plan.committed)
         assert state.soc_kwh == 12000.0  # projections leave live state alone
         # 100 kW for five minutes is 25/3 kWh out of the battery each step
-        win = dispatch_window(state, plan, 0, {1: flat(100.0)}, {1: flat(0.0)})
+        win = dispatch_window(state, plan, prof(order, {1: flat(100.0)}),
+                              prof(order, {1: flat(0.0)}))
         assert np.allclose(win.soc_kwh, 12000.0 - 25.0 / 3.0 * np.arange(1, 7))
 
     def test_projected_energy_runs_out(self):
         # 100 kW for half an hour is 50 kWh a slot: 500 kWh lasts 10 slots
         _, order, state = chain_microgrid(1, battery_kw=100.0,
                                           battery_kwh=500.0)
-        plan = build_schedule(state, order, {1: flat(100.0, 12)},
-                              {1: flat(0.0, 12)})
+        plan = build_schedule(state, order, prof(order, {1: flat(100.0, 12)}),
+                              prof(order, {1: flat(0.0, 12)}))
         assert plan.committed == ((1,),) * 10 + ((),) * 2
 
     def test_zero_resources_commits_nothing(self):
         _, order, state = chain_microgrid(2, battery_kwh=500.0)
         state.soc_kwh = 0.0
-        plan = build_schedule(state, order, {1: flat(50.0), 2: flat(50.0)},
-                              {1: flat(0.0), 2: flat(0.0)})
+        load = prof(order, {1: flat(50.0), 2: flat(50.0)})
+        pv = prof(order, {1: flat(0.0), 2: flat(0.0)})
+        plan = build_schedule(state, order, load, pv)
         assert all(c == () for c in plan.committed)
-        win = dispatch_window(state, plan, 0, {1: flat(50.0), 2: flat(50.0)},
-                              {1: flat(0.0), 2: flat(0.0)})
+        win = dispatch_window(state, plan, load, pv)
         assert np.all(win.served_kw == 0.0)
 
     def test_fixture_feeder_two_day_two_offpeak_full_commit(self, scenario):
@@ -104,7 +110,8 @@ class TestSchedule:
                  for z in order.members}
         pv = {z: scenario.pv_kw[z][day2].reshape(48, 6).mean(axis=1)
               for z in order.members}
-        plan = build_schedule(state, order, loads, pv)
+        plan = build_schedule(state, order, prof(order, loads),
+                              prof(order, pv))
         for slot in range(0, 12):  # midnight to 06:00, low load
             assert set(plan.committed[slot]) == {6, 7, 8, 9, 10}
 
@@ -112,9 +119,11 @@ class TestSchedule:
         _, order, state = chain_microgrid(1, battery_kw=500.0,
                                           battery_kwh=1000.0)
         state.soc_kwh = 0.0
-        plan = build_schedule(state, order, {1: flat(0.0, 1)},
-                              {1: flat(200.0, 1)}, slot_minutes=30)
-        win = dispatch_window(state, plan, 0, {1: flat(0.0)}, {1: flat(200.0)})
+        plan = build_schedule(state, order, prof(order, {1: flat(0.0, 1)}),
+                              prof(order, {1: flat(200.0, 1)}),
+                              slot_minutes=30)
+        win = dispatch_window(state, plan, prof(order, {1: flat(0.0)}),
+                              prof(order, {1: flat(200.0)}))
         assert np.allclose(win.battery_kw, -200.0)
         assert state.soc_kwh == pytest.approx(200.0 * 0.5 * 0.95)
 
@@ -122,7 +131,8 @@ class TestSchedule:
     def test_non_positive_slot_length_is_refused(self, slot_minutes):
         _, order, state = chain_microgrid(1)
         with pytest.raises(ValueError, match=f"slot length {slot_minutes} min"):
-            build_schedule(state, order, {1: flat(100.0)}, {1: flat(0.0)},
+            build_schedule(state, order, prof(order, {1: flat(100.0)}),
+                           prof(order, {1: flat(0.0)}),
                            slot_minutes=slot_minutes)
 
 
@@ -130,10 +140,10 @@ class TestDispatch:
     @pytest.mark.parametrize("step_minutes", [0, -5])
     def test_non_positive_step_length_is_refused(self, step_minutes):
         _, order, state = chain_microgrid(1)
-        plan = build_schedule(state, order, {1: flat(100.0)}, {1: flat(0.0)})
+        load, pv = prof(order, {1: flat(100.0)}), prof(order, {1: flat(0.0)})
+        plan = build_schedule(state, order, load, pv)
         with pytest.raises(ValueError, match=f"step length {step_minutes} min"):
-            dispatch_window(state, plan, 0, {1: flat(100.0)}, {1: flat(0.0)},
-                            step_minutes=step_minutes)
+            dispatch_window(state, plan, load, pv, step_minutes=step_minutes)
         assert state.soc_kwh == 12000.0
 
     def test_actuals_equal_forecast_reproduces_the_plan(self):
@@ -142,10 +152,12 @@ class TestDispatch:
                                           diesel_kw=100.0, fuel_kwh=500.0)
         loads = {1: flat(90.0, 2), 2: flat(80.0, 2), 3: flat(70.0, 2)}
         pv = {1: flat(10.0, 2), 2: flat(0.0, 2), 3: flat(25.0, 2)}
-        plan = build_schedule(state, order, loads, pv)
-        win = dispatch_window(state, plan, 0,
-                              {z: flat(loads[z][0]) for z in order.members},
-                              {z: flat(pv[z][0]) for z in order.members})
+        plan = build_schedule(state, order, prof(order, loads),
+                              prof(order, pv))
+        win = dispatch_window(
+            state, plan,
+            prof(order, {z: flat(loads[z][0]) for z in order.members}),
+            prof(order, {z: flat(pv[z][0]) for z in order.members}))
         assert (win.committed
                 == [[z in plan.committed[0] for z in win.zones]]).all()
         assert win.shed_zones == ()
@@ -153,10 +165,10 @@ class TestDispatch:
     def test_pv_spike_on_a_full_battery_curtails(self):
         _, order, state = chain_microgrid(1, battery_kw=500.0,
                                           battery_kwh=1000.0)
-        plan = build_schedule(state, order, {1: flat(0.0, 1)},
-                              {1: flat(0.0, 1)})
-        win = dispatch_window(state, plan, 0, {1: flat(0.0)},
-                              {1: flat(500.0)})
+        plan = build_schedule(state, order, prof(order, {1: flat(0.0, 1)}),
+                              prof(order, {1: flat(0.0, 1)}))
+        win = dispatch_window(state, plan, prof(order, {1: flat(0.0)}),
+                              prof(order, {1: flat(500.0)}))
         assert np.all(win.pv_used_kw == 0.0)       # nowhere to put it
         assert np.all(win.soc_kwh == 1000.0)
         balance = (win.served_kw.sum(axis=1) - win.pv_used_kw.sum(axis=1)
@@ -167,11 +179,11 @@ class TestDispatch:
         _, order, state = chain_microgrid(2, criticals={1},
                                           battery_kw=100.0)
         plan = build_schedule(state, order,
-                              {1: flat(50.0, 1), 2: flat(40.0, 1)},
-                              {1: flat(0.0, 1), 2: flat(0.0, 1)})
+                              prof(order, {1: flat(50.0, 1), 2: flat(40.0, 1)}),
+                              prof(order, {1: flat(0.0, 1), 2: flat(0.0, 1)}))
         actual_load = {1: flat(50.0), 2: [500.0] + flat(40.0, 5)}
-        win = dispatch_window(state, plan, 0, actual_load,
-                              {1: flat(0.0), 2: flat(0.0)})
+        win = dispatch_window(state, plan, prof(order, actual_load),
+                              prof(order, {1: flat(0.0), 2: flat(0.0)}))
         assert win.shed_zones == (2,)
         c1, c2 = 0, 1
         assert win.unserved_kw[0, c2] == pytest.approx(500.0)
@@ -183,11 +195,11 @@ class TestDispatch:
     def test_blocked_zone_sits_out_exactly_one_step(self):
         _, order, state = chain_microgrid(2)
         plan = build_schedule(state, order,
-                              {1: flat(50.0, 1), 2: flat(40.0, 1)},
-                              {1: flat(0.0, 1), 2: flat(0.0, 1)})
-        win = dispatch_window(state, plan, 0,
-                              {1: flat(50.0), 2: flat(40.0)},
-                              {1: flat(0.0), 2: flat(0.0)},
+                              prof(order, {1: flat(50.0, 1), 2: flat(40.0, 1)}),
+                              prof(order, {1: flat(0.0, 1), 2: flat(0.0, 1)}))
+        win = dispatch_window(state, plan,
+                              prof(order, {1: flat(50.0), 2: flat(40.0)}),
+                              prof(order, {1: flat(0.0), 2: flat(0.0)}),
                               blocked_first_step=frozenset({2}))
         assert not win.committed[0, 1]
         assert win.unserved_kw[0, 1] == pytest.approx(40.0)
@@ -198,13 +210,14 @@ class TestDispatch:
         _, order, state = chain_microgrid(3, criticals={3},
                                           battery_kw=120.0)
         plan = build_schedule(state, order,
-                              {1: flat(60.0, 1), 2: flat(500.0, 1),
-                               3: flat(50.0, 1)},
-                              {z: flat(0.0, 1) for z in (1, 2, 3)})
+                              prof(order, {1: flat(60.0, 1), 2: flat(500.0, 1),
+                                           3: flat(50.0, 1)}),
+                              prof(order, {z: flat(0.0, 1) for z in (1, 2, 3)}))
         assert set(plan.committed[0]) == {1, 3}
-        win = dispatch_window(state, plan, 0,
-                              {1: flat(60.0), 2: flat(500.0), 3: flat(50.0)},
-                              {z: flat(0.0) for z in (1, 2, 3)})
+        win = dispatch_window(
+            state, plan,
+            prof(order, {1: flat(60.0), 2: flat(500.0), 3: flat(50.0)}),
+            prof(order, {z: flat(0.0) for z in (1, 2, 3)}))
         c2 = 1
         assert win.energized[:, c2].all()
         assert not win.committed[:, c2].any()
@@ -212,10 +225,50 @@ class TestDispatch:
 
     def test_dispatch_mutates_the_live_state(self):
         _, order, state = chain_microgrid(1)
-        plan = build_schedule(state, order, {1: flat(100.0, 1)},
-                              {1: flat(0.0, 1)})
-        dispatch_window(state, plan, 0, {1: flat(100.0)}, {1: flat(0.0)})
+        plan = build_schedule(state, order, prof(order, {1: flat(100.0, 1)}),
+                              prof(order, {1: flat(0.0, 1)}))
+        dispatch_window(state, plan, prof(order, {1: flat(100.0)}),
+                        prof(order, {1: flat(0.0)}))
         assert state.soc_kwh == pytest.approx(12000.0 - 50.0)
+
+    def test_a_shed_zone_returns_at_the_next_slot(self):
+        _, order, state = chain_microgrid(2, criticals={1},
+                                          battery_kw=100.0)
+        plan = build_schedule(state, order,
+                              prof(order, {1: flat(50.0, 2), 2: flat(40.0, 2)}),
+                              prof(order, {1: flat(0.0, 2), 2: flat(0.0, 2)}))
+        assert plan.committed == ((1, 2), (1, 2))
+        actual_load = {1: flat(50.0, 12),
+                       2: [500.0] + flat(40.0, 6) + [500.0] + flat(40.0, 4)}
+        win = dispatch_window(state, plan, prof(order, actual_load),
+                              prof(order, {1: flat(0.0, 12), 2: flat(0.0, 12)}))
+        # shed at the first step, off for the rest of the slot, back on at
+        # the next slot's first step and shed again at its second
+        assert win.shed_zones == (2, 2)
+        assert win.committed[:, 1].tolist() \
+            == [False] * 6 + [True] + [False] * 5
+        assert win.served_kw.shape == (12, 2)
+        assert win.committed[:, 0].all()
+
+    @pytest.mark.parametrize("n_steps", [5, 7, 18])
+    def test_actuals_must_cover_whole_planned_slots(self, n_steps):
+        _, order, state = chain_microgrid(1)
+        plan = build_schedule(state, order, prof(order, {1: flat(100.0, 2)}),
+                              prof(order, {1: flat(0.0, 2)}))
+        with pytest.raises(ValueError, match="whole number of at most 2"):
+            dispatch_window(state, plan, prof(order, {1: flat(100.0, n_steps)}),
+                            prof(order, {1: flat(0.0, n_steps)}))
+        assert state.soc_kwh == 12000.0
+
+    def test_actuals_must_have_one_column_per_member(self):
+        _, order, state = chain_microgrid(2)
+        plan = build_schedule(state, order,
+                              prof(order, {1: flat(50.0, 1), 2: flat(40.0, 1)}),
+                              prof(order, {1: flat(0.0, 1), 2: flat(0.0, 1)}))
+        with pytest.raises(ValueError, match="2 members"):
+            dispatch_window(state, plan, np.zeros((6, 1)), np.zeros((6, 2)))
+        with pytest.raises(ValueError, match="2 members"):
+            build_schedule(state, order, np.zeros((1, 2)), np.zeros((2, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +303,10 @@ def test_dispatch_invariants_hold(case):
     state.soc_kwh = soc0 * battery_kwh
     start_fuel = state.fuel_kwh
     plan = build_schedule(state, order,
-                          {z: [float(np.mean(loads[z]))] for z in loads},
-                          {z: [float(np.mean(pv[z]))] for z in pv})
-    win = dispatch_window(state, plan, 0, loads, pv)
+                          prof(order, {z: [float(np.mean(loads[z]))]
+                                       for z in loads}),
+                          prof(order, {z: [float(np.mean(pv[z]))] for z in pv}))
+    win = dispatch_window(state, plan, prof(order, loads), prof(order, pv))
 
     balance = (win.served_kw.sum(axis=1) - win.pv_used_kw.sum(axis=1)
                - win.battery_kw - win.diesel_kw)
@@ -278,9 +332,10 @@ def test_critical_zones_outrank_noncritical_ones(case):
                                       diesel_kw, fuel)
     state.soc_kwh = soc0 * battery_kwh
     plan = build_schedule(state, order,
-                          {z: [float(np.mean(loads[z]))] for z in loads},
-                          {z: [float(np.mean(pv[z]))] for z in pv})
-    win = dispatch_window(state, plan, 0, loads, pv)
+                          prof(order, {z: [float(np.mean(loads[z]))]
+                                       for z in loads}),
+                          prof(order, {z: [float(np.mean(pv[z]))] for z in pv}))
+    win = dispatch_window(state, plan, prof(order, loads), prof(order, pv))
 
     rank = {z: r for r, z in enumerate(order.ranked)}
     col = {z: c for c, z in enumerate(order.members)}

@@ -725,6 +725,34 @@ def test_a_bad_warm_basis_falls_back_cold(event_zero_model, first_lps, kind):
     assert _key(rep) == _key(cold)
 
 
+def test_a_warm_infeasible_fixed_integer_lp_is_not_solved_again(
+        event_zero_model, first_lps):
+    # the second start point's LP re-solves from the first one's basis and
+    # ends infeasible; the dual simplex from a checked dual feasible start
+    # proves that, so no later system solves the same LP, and a cold solve
+    # agrees
+    solve_milp(event_zero_model.model)
+    log = list(first_lps)
+    (i,) = [i for i, (start, status, _, _) in enumerate(log)
+            if (start, status) == ("warm", SolveStatus.INFEASIBLE)]
+    args = log[i][2]     # the system's (a, senses, b, lower, upper, cost)
+    assert not any(np.array_equal(later[3], args[3])
+                   and np.array_equal(later[4], args[4])
+                   for _, _, later, _ in log[i + 1:])
+    assert milp._solve_lp_arrays(*args)[0] is SolveStatus.INFEASIBLE
+
+
+def test_dual_check_fails_on_a_nan_price():
+    sx = _one_column_lp()
+    assert sx.solve()[0] is SolveStatus.OPTIMAL
+    assert sx._dual_infeasibility() == 0.0
+    sx.binv[:] = np.nan
+    assert np.isnan(sx._dual_infeasibility())
+    sx = _one_column_lp()
+    sx.cost[0] = np.nan
+    assert np.isnan(sx._dual_infeasibility())
+
+
 def test_report_carries_the_last_optimal_fixed_integer_lp_basis(
         event_zero_model):
     # the basis the report returns is the polish LP's here, and a solve
