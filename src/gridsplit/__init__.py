@@ -36,7 +36,9 @@ from .formation import (
     build_milp,
     decode,
     fixed_topology_solution,
+    served_in_full,
     warm_values_from_topology,
+    with_event,
 )
 from .milp import (
     MilpModel,
@@ -117,12 +119,14 @@ __all__ = [
     "load_scenario",
     "run",
     "save_scenario",
+    "served_in_full",
     "service_order",
     "solve_lp",
     "solve_milp",
     "solve_partition",
     "summarize",
     "warm_values_from_topology",
+    "with_event",
     "write_outputs",
     "__version__",
 ]

@@ -4,20 +4,29 @@ Three nested clocks: a partition decision every few hours, a commitment
 schedule rebuilt at the same boundary on half-hour slots, and five-minute
 dispatch against the true profiles. Storage state follows the grid-forming
 node it belongs to, whatever zones come or go around it.
+
+The graph changes only when a fault starts or clears, so a run does the
+graph-level work once per fault set and reuses it at each later event of
+that set: the faulted graph, the partition model (flexible mode) or the
+default topology (fixed mode), and each microgrid's service order. An event
+writes only its own data: the model's snapshot bounds, switch-change costs
+and offset, or the default topology's served load and price.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from .ems import MicrogridState, build_schedule, dispatch_window, service_order
+from .ems import (MicrogridState, ServiceOrder, build_schedule,
+                  dispatch_window, service_order)
 from .formation import (DecodeError, FormationProblem, FormationSnapshot,
                         FormationSolution, FormationWeights,
                         InfeasibleTopology, build_milp, decode,
-                        fixed_topology_solution, warm_values_from_topology)
+                        fixed_topology_solution, served_in_full,
+                        warm_values_from_topology, with_event)
 from .milp import SolveReport, SolverError, SolveStatus, solve_milp
 from .netmodel import ZoneGraph
 from .scenario import Scenario, ValidationError
@@ -130,16 +139,19 @@ def _event_forecast(tl: Timeline, event_index: int, zone_ids: tuple[int, ...],
     return [np.array([t[z][s0:s1] for z in zone_ids]) for t in forecast]
 
 
-def _event_inputs(scenario: Scenario, tl: Timeline, event_index: int,
-                  zone_ids: tuple[int, ...], forecast: list[np.ndarray]):
-    """Faulted graph and forecast-mean snapshot of one formation event."""
+def _faults(scenario: Scenario, tl: Timeline,
+            event_index: int) -> frozenset[int]:
+    """The edges faulted at one formation event."""
     t = event_index * tl.formation_step_minutes
-    g0 = scenario.graph
-    g_t = g0.with_faulted(g0.faulted_edges | scenario.faulted_at(t))
+    return scenario.graph.faulted_edges | scenario.faulted_at(t)
+
+
+def _snapshot(event_index: int, zone_ids: tuple[int, ...],
+              forecast: list[np.ndarray]) -> FormationSnapshot:
+    """Forecast-mean snapshot of one formation event."""
     load, pv = (dict(zip(zone_ids, a.mean(axis=1).tolist()))
                 for a in forecast)
-    return g_t, FormationSnapshot(step_index=event_index, load_kw=load,
-                                  pv_kw=pv)
+    return FormationSnapshot(step_index=event_index, load_kw=load, pv_kw=pv)
 
 
 def _check_scenario(scenario: Scenario, tl: Timeline) -> None:
@@ -167,7 +179,8 @@ def formation_inputs(scenario: Scenario, timeline: Timeline | None,
             f"event index {event_index} outside 0..{tl.n_formation_events - 1}")
     zone_ids = tuple(sorted(n.id for n in scenario.graph.nodes))
     forecast = _event_forecast(tl, event_index, zone_ids, scenario.forecast())
-    return _event_inputs(scenario, tl, event_index, zone_ids, forecast)
+    return (scenario.graph.with_faulted(_faults(scenario, tl, event_index)),
+            _snapshot(event_index, zone_ids, forecast))
 
 
 def solve_partition(g_t: ZoneGraph, snap: FormationSnapshot,
@@ -178,6 +191,15 @@ def solve_partition(g_t: ZoneGraph, snap: FormationSnapshot,
     ``warm_basis`` (the previous event's ``SolveReport.basis``) is the
     basis its fixed-integer LPs re-solve from."""
     prob = build_milp(g_t, snap, weights, prev=prev)
+    return (prob, *_solved(prob, warm_basis))
+
+
+def _solved(prob: FormationProblem,
+            warm_basis: tuple[np.ndarray, np.ndarray] | None,
+            ) -> tuple[SolveReport, FormationSolution]:
+    """Solve a built partition problem, warm from its previous partition,
+    and decode it."""
+    prev, step = prob.prev, prob.snapshot.step_index
     warm = None
     if prev is not None:
         warm = warm_values_from_topology(prob, prev.closed, prev.assignment)
@@ -185,11 +207,24 @@ def solve_partition(g_t: ZoneGraph, snap: FormationSnapshot,
                      warm_basis=warm_basis)
     if rep.status is SolveStatus.ITERATION_LIMIT:
         raise SolverError(
-            f"partition solve of event {snap.step_index} hit the pivot budget")
+            f"partition solve of event {step} hit the pivot budget")
     if rep.status is SolveStatus.INFEASIBLE:
         raise InfeasibleTopology(
-            f"partition model of event {snap.step_index} has no feasible point")
-    return prob, rep, decode(prob, rep)
+            f"partition model of event {step} has no feasible point")
+    return rep, decode(prob, rep)
+
+
+@dataclass
+class _FaultSet:
+    """The graph-level work of one fault set within one run, done once and
+    read at each later event of the set; a service order is added when a
+    partition of the set first needs it."""
+    graph: ZoneGraph
+    problem: FormationProblem | None = None     # flexible mode: the model
+    topology: FormationSolution | None = None   # fixed mode: the default
+    # (anchor, tree, closed switches) -> that microgrid's service order
+    orders: dict[tuple[int, frozenset[int], frozenset[int]], ServiceOrder] \
+        = field(default_factory=dict)
 
 
 def run(scenario: Scenario, mode: str = "flexible",
@@ -243,22 +278,33 @@ def run(scenario: Scenario, mode: str = "flexible",
     events: list[FormationEvent] = []
     prev_sol: FormationSolution | None = None
     basis = None  # the last flexible event's SolveReport.basis
+    fault_sets: dict[frozenset[int], _FaultSet] = {}
 
     for k in range(tl.n_formation_events):
         t = k * tl.formation_step_minutes
         forecast = _event_forecast(tl, k, zone_ids, fc)
-        g_t, snap = _event_inputs(scenario, tl, k, zone_ids, forecast)
+        snap = _snapshot(k, zone_ids, forecast)
+        faults = _faults(scenario, tl, k)
+        fs = fault_sets.get(faults)
+        if fs is None:
+            fs = fault_sets[faults] = _FaultSet(g0.with_faulted(faults))
+        g_t = fs.graph
         s0 = t // tl.dispatch_step_minutes
         s1 = s0 + steps_per_event
 
         t0 = time.perf_counter()
         if mode == "fixed":
-            sol = fixed_topology_solution(g_t, snap, wts)
+            if fs.topology is None:
+                fs.topology = fixed_topology_solution(g_t)
+            sol = served_in_full(g_t, fs.topology, snap, wts)
             nodes = lp_iters = 0
         else:
+            if fs.problem is None:
+                prob = fs.problem = build_milp(g_t, snap, wts, prev=prev_sol)
+            else:
+                prob = with_event(fs.problem, snap, prev_sol)
             try:
-                _prob, rep, sol = solve_partition(g_t, snap, prev_sol, wts,
-                                                  basis)
+                rep, sol = _solved(prob, basis)
             except (SolverError, DecodeError) as exc:
                 raise type(exc)(f"t={t} min: {exc}") from exc
             nodes, lp_iters, basis = rep.node_count, rep.lp_iterations, rep.basis
@@ -280,8 +326,12 @@ def run(scenario: Scenario, mode: str = "flexible",
         # (zones x slots) forecast slot means
         fl, fp = (a.reshape(len(zone_ids), slots_per_event, -1).mean(axis=2)
                   for a in forecast)
+        closed = sol.closed
         for anchor, tree in sol.trees.items():
-            order = service_order(g_t, tree, anchor, sol.closed)
+            order = fs.orders.get((anchor, tree, closed))
+            if order is None:
+                order = fs.orders[anchor, tree, closed] = service_order(
+                    g_t, tree, anchor, closed)
             zc = [zcol[z] for z in order.members]
             plan = build_schedule(states[anchor], order, fl[zc].T, fp[zc].T,
                                   slot_minutes=tl.schedule_slot_minutes)

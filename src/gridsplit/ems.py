@@ -19,6 +19,7 @@ every step satisfies served = pv_used + diesel + discharge - charge.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from typing import Sequence
 
@@ -35,11 +36,36 @@ class TopologyMismatch(Exception):
 
 @dataclass(frozen=True)
 class ServiceOrder:
-    """Static per-topology service data: priority ranking and feed paths."""
+    """Static per-topology service data: priority ranking and feed paths.
+
+    Its array forms are computed once, on first use, and read by every
+    plan and dispatch window of the order.
+    """
     gfm_node_id: int
     members: tuple[int, ...]
     ranked: tuple[int, ...]
     path_zones: dict[int, frozenset[int]]  # zone -> zones feeding it, gfm excluded
+
+    @cached_property
+    def rank(self) -> np.ndarray:
+        """Column of each ranked zone in a (rows x members) profile array."""
+        col = {i: c for c, i in enumerate(self.members)}
+        return _read_only(np.array([col[i] for i in self.ranked], dtype=int))
+
+    @cached_property
+    def feeds(self) -> np.ndarray:
+        """(members x members) bool: each member's row marks the members
+        that feed it, the grid-forming zone excluded."""
+        col = {i: c for c, i in enumerate(self.members)}
+        feeds = np.zeros((len(col), len(col)), dtype=bool)
+        for i, path in self.path_zones.items():
+            feeds[col[i], [col[v] for v in path]] = True
+        return _read_only(feeds)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def service_order(g: ZoneGraph, members: frozenset[int] | set[int],
@@ -80,12 +106,6 @@ class MicrogridState:
         self.fuel_kwh = max(self.fuel_kwh, 0.0)
 
 
-def _ranked_columns(order: ServiceOrder) -> list[int]:
-    """Column of each ranked zone in a (rows x members) profile array."""
-    col = {i: c for c, i in enumerate(order.members)}
-    return [col[i] for i in order.ranked]
-
-
 def _member_profiles(order: ServiceOrder, load: np.ndarray,
                      pv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Load and PV as float (rows x members) arrays, columns in member order."""
@@ -99,7 +119,7 @@ def _member_profiles(order: ServiceOrder, load: np.ndarray,
 
 
 def _running_sums(load: np.ndarray, pv: np.ndarray,
-                  rank: list[int]) -> list[list[list[float]]]:
+                  rank: np.ndarray) -> list[list[list[float]]]:
     """Row by row, running sums of load and of PV over the columns ``rank``,
     left to right."""
     return [np.cumsum(a[:, rank], axis=1).tolist() for a in (load, pv)]
@@ -174,13 +194,12 @@ def build_schedule(state: MicrogridState, order: ServiceOrder,
     res = state.resource
     hours = slot_minutes / 60.0
     soc, fuel = state.soc_kwh, state.fuel_kwh
-    rank = _ranked_columns(order)
-    load_sums, pv_sums = _running_sums(load, pv, rank)
+    load_sums, pv_sums = _running_sums(load, pv, order.rank)
 
     committed: list[tuple[int, ...]] = []
     for s in range(len(load)):
         k, load_tot, pv_tot = _carried(res, soc, fuel, hours, load_sums[s],
-                                       pv_sums[s], len(rank))
+                                       pv_sums[s], len(order.ranked))
         _, _, soc, fuel = _settle(res, soc, fuel, hours, load_tot - pv_tot)
         committed.append(order.ranked[:k])
     return SchedulePlan(order, slot_minutes, tuple(committed))
@@ -230,8 +249,7 @@ def dispatch_window(state: MicrogridState, plan: SchedulePlan,
                          f"{plan.n_slots} slots of {per_slot} steps")
     res = state.resource
     hours = step_minutes / 60.0
-    ranked = order.ranked
-    rank = _ranked_columns(order)
+    ranked, rank = order.ranked, order.rank
     load_sums, pv_sums = _running_sums(load, pv, rank)
     blocked = {r for r, i in enumerate(ranked) if i in blocked_first_step}
 
@@ -279,12 +297,8 @@ def dispatch_window(state: MicrogridState, plan: SchedulePlan,
     committed = np.empty_like(on_ranked)
     committed[:, rank] = on_ranked
 
-    col = dict(zip(order.members, range(nz)))
-    feeds = np.zeros((nz, nz), dtype=bool)   # member x the members feeding it
-    for i, path in order.path_zones.items():
-        feeds[col[i], [col[v] for v in path]] = True
-    energized = committed @ feeds
-    energized[:, col[order.gfm_node_id]] = True
+    energized = committed @ order.feeds
+    energized[:, order.members.index(order.gfm_node_id)] = True
 
     lit = pv_tot > 0
     pv_used = np.zeros(load.shape)
@@ -292,7 +306,7 @@ def dispatch_window(state: MicrogridState, plan: SchedulePlan,
               where=committed & lit[:, None])
     # pin each row sum to the exact total despite share rounding
     rows = lit.nonzero()[0]
-    cols = np.array(rank)[np.array(last, dtype=int)[rows]]
+    cols = rank[np.array(last, dtype=int)[rows]]
     pv_used[rows, cols] += used[rows] - pv_used.sum(axis=1)[rows]
 
     return DispatchWindow(order.members, np.where(committed, load, 0.0),

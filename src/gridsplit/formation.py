@@ -18,9 +18,10 @@ switches out, and their load is charged as shed.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .milp import INT_TOL, MilpModel, SolveReport, SolveStatus
 from .netmodel import (LateralPolicy, RadialCheck, ZoneGraph, forest_census,
@@ -118,7 +119,9 @@ class FormationProblem:
 
     Assignment and product columns are keyed by (zone, GFM) and (edge, GFM),
     as ``FormationSolution.trees`` is keyed by GFM; their names carry the
-    GFM's position in ``graph.gfm_nodes``.
+    GFM's position in ``graph.gfm_nodes``. The rows and start points depend
+    on the graph and the weights alone; ``with_event`` derives the problem of
+    another snapshot and previous partition from them.
     """
 
     graph: ZoneGraph
@@ -130,6 +133,7 @@ class FormationProblem:
     x: dict[tuple[int, int], int]
     z: dict[tuple[int, int], int]
     t: dict[int, int]
+    p: dict[int, int]
     d: dict[int, int]
     fp: dict[int, int]
     fn: dict[int, int]
@@ -159,16 +163,14 @@ def build_milp(g: ZoneGraph, snap: FormationSnapshot, weights: FormationWeights,
     active edges between them; the offset charges every zone's load as shed,
     islands included. The model carries integral start points for
     ``solve_milp``: the default topology, unless ``fixed_topology_solution``
-    rejects it, and the shortest-path forest, each kept once. Raises ModelError for ill-posed
-    inputs and InfeasibleTopology when a lateral policy demands more
-    downstream zones than the graph can route.
+    rejects it, and the shortest-path forest, each kept once. The data of
+    the snapshot and of ``prev`` is written last, as ``with_event`` writes
+    it. Raises ModelError for ill-posed inputs and InfeasibleTopology when a
+    lateral policy demands more downstream zones than the graph can route.
     """
     gfms = g.gfm_nodes
     if not gfms:
         raise ModelError("graph has no grid-forming resources")
-    for n in g.nodes:
-        if n.id not in snap.load_kw or n.id not in snap.pv_kw:
-            raise ModelError(f"snapshot missing zone {n.id}")
 
     zones = sorted(n.id for n in g.nodes if n.id not in g.island_zones)
 
@@ -218,15 +220,13 @@ def build_milp(g: ZoneGraph, snap: FormationSnapshot, weights: FormationWeights,
     for e in edges:
         t[e.id] = mdl.add_variable(f"t_{e.id}", -e.flow_limit_kw, e.flow_limit_kw)
 
+    # PV and served load; _write_event sets their bounds from the snapshot
     p: dict[int, int] = {}
     d: dict[int, int] = {}
-    shed_w = weights.shed_weight
     for i in zones:
-        p[i] = mdl.add_variable(f"p_{i}", snap.pv_min_kw.get(i, 0.0),
-                                snap.pv_kw[i])
-        d[i] = mdl.add_variable(f"d_{i}", 0.0, snap.load_kw[i],
-                                objective=-shed_w)
-    mdl.offset += shed_w * sum(snap.load_kw[n.id] for n in g.nodes)
+        p[i] = mdl.add_variable(f"p_{i}", 0.0, 0.0)
+        d[i] = mdl.add_variable(f"d_{i}", 0.0, 0.0,
+                                objective=-weights.shed_weight)
 
     inj: dict[int, int] = {}
     for j in gfms:
@@ -244,16 +244,6 @@ def build_milp(g: ZoneGraph, snap: FormationSnapshot, weights: FormationWeights,
         we = weights.edge_weight(g, e.id)
         fp[e.id] = mdl.add_variable(f"fp_{e.id}", 0, big_m, objective=we)
         fn[e.id] = mdl.add_variable(f"fn_{e.id}", 0, big_m, objective=we)
-
-    # switch-change penalty, linearized exactly for binary y; a closed edge
-    # without a column (faulted or in a load island) is an unavoidable change
-    if prev is not None:
-        eps = weights.switch_change_penalty
-        was_closed = prev.closed
-        for eid, col in y.items():
-            mdl.add_objective(col, eps * (1.0 - 2.0 * (eid in was_closed)))
-        for _ in was_closed:
-            mdl.offset += eps    # one at a time: eps * n can differ in the last bit
 
     # each zone belongs to exactly one microgrid label
     for i in zones:
@@ -326,7 +316,7 @@ def build_milp(g: ZoneGraph, snap: FormationSnapshot, weights: FormationWeights,
 
     problem = FormationProblem(
         graph=g, snapshot=snap, weights=weights, prev=prev, model=mdl,
-        y=y, x=x, z=z, t=t, d=d, fp=fp, fn=fn)
+        y=y, x=x, z=z, t=t, p=p, d=d, fp=fp, fn=fn)
     topologies = []
     try:
         base = fixed_topology_solution(g)
@@ -338,6 +328,55 @@ def build_milp(g: ZoneGraph, snap: FormationSnapshot, weights: FormationWeights,
         point = warm_values_from_topology(problem, closed, assignment)
         if point not in mdl.starts:
             mdl.starts.append(point)
+    return _write_event(problem)
+
+
+def with_event(problem: FormationProblem, snap: FormationSnapshot,
+               prev: FormationSolution | None = None) -> FormationProblem:
+    """The problem of ``problem``'s graph and weights at another snapshot and
+    previous partition, equal bit for bit to what ``build_milp`` builds.
+
+    The new model shares the column names and kinds, the rows and the start
+    points of ``problem``'s model, read-only; it has its own bounds, costs,
+    offset and name, of which it writes only the ``p``/``d`` bounds, the
+    ``y`` switch-change costs, the offset and the name. The column maps are
+    shared too. Raises ModelError when the snapshot misses a zone.
+    """
+    src = problem.model
+    mdl = copy.copy(src)
+    mdl.lower, mdl.upper, mdl.objective = (
+        src.lower[:], src.upper[:], src.objective[:])
+    return _write_event(replace(problem, snapshot=snap, prev=prev, model=mdl))
+
+
+def _write_event(problem: FormationProblem) -> FormationProblem:
+    """Write the data of ``problem.snapshot`` and ``problem.prev`` into its
+    model: the PV and served-load bounds, the switch-change costs, the
+    offset and the name."""
+    g, snap, prev, mdl = (problem.graph, problem.snapshot, problem.prev,
+                          problem.model)
+    for n in g.nodes:
+        if n.id not in snap.load_kw or n.id not in snap.pv_kw:
+            raise ModelError(f"snapshot missing zone {n.id}")
+    mdl.name = f"formation_step_{snap.step_index}"
+    for i, col in problem.p.items():
+        mdl.lower[col] = float(snap.pv_min_kw.get(i, 0.0))
+        mdl.upper[col] = float(snap.pv_kw[i])
+    for i, col in problem.d.items():
+        mdl.upper[col] = float(snap.load_kw[i])
+    mdl.offset = problem.weights.shed_weight * sum(
+        snap.load_kw[n.id] for n in g.nodes)
+
+    # switch-change penalty, linearized exactly for binary y; a closed edge
+    # without a column (faulted or in a load island) is an unavoidable change
+    was_closed = prev.closed if prev is not None else frozenset()
+    eps = problem.weights.switch_change_penalty
+    for eid, col in problem.y.items():
+        mdl.objective[col] = 0.0
+        if prev is not None:
+            mdl.add_objective(col, eps * (1.0 - 2.0 * (eid in was_closed)))
+    for _ in was_closed:
+        mdl.offset += eps    # one at a time: eps * n can differ in the last bit
     return problem
 
 
@@ -464,11 +503,9 @@ def fixed_topology_solution(g: ZoneGraph, snap: FormationSnapshot | None = None,
                             weights: FormationWeights | None = None) -> FormationSolution:
     """Baseline partition: every normally-closed, non-faulted switch closed.
 
-    No optimization; commodity flows come from tree traversal. With a
-    snapshot, served load assumes full service (nominal values for
-    reporting; capacity checks are the optimizer's job, not the baseline's).
+    No optimization; commodity flows come from tree traversal. Served load
+    and the objective are ``served_in_full``'s.
     """
-    wts = weights or FormationWeights()
     closed = frozenset(e.id for e in g.active_edges() if not e.normally_open)
     census = forest_census(g, closed)
     if census is None:
@@ -476,7 +513,6 @@ def fixed_topology_solution(g: ZoneGraph, snap: FormationSnapshot | None = None,
                                  "join two grid-forming nodes")
 
     adj = g.adjacency(closed)
-    load = (snap.load_kw if snap else {n.id: 0.0 for n in g.nodes})
 
     # zones cut off from every GFM (faulted laterals, islands) stay dark;
     # the point of the baseline is that nothing gets rerouted
@@ -487,12 +523,32 @@ def fixed_topology_solution(g: ZoneGraph, snap: FormationSnapshot | None = None,
         for eid, (sign, beyond) in subtrees(g, adj, anchor).items():
             commodity[eid] = sign * len(beyond)
 
-    served = {i: (load[i] if assignment[i] is not None else 0.0)
-              for i in assignment}
-    shed_term, flow_term = _priced(g, wts, load, served, commodity)
-    return FormationSolution(
+    return served_in_full(g, FormationSolution(
         switch_status={e.id: (e.id in closed) for e in g.edges},
-        assignment=assignment, served_load_kw=served, commodity_flow=commodity,
+        assignment=assignment, served_load_kw={}, commodity_flow=commodity,
+        objective_value=0.0, load_shed_term=0.0, flow_term=0.0,
+        trees=census.trees), snap, weights)
+
+
+def served_in_full(g: ZoneGraph, sol: FormationSolution,
+                   snap: FormationSnapshot | None = None,
+                   weights: FormationWeights | None = None) -> FormationSolution:
+    """``sol``'s partition with each anchored zone's load served in full,
+    and priced.
+
+    Served load is the snapshot's (nominal values for reporting; capacity
+    checks are the optimizer's job, not the baseline's), or zero without
+    one. A copy: ``sol`` is left as it is.
+    """
+    wts = weights or FormationWeights()
+    load = (snap.load_kw if snap else {n.id: 0.0 for n in g.nodes})
+    served = {i: (load[i] if a is not None else 0.0)
+              for i, a in sol.assignment.items()}
+    shed_term, flow_term = _priced(g, wts, load, served, sol.commodity_flow)
+    return FormationSolution(
+        switch_status=dict(sol.switch_status),
+        assignment=dict(sol.assignment), served_load_kw=served,
+        commodity_flow=dict(sol.commodity_flow),
         objective_value=float(shed_term + flow_term),
         load_shed_term=float(shed_term), flow_term=float(flow_term),
-        trees=census.trees)
+        trees=dict(sol.trees))

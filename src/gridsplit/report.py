@@ -18,6 +18,8 @@ import json
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
+import numpy as np
+
 from .coordinator import RestorationRun
 from .scenario import (_KINDS, ParseError, ValidationError, _csv_lines, _need,
                        _write_columns)
@@ -69,15 +71,21 @@ def summarize(run: RestorationRun) -> MetricsSummary:
     step_h = run.timeline.dispatch_step_minutes / 60.0
     zcol = {z: c for c, z in enumerate(run.zone_ids)}
 
-    served_e = run.served_kw.sum(axis=0) * step_h
-    unserved_e = run.unserved_kw.sum(axis=0) * step_h
+    def energy(a: np.ndarray) -> np.ndarray:
+        # numpy sums the steps of a C-ordered array one row after another,
+        # but of an F-ordered one pairwise: sum a C-ordered copy, so that
+        # the totals do not depend on how the run laid its arrays out
+        return np.ascontiguousarray(a).sum(axis=0) * step_h
+
+    served_e = energy(run.served_kw)
+    unserved_e = energy(run.unserved_kw)
     demand_e = served_e + unserved_e
     pct_zone = {z: _pct(served_e[zcol[z]], demand_e[zcol[z]])
                 for z in run.zone_ids}
 
     feeders = sorted({n.feeder_id for n in g.nodes})
-    pv_used_e = run.pv_used_kw.sum(axis=0) * step_h
-    pv_avail_e = run.pv_potential_kw.sum(axis=0) * step_h
+    pv_used_e = energy(run.pv_used_kw)
+    pv_avail_e = energy(run.pv_potential_kw)
     pv_feeder = {}
     for f in feeders:
         cols = [zcol[n.id] for n in g.nodes if n.feeder_id == f]

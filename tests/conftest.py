@@ -8,7 +8,8 @@ from scipy.optimize import Bounds, LinearConstraint
 from scipy.optimize import milp as scipy_milp
 
 from gridsplit import (GridFormingResource, SolverError, SwitchEdge,
-                       ZoneGraph, ZoneNode, fixture_two_feeder, milp, run)
+                       ZoneGraph, ZoneNode, coordinator, fixture_two_feeder,
+                       milp, run)
 
 # example counts for property tests that do not set their own: the default
 # keeps the tier-1 suite short, "ci" draws ten times as many
@@ -57,6 +58,23 @@ def flex_run(scenario):
 @pytest.fixture(scope="session")
 def fixed_run(scenario):
     return run(scenario, mode="fixed")
+
+
+@pytest.fixture
+def coordinator_calls(monkeypatch):
+    """Spy on a name the coordinator calls through its module globals:
+    ``coordinator_calls("build_milp")`` returns the list that each call's
+    positional arguments are appended to."""
+    def spy_on(name):
+        calls, real = [], getattr(coordinator, name)
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(coordinator, name, spy)
+        return calls
+    return spy_on
 
 
 @pytest.fixture(scope="session")

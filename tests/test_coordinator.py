@@ -279,6 +279,50 @@ class TestEventPath:
         assert len(calls) == 2
 
 
+class TestFaultSetReuse:
+    """A run does the graph-level work once per fault set. The fixture's 16
+    events see two: edge 11 out throughout, and tie 9 too from 720 to 1620
+    minutes (events 4-8)."""
+
+    FAULT_SETS = [(11,), (9, 11)]
+
+    def test_flexible_run_builds_one_model_per_fault_set(
+            self, scenario, coordinator_calls):
+        builds = coordinator_calls("build_milp")
+        run(scenario, "flexible")
+        assert [tuple(sorted(g.faulted_edges)) for g, *_ in builds] \
+            == self.FAULT_SETS
+        # each at its fault set's first event, from that event's snapshot
+        assert [snap.step_index for _, snap, *_ in builds] == [0, 4]
+
+    def test_fixed_run_prices_one_default_topology_per_fault_set(
+            self, scenario, coordinator_calls):
+        defaults = coordinator_calls("fixed_topology_solution")
+        run(scenario, "fixed")
+        assert [tuple(sorted(g.faulted_edges)) for g, *_ in defaults] \
+            == self.FAULT_SETS
+
+    @pytest.mark.parametrize("mode", ["flexible", "fixed"])
+    def test_one_service_order_per_fault_set_and_microgrid(
+            self, scenario, coordinator_calls, mode):
+        # each fault set holds one partition in the fixture, in either mode
+        orders = coordinator_calls("service_order")
+        run(scenario, mode)
+        assert [(tuple(sorted(g.faulted_edges)), anchor)
+                for g, _, anchor, _ in orders] \
+            == [(faults, anchor) for faults in self.FAULT_SETS
+                for anchor in (1, 7)]
+
+    def test_nothing_survives_between_runs(self, scenario, coordinator_calls):
+        builds = coordinator_calls("build_milp")
+        defaults = coordinator_calls("fixed_topology_solution")
+        orders = coordinator_calls("service_order")
+        for _ in range(2):
+            run(scenario, "flexible")
+            run(scenario, "fixed")
+        assert (len(builds), len(defaults), len(orders)) == (4, 4, 16)
+
+
 class TestFormationInputs:
     def test_matches_the_run_events(self, scenario, flex_run):
         tl = Timeline()

@@ -18,33 +18,50 @@ must reach the same status and optimum.
 A second test re-solves each model from warm points, whose basis the root
 LP restarts from, and must reach the cold optimum.
 
+A run does the graph-level work once per fault set and reuses it at every
+later event of that set. A third test draws fault windows and, per event, a
+snapshot and a previous partition: each event's problem derived from its
+fault set's build (``with_event``) must equal a fresh ``build_milp`` bit for
+bit, each event's pricing of its fault set's default topology
+(``served_in_full``) must equal a fresh ``fixed_topology_solution``, and a
+reused service order must equal a fresh one. The fixture's runs are checked
+the same way at each of their 16 events.
+
 The example count comes from the hypothesis profile (``tests/conftest.py``):
 40 by default, 400 with ``HYPOTHESIS_PROFILE=ci``.
 """
 
 import itertools
 
+import numpy as np
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from gridsplit import (
     FormationSnapshot,
+    FormationSolution,
     FormationWeights,
     GridFormingResource,
     InfeasibleTopology,
     LateralPolicy,
     SolveStatus,
     SwitchEdge,
+    Timeline,
     ZoneGraph,
     ZoneNode,
     build_milp,
     decode,
     enumerate_optimal,
     fixed_topology_solution,
+    formation_inputs,
     is_radial_forest,
     load_islands,
+    run,
+    served_in_full,
+    service_order,
     solve_milp,
     warm_values_from_topology,
+    with_event,
 )
 
 REL_TOL = 1e-6
@@ -231,3 +248,127 @@ def test_warm_started_search_reaches_the_cold_optimum(case):
         assert rep.status is SolveStatus.OPTIMAL
         assert abs(rep.objective - cold.objective) \
             <= REL_TOL * max(1.0, abs(cold.objective))
+
+
+def assert_same_problem(got, fresh):
+    """Two formation problems are equal bit for bit: model arrays, senses,
+    bounds, costs, offset, name, row and column names, start points and
+    column maps."""
+    a, b = got.model, fresh.model
+    # matrix, senses, right-hand sides, lower and upper bounds, costs
+    matrix, senses, *vectors = a.dense()
+    fresh_matrix, fresh_senses, *fresh_vectors = b.dense()
+    assert senses == fresh_senses
+    for x, y in zip([matrix, *vectors], [fresh_matrix, *fresh_vectors]):
+        assert x.dtype == y.dtype and x.shape == y.shape
+        assert x.tobytes() == y.tobytes()
+    assert (a.offset.hex(), a.name) == (b.offset.hex(), b.name)
+    assert a.var_names == b.var_names and a.is_integer == b.is_integer
+    assert [r.name for r in a.rows] == [r.name for r in b.rows]
+    assert a.starts == b.starts
+    for cols in ("y", "x", "z", "t", "p", "d", "fp", "fn"):
+        assert getattr(got, cols) == getattr(fresh, cols), cols
+    assert (got.snapshot, got.prev, got.weights) \
+        == (fresh.snapshot, fresh.prev, fresh.weights)
+
+
+def assert_same_solution(got, fresh):
+    assert got == fresh and repr(got) == repr(fresh)
+
+
+def assert_same_order(got, fresh):
+    assert got == fresh
+    for arr in ("rank", "feeds"):
+        x, y = getattr(got, arr), getattr(fresh, arr)
+        assert x.dtype == y.dtype and np.array_equal(x, y), arr
+
+
+@st.composite
+def fault_window_events(draw):
+    """A restoration case, a fault window that takes 1-2 more edges out, and
+    2-5 events, each inside or outside the window, with its own snapshot and
+    previous partition (any set of closed switches, faulted ones too)."""
+    g, _ = draw(restoration_case())
+    live = [e.id for e in g.active_edges()]
+    window = g.faulted_edges | frozenset(draw(st.lists(
+        st.sampled_from(live), min_size=1, max_size=2, unique=True)))
+    kw = st.integers(0, 400_000).map(lambda w: w / 1000.0)
+    events = []
+    for k in range(draw(st.integers(2, 5))):
+        load = {n.id: draw(kw) for n in g.nodes}
+        pv = {n.id: draw(kw) for n in g.nodes}
+        must_take = draw(st.lists(st.sampled_from(sorted(pv)), unique=True,
+                                  max_size=2))
+        snap = FormationSnapshot(k, load, pv,
+                                 {z: pv[z] / 2 for z in must_take})
+        prev = None
+        if draw(st.booleans()):
+            closed = draw(st.sets(st.sampled_from([e.id for e in g.edges])))
+            prev = FormationSolution({e.id: e.id in closed for e in g.edges},
+                                     {}, {}, {}, 0.0, 0.0, 0.0)
+        faults = window if draw(st.booleans()) else g.faulted_edges
+        events.append((faults, snap, prev))
+    return g, events
+
+
+@settings(deadline=None)
+@given(fault_window_events())
+def test_a_fault_sets_graph_work_serves_each_of_its_events(case):
+    g, events = case
+    built = {}     # fault set -> (its graph, its build, its default, orders)
+    for faults, snap, prev in events:
+        if faults in built:
+            g_t, prob, default, orders = built[faults]
+            if prob is not None:
+                prob = with_event(prob, snap, prev)
+        else:
+            g_t = g.with_faulted(faults)
+            try:
+                prob = build_milp(g_t, snap, WTS, prev)
+            except InfeasibleTopology:
+                prob = None
+            try:
+                default = fixed_topology_solution(g_t)
+            except InfeasibleTopology:
+                default = None
+            orders = {} if default is None else {
+                anchor: service_order(g_t, tree, anchor, default.closed)
+                for anchor, tree in default.trees.items()}
+            built[faults] = g_t, prob, default, orders
+        fresh_g = g.with_faulted(faults)     # no cached graph properties
+        if prob is None:
+            event("fault set without a model")
+        else:
+            assert_same_problem(prob, build_milp(fresh_g, snap, WTS, prev))
+        if default is not None:
+            assert_same_solution(served_in_full(g_t, default, snap, WTS),
+                                 fixed_topology_solution(fresh_g, snap, WTS))
+            for anchor, tree in default.trees.items():
+                assert_same_order(orders[anchor], service_order(
+                    fresh_g, tree, anchor, default.closed))
+
+
+def test_each_fixture_event_matches_its_fresh_graph_work(scenario,
+                                                         coordinator_calls):
+    # decode sees each event's problem, build_schedule each microgrid's
+    # service order, in event order
+    decoded = coordinator_calls("decode")
+    plans = coordinator_calls("build_schedule")
+    tl = Timeline()
+    flex, fixed = run(scenario, "flexible", tl), run(scenario, "fixed", tl)
+    assert len(decoded) == len(flex.events) == len(fixed.events) == 16
+    orders = iter(order for _, order, *_ in plans)
+    for r in (flex, fixed):
+        prev = None
+        for k, ev in enumerate(r.events):
+            g_t, snap = formation_inputs(scenario, tl, k)
+            if r is flex:
+                assert_same_problem(decoded[k][0],
+                                    build_milp(g_t, snap, WTS, prev))
+            else:
+                assert_same_solution(ev.solution,
+                                     fixed_topology_solution(g_t, snap, WTS))
+            for anchor, tree in ev.solution.trees.items():
+                assert_same_order(next(orders), service_order(
+                    g_t, tree, anchor, ev.solution.closed))
+            prev = ev.solution

@@ -135,6 +135,20 @@ class TestOutputs:
             assert pa.name == pb.name
             assert filecmp.cmp(pa, pb, shallow=False), pa.name
 
+    def test_summary_does_not_depend_on_array_layout(self, flex_run,
+                                                     tmp_path):
+        # numpy sums the steps of an F-ordered array pairwise, of a
+        # C-ordered one row after row; on the fixture the two differ
+        fortran = dataclasses.replace(flex_run, **{
+            f.name: np.asfortranarray(getattr(flex_run, f.name))
+            for f in dataclasses.fields(flex_run)
+            if isinstance(getattr(flex_run, f.name), np.ndarray)})
+        assert fortran.served_kw.flags.f_contiguous
+        write_outputs(flex_run, tmp_path / "c")
+        write_outputs(fortran, tmp_path / "f")
+        assert (tmp_path / "f" / "summary.json").read_bytes() \
+            == (tmp_path / "c" / "summary.json").read_bytes()
+
     def test_summary_round_trips_from_disk(self, flex_run, tmp_path):
         write_outputs(flex_run, tmp_path)
         back = summary_from_file(tmp_path / "summary.json")
