@@ -1,6 +1,6 @@
 """Rolling-horizon restoration loop.
 
-Three nested clocks: a partition decision every few hours, a commitment
+Three nested clocks: a partition decision every three hours, a commitment
 schedule rebuilt at the same boundary on half-hour slots, and five-minute
 dispatch against the true profiles. Storage state follows the grid-forming
 node it belongs to, whatever zones come or go around it.
@@ -16,12 +16,14 @@ and offset, or the default topology's served load and price.
 from __future__ import annotations
 
 import time
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
-from .ems import (MicrogridState, ServiceOrder, build_schedule,
-                  dispatch_window, service_order)
+from .ems import (DISPATCH_STEP_MINUTES, SLOT_MINUTES, MicrogridState,
+                  ServiceOrder, build_schedule, dispatch_window,
+                  service_order)
 from .formation import (DecodeError, FormationProblem, FormationSnapshot,
                         FormationSolution, FormationWeights,
                         InfeasibleTopology, build_milp, decode,
@@ -32,35 +34,33 @@ from .netmodel import ZoneGraph
 from .scenario import Scenario, ValidationError
 
 MODES = ("flexible", "fixed")
+FORMATION_STEP_MINUTES = 180   # partition clock, a whole number of slots
 
 
 @dataclass(frozen=True)
 class Timeline:
-    """Clock structure of a run, in minutes: one partition per formation
-    step, each planned in schedule slots and dispatched in steps.
+    """Length of a run, in minutes: one partition per formation step, each
+    planned in schedule slots and dispatched in steps. The three clock
+    lengths are fixed and read-only here.
     """
     total_minutes: int = 2880
-    formation_step_minutes: int = 180
-    schedule_slot_minutes: int = 30
-    dispatch_step_minutes: int = 5
+    formation_step_minutes: ClassVar[int] = FORMATION_STEP_MINUTES
+    schedule_slot_minutes: ClassVar[int] = SLOT_MINUTES
+    dispatch_step_minutes: ClassVar[int] = DISPATCH_STEP_MINUTES
 
     def __post_init__(self):
-        if any(v <= 0 for v in astuple(self)):
-            raise ValueError("timeline entries must be positive")
-        if self.schedule_slot_minutes % self.dispatch_step_minutes:
-            raise ValueError("slot length must be a multiple of the dispatch step")
-        if self.formation_step_minutes % self.schedule_slot_minutes:
-            raise ValueError("formation step must be a multiple of the slot")
-        if self.total_minutes % self.formation_step_minutes:
+        if self.total_minutes <= 0:
+            raise ValueError("total horizon must be positive")
+        if self.total_minutes % FORMATION_STEP_MINUTES:
             raise ValueError("total horizon must be a multiple of the formation step")
 
     @property
     def n_steps(self) -> int:
-        return self.total_minutes // self.dispatch_step_minutes
+        return self.total_minutes // DISPATCH_STEP_MINUTES
 
     @property
     def n_formation_events(self) -> int:
-        return self.total_minutes // self.formation_step_minutes
+        return self.total_minutes // FORMATION_STEP_MINUTES
 
 
 @dataclass(frozen=True)
@@ -128,21 +128,20 @@ def _profiles(table: dict[int, np.ndarray], zone_ids: tuple[int, ...],
     return np.column_stack([table[z][:n_steps] for z in zone_ids])
 
 
-def _event_forecast(tl: Timeline, event_index: int, zone_ids: tuple[int, ...],
+def _event_forecast(event_index: int, zone_ids: tuple[int, ...],
                     forecast: tuple[dict[int, np.ndarray], dict[int, np.ndarray]],
                     ) -> list[np.ndarray]:
     """One event's steps of the load and PV forecasts as (zones x steps)
     matrices: a mean along their contiguous last axis sums each zone's steps
     as the mean of that zone's own profile slice does, bit for bit."""
-    s0 = event_index * tl.formation_step_minutes // tl.dispatch_step_minutes
-    s1 = s0 + tl.formation_step_minutes // tl.dispatch_step_minutes
+    n = FORMATION_STEP_MINUTES // DISPATCH_STEP_MINUTES
+    s0, s1 = event_index * n, (event_index + 1) * n
     return [np.array([t[z][s0:s1] for z in zone_ids]) for t in forecast]
 
 
-def _faults(scenario: Scenario, tl: Timeline,
-            event_index: int) -> frozenset[int]:
+def _faults(scenario: Scenario, event_index: int) -> frozenset[int]:
     """The edges faulted at one formation event."""
-    t = event_index * tl.formation_step_minutes
+    t = event_index * FORMATION_STEP_MINUTES
     return scenario.graph.faulted_edges | scenario.faulted_at(t)
 
 
@@ -156,10 +155,10 @@ def _snapshot(event_index: int, zone_ids: tuple[int, ...],
 
 def _check_scenario(scenario: Scenario, tl: Timeline) -> None:
     """The scenario must be sampled at the dispatch step and cover the run."""
-    if scenario.step_minutes != tl.dispatch_step_minutes:
+    if scenario.step_minutes != DISPATCH_STEP_MINUTES:
         raise ValidationError(
             f"scenario step {scenario.step_minutes} min does not match the "
-            f"dispatch step {tl.dispatch_step_minutes} min")
+            f"dispatch step {DISPATCH_STEP_MINUTES} min")
     if scenario.horizon_minutes < tl.total_minutes:
         raise ValidationError("scenario profiles are shorter than the timeline")
 
@@ -178,27 +177,18 @@ def formation_inputs(scenario: Scenario, timeline: Timeline | None,
         raise ValueError(
             f"event index {event_index} outside 0..{tl.n_formation_events - 1}")
     zone_ids = tuple(sorted(n.id for n in scenario.graph.nodes))
-    forecast = _event_forecast(tl, event_index, zone_ids, scenario.forecast())
-    return (scenario.graph.with_faulted(_faults(scenario, tl, event_index)),
+    forecast = _event_forecast(event_index, zone_ids, scenario.forecast())
+    return (scenario.graph.with_faulted(_faults(scenario, event_index)),
             _snapshot(event_index, zone_ids, forecast))
 
 
-def solve_partition(g_t: ZoneGraph, snap: FormationSnapshot,
-                    prev: FormationSolution | None, weights: FormationWeights,
+def solve_partition(prob: FormationProblem,
                     warm_basis: tuple[np.ndarray, np.ndarray] | None = None,
-                    ) -> tuple[FormationProblem, SolveReport, FormationSolution]:
-    """Build, warm-start from ``prev``, solve and decode one partition;
-    ``warm_basis`` (the previous event's ``SolveReport.basis``) is the
-    basis its fixed-integer LPs re-solve from."""
-    prob = build_milp(g_t, snap, weights, prev=prev)
-    return (prob, *_solved(prob, warm_basis))
-
-
-def _solved(prob: FormationProblem,
-            warm_basis: tuple[np.ndarray, np.ndarray] | None,
-            ) -> tuple[SolveReport, FormationSolution]:
+                    ) -> tuple[SolveReport, FormationSolution]:
     """Solve a built partition problem, warm from its previous partition,
-    and decode it."""
+    and decode it; ``warm_basis`` (the previous event's
+    ``SolveReport.basis``) is the basis its fixed-integer LPs re-solve
+    from."""
     prev, step = prob.prev, prob.snapshot.step_index
     warm = None
     if prev is not None:
@@ -250,8 +240,8 @@ def run(scenario: Scenario, mode: str = "flexible",
     zcol = {z: c for c, z in enumerate(zone_ids)}
     gcol = {j: c for c, j in enumerate(gfm_ids)}
     n_steps = tl.n_steps
-    slots_per_event = tl.formation_step_minutes // tl.schedule_slot_minutes
-    steps_per_event = tl.formation_step_minutes // tl.dispatch_step_minutes
+    slots_per_event = FORMATION_STEP_MINUTES // SLOT_MINUTES
+    steps_per_event = FORMATION_STEP_MINUTES // DISPATCH_STEP_MINUTES
 
     # (steps x zones), like the run's arrays: pv is the run's PV potential
     load = _profiles(scenario.load_kw, zone_ids, n_steps)
@@ -281,15 +271,15 @@ def run(scenario: Scenario, mode: str = "flexible",
     fault_sets: dict[frozenset[int], _FaultSet] = {}
 
     for k in range(tl.n_formation_events):
-        t = k * tl.formation_step_minutes
-        forecast = _event_forecast(tl, k, zone_ids, fc)
+        t = k * FORMATION_STEP_MINUTES
+        forecast = _event_forecast(k, zone_ids, fc)
         snap = _snapshot(k, zone_ids, forecast)
-        faults = _faults(scenario, tl, k)
+        faults = _faults(scenario, k)
         fs = fault_sets.get(faults)
         if fs is None:
             fs = fault_sets[faults] = _FaultSet(g0.with_faulted(faults))
         g_t = fs.graph
-        s0 = t // tl.dispatch_step_minutes
+        s0 = t // DISPATCH_STEP_MINUTES
         s1 = s0 + steps_per_event
 
         t0 = time.perf_counter()
@@ -304,7 +294,7 @@ def run(scenario: Scenario, mode: str = "flexible",
             else:
                 prob = with_event(fs.problem, snap, prev_sol)
             try:
-                rep, sol = _solved(prob, basis)
+                rep, sol = solve_partition(prob, basis)
             except (SolverError, DecodeError) as exc:
                 raise type(exc)(f"t={t} min: {exc}") from exc
             nodes, lp_iters, basis = rep.node_count, rep.lp_iterations, rep.basis
@@ -333,12 +323,9 @@ def run(scenario: Scenario, mode: str = "flexible",
                 order = fs.orders[anchor, tree, closed] = service_order(
                     g_t, tree, anchor, closed)
             zc = [zcol[z] for z in order.members]
-            plan = build_schedule(states[anchor], order, fl[zc].T, fp[zc].T,
-                                  slot_minutes=tl.schedule_slot_minutes)
+            plan = build_schedule(states[anchor], order, fl[zc].T, fp[zc].T)
             win = dispatch_window(states[anchor], plan, load[s0:s1, zc],
-                                  pv[s0:s1, zc],
-                                  step_minutes=tl.dispatch_step_minutes,
-                                  blocked_first_step=blocked)
+                                  pv[s0:s1, zc], blocked_first_step=blocked)
             served[s0:s1, zc] = win.served_kw
             unserved[s0:s1, zc] = win.unserved_kw
             pv_used[s0:s1, zc] = win.pv_used_kw
@@ -355,7 +342,7 @@ def run(scenario: Scenario, mode: str = "flexible",
     return RestorationRun(
         scenario=scenario, mode=mode, timeline=tl, zone_ids=zone_ids,
         gfm_ids=gfm_ids,
-        time_min=np.arange(n_steps) * tl.dispatch_step_minutes,
+        time_min=np.arange(n_steps) * DISPATCH_STEP_MINUTES,
         served_kw=served, unserved_kw=unserved, pv_potential_kw=pv,
         pv_used_kw=pv_used, committed=committed, energized=energized,
         assignment=assign_arr, battery_kw=battery, diesel_kw=diesel,

@@ -28,6 +28,8 @@ import numpy as np
 from .netmodel import GridFormingResource, ZoneGraph, walk
 
 BALANCE_TOL = 1e-9
+DISPATCH_STEP_MINUTES = 5   # dispatch clock; profiles are sampled at it
+SLOT_MINUTES = 30           # schedule clock, a whole number of steps
 
 
 class TopologyMismatch(Exception):
@@ -169,7 +171,6 @@ def _settle(res: GridFormingResource, soc: float, fuel: float, hours: float,
 class SchedulePlan:
     """Slot-resolution commitment plan: each slot's committed priority prefix."""
     order: ServiceOrder
-    slot_minutes: int
     committed: tuple[tuple[int, ...], ...]
 
     @property
@@ -178,8 +179,7 @@ class SchedulePlan:
 
 
 def build_schedule(state: MicrogridState, order: ServiceOrder,
-                   load: np.ndarray, pv: np.ndarray,
-                   *, slot_minutes: int = 30) -> SchedulePlan:
+                   load: np.ndarray, pv: np.ndarray) -> SchedulePlan:
     """Commit the largest feasible priority prefix in every slot.
 
     ``load`` and ``pv`` are (slots x members) forecasts, columns in
@@ -188,11 +188,9 @@ def build_schedule(state: MicrogridState, order: ServiceOrder,
     for the slot length. Energy is projected from slot to slot; the live
     state is untouched.
     """
-    if not slot_minutes > 0:
-        raise ValueError(f"slot length {slot_minutes!r} min is not positive")
     load, pv = _member_profiles(order, load, pv)
     res = state.resource
-    hours = slot_minutes / 60.0
+    hours = SLOT_MINUTES / 60.0
     soc, fuel = state.soc_kwh, state.fuel_kwh
     load_sums, pv_sums = _running_sums(load, pv, order.rank)
 
@@ -202,7 +200,7 @@ def build_schedule(state: MicrogridState, order: ServiceOrder,
                                        pv_sums[s], len(order.ranked))
         _, _, soc, fuel = _settle(res, soc, fuel, hours, load_tot - pv_tot)
         committed.append(order.ranked[:k])
-    return SchedulePlan(order, slot_minutes, tuple(committed))
+    return SchedulePlan(order, tuple(committed))
 
 
 @dataclass(frozen=True)
@@ -223,8 +221,7 @@ class DispatchWindow:
 
 def dispatch_window(state: MicrogridState, plan: SchedulePlan,
                     load: np.ndarray, pv: np.ndarray,
-                    *, step_minutes: int = 5,
-                    blocked_first_step: frozenset[int] = frozenset()) -> DispatchWindow:
+                    *, blocked_first_step: frozenset[int] = frozenset()) -> DispatchWindow:
     """Run a plan's slots step by step, mutating the live storage state.
 
     ``load`` and ``pv`` are (steps x members) actuals, columns in
@@ -235,20 +232,16 @@ def dispatch_window(state: MicrogridState, plan: SchedulePlan,
     its slot. Zones in ``blocked_first_step`` sit out the first step only
     (switching interval after a topology change).
     """
-    if not step_minutes > 0:
-        raise ValueError(f"step length {step_minutes!r} min is not positive")
-    if plan.slot_minutes % step_minutes != 0:
-        raise ValueError("slot length must be a multiple of the step length")
     order = plan.order
     load, pv = _member_profiles(order, load, pv)
-    per_slot = plan.slot_minutes // step_minutes
+    per_slot = SLOT_MINUTES // DISPATCH_STEP_MINUTES
     n_steps = len(load)
     n_slots, rest = divmod(n_steps, per_slot)
     if rest or n_slots > plan.n_slots:
         raise ValueError(f"{n_steps} steps are not a whole number of at most "
                          f"{plan.n_slots} slots of {per_slot} steps")
     res = state.resource
-    hours = step_minutes / 60.0
+    hours = DISPATCH_STEP_MINUTES / 60.0
     ranked, rank = order.ranked, order.rank
     load_sums, pv_sums = _running_sums(load, pv, rank)
     blocked = {r for r, i in enumerate(ranked) if i in blocked_first_step}

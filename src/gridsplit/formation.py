@@ -355,9 +355,7 @@ def _write_event(problem: FormationProblem) -> FormationProblem:
     offset and the name."""
     g, snap, prev, mdl = (problem.graph, problem.snapshot, problem.prev,
                           problem.model)
-    for n in g.nodes:
-        if n.id not in snap.load_kw or n.id not in snap.pv_kw:
-            raise ModelError(f"snapshot missing zone {n.id}")
+    _check_snapshot(g, snap)
     mdl.name = f"formation_step_{snap.step_index}"
     for i, col in problem.p.items():
         mdl.lower[col] = float(snap.pv_min_kw.get(i, 0.0))
@@ -378,6 +376,13 @@ def _write_event(problem: FormationProblem) -> FormationProblem:
     for _ in was_closed:
         mdl.offset += eps    # one at a time: eps * n can differ in the last bit
     return problem
+
+
+def _check_snapshot(g: ZoneGraph, snap: FormationSnapshot) -> None:
+    """Raise ModelError unless ``snap`` has load and PV for every zone."""
+    for n in g.nodes:
+        if n.id not in snap.load_kw or n.id not in snap.pv_kw:
+            raise ModelError(f"snapshot missing zone {n.id}")
 
 
 def _shortest_path_forest(g: ZoneGraph, weights: FormationWeights,
@@ -499,12 +504,11 @@ def decode(problem: FormationProblem, report: SolveReport) -> FormationSolution:
         switch_change_term=float(switch_term), trees=check.trees)
 
 
-def fixed_topology_solution(g: ZoneGraph, snap: FormationSnapshot | None = None,
-                            weights: FormationWeights | None = None) -> FormationSolution:
+def fixed_topology_solution(g: ZoneGraph) -> FormationSolution:
     """Baseline partition: every normally-closed, non-faulted switch closed.
 
-    No optimization; commodity flows come from tree traversal. Served load
-    and the objective are ``served_in_full``'s.
+    No optimization; commodity flows come from tree traversal. It is priced
+    by ``served_in_full`` without a snapshot: no load, default weights.
     """
     closed = frozenset(e.id for e in g.active_edges() if not e.normally_open)
     census = forest_census(g, closed)
@@ -527,7 +531,7 @@ def fixed_topology_solution(g: ZoneGraph, snap: FormationSnapshot | None = None,
         switch_status={e.id: (e.id in closed) for e in g.edges},
         assignment=assignment, served_load_kw={}, commodity_flow=commodity,
         objective_value=0.0, load_shed_term=0.0, flow_term=0.0,
-        trees=census.trees), snap, weights)
+        trees=census.trees))
 
 
 def served_in_full(g: ZoneGraph, sol: FormationSolution,
@@ -538,10 +542,15 @@ def served_in_full(g: ZoneGraph, sol: FormationSolution,
 
     Served load is the snapshot's (nominal values for reporting; capacity
     checks are the optimizer's job, not the baseline's), or zero without
-    one. A copy: ``sol`` is left as it is.
+    one. A copy: ``sol`` is left as it is. Raises ModelError when the
+    snapshot misses a zone.
     """
     wts = weights or FormationWeights()
-    load = (snap.load_kw if snap else {n.id: 0.0 for n in g.nodes})
+    if snap is None:
+        load = {n.id: 0.0 for n in g.nodes}
+    else:
+        _check_snapshot(g, snap)
+        load = snap.load_kw
     served = {i: (load[i] if a is not None else 0.0)
               for i, a in sol.assignment.items()}
     shed_term, flow_term = _priced(g, wts, load, served, sol.commodity_flow)

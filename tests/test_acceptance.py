@@ -36,22 +36,29 @@ def formation_chain(scenario, flex_run):
 
     The coordinator discards column vectors after decoding; the raw values are
     needed to inspect the product-linearization columns, so the chain is
-    replayed here through the coordinator's own build, warm start, solve and
-    decode, with the same inputs and penalty defaults.
+    replayed here through the coordinator's own solve path, with the same
+    inputs and penalty defaults: each event's problem is built, then solved
+    warm from the previous partition and from the basis the previous event
+    ended with, and decoded.
     """
     tl = Timeline()
     wts = FormationWeights()
     chain = []
-    prev = None
+    prev = basis = None
     for k in range(tl.n_formation_events):
         g_t, snap = formation_inputs(scenario, tl, k)
-        prob, rep, sol = solve_partition(g_t, snap, prev, wts)
+        prob = build_milp(g_t, snap, wts, prev=prev)
+        rep, sol = solve_partition(prob, basis)
         chain.append((g_t, prob, rep, sol))
-        prev = sol
-    # the replay must be the run the coordinator actually performed
+        prev, basis = sol, rep.basis
+    # the replay must be the run the coordinator actually performed, down
+    # to the search: the same nodes and pivots at every event
+    assert len(chain) == len(flex_run.events)
     for (g_t, prob, rep, sol), ev in zip(chain, flex_run.events):
         assert sol.objective_value == ev.solution.objective_value
         assert sol.switch_status == ev.solution.switch_status
+        assert (rep.node_count, rep.lp_iterations) \
+            == (ev.node_count, ev.lp_iterations), ev.time_min
     return chain
 
 

@@ -150,6 +150,7 @@ class TestRun:
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: graph has no grid-forming resources"] * 2
 
+    @pytest.mark.blas_threads
     def test_one_source_ring_opens_a_switch_inside_its_microgrid(
             self, tmp_path, four_zone_ring):
         # a 4-zone ring fed by one grid-forming zone: every radial forest

@@ -77,23 +77,24 @@ class TestTimeline:
         assert tl.n_formation_events == 16
         assert tl.n_steps == 576
 
-    def test_divisibility_enforced(self):
-        with pytest.raises(ValueError, match="multiple of the dispatch step"):
-            Timeline(schedule_slot_minutes=31)
-        with pytest.raises(ValueError, match="multiple of the slot"):
-            Timeline(formation_step_minutes=100, total_minutes=2800)
+    def test_horizon_is_whole_formation_steps(self):
         with pytest.raises(ValueError, match="multiple of the formation"):
-            Timeline(total_minutes=2900, formation_step_minutes=180)
+            Timeline(total_minutes=2900)
         with pytest.raises(ValueError, match="must be positive"):
-            Timeline(dispatch_step_minutes=0)
+            Timeline(total_minutes=0)
 
-    def test_four_clocks(self):
-        assert [f.name for f in dataclasses.fields(Timeline)] == [
-            "total_minutes", "formation_step_minutes",
-            "schedule_slot_minutes", "dispatch_step_minutes"]
+    def test_only_the_horizon_is_settable(self):
+        assert [f.name for f in dataclasses.fields(Timeline)] \
+            == ["total_minutes"]
+        tl = Timeline(total_minutes=360)
+        assert (tl.formation_step_minutes, tl.schedule_slot_minutes,
+                tl.dispatch_step_minutes) == (180, 30, 5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            tl.dispatch_step_minutes = 15
 
 
 class TestFlexibleRun:
+    @pytest.mark.blas_threads
     def test_objectives_are_reproduced_bit_for_bit(self, flex_run):
         # microgrids.csv writes repr(objective), so the committed fixture
         # outputs hold these exact floats. Each is the objective of the LP
@@ -212,8 +213,12 @@ class TestRunValidation:
             run(scenario, mode="adaptive")
 
     def test_step_mismatch(self, scenario):
-        with pytest.raises(ValidationError, match="does not match the"):
-            run(scenario, timeline=Timeline(dispatch_step_minutes=15))
+        # 576 samples at 15 minutes cover the horizon, at the wrong step
+        sc = dataclasses.replace(scenario, step_minutes=15)
+        with pytest.raises(ValidationError, match="scenario step 15 min does "
+                                                  "not match the dispatch "
+                                                  "step 5 min"):
+            run(sc)
 
     def test_short_profiles(self):
         sc = mirror_scenario(n_steps=36)   # 180 min of data
@@ -391,7 +396,7 @@ class TestSwitchPenaltyChaining:
         wts = FormationWeights(switch_change_penalty=20.0)
         load = {z: 100.0 for z in range(1, 11)}
         snap1 = FormationSnapshot(0, load, {z: 0.0 for z in range(1, 11)})
-        base = fixed_topology_solution(g, snap1, wts)
+        base = fixed_topology_solution(g)
         prob1 = build_milp(g, snap1, wts, prev=base)
         sol1 = decode(prob1, solve_milp(prob1.model))
         assert closed_set(sol1) == {1, 2, 3, 4, 5, 6, 7, 8}

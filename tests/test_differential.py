@@ -23,8 +23,9 @@ later event of that set. A third test draws fault windows and, per event, a
 snapshot and a previous partition: each event's problem derived from its
 fault set's build (``with_event``) must equal a fresh ``build_milp`` bit for
 bit, each event's pricing of its fault set's default topology
-(``served_in_full``) must equal a fresh ``fixed_topology_solution``, and a
-reused service order must equal a fresh one. The fixture's runs are checked
+(``served_in_full``) must equal the pricing of a fresh
+``fixed_topology_solution``, and a reused service order must equal a fresh
+one. The fixture's runs are checked
 the same way at each of their 16 events.
 
 The example count comes from the hypothesis profile (``tests/conftest.py``):
@@ -34,6 +35,7 @@ The example count comes from the hypothesis profile (``tests/conftest.py``):
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
@@ -63,6 +65,9 @@ from gridsplit import (
     warm_values_from_topology,
     with_event,
 )
+
+# every check here must hold under any BLAS thread count
+pytestmark = pytest.mark.blas_threads
 
 REL_TOL = 1e-6
 WTS = FormationWeights()
@@ -237,7 +242,7 @@ def test_warm_started_search_reaches_the_cold_optimum(case):
     # chord closes a loop in the baseline, which then does not exist
     starts = [decode(prob, cold)]
     try:
-        starts.append(fixed_topology_solution(g, snap, WTS))
+        starts.append(fixed_topology_solution(g))
     except InfeasibleTopology:
         pass
     for start in starts:
@@ -341,8 +346,10 @@ def test_a_fault_sets_graph_work_serves_each_of_its_events(case):
         else:
             assert_same_problem(prob, build_milp(fresh_g, snap, WTS, prev))
         if default is not None:
-            assert_same_solution(served_in_full(g_t, default, snap, WTS),
-                                 fixed_topology_solution(fresh_g, snap, WTS))
+            assert_same_solution(
+                served_in_full(g_t, default, snap, WTS),
+                served_in_full(fresh_g, fixed_topology_solution(fresh_g),
+                               snap, WTS))
             for anchor, tree in default.trees.items():
                 assert_same_order(orders[anchor], service_order(
                     fresh_g, tree, anchor, default.closed))
@@ -366,8 +373,8 @@ def test_each_fixture_event_matches_its_fresh_graph_work(scenario,
                 assert_same_problem(decoded[k][0],
                                     build_milp(g_t, snap, WTS, prev))
             else:
-                assert_same_solution(ev.solution,
-                                     fixed_topology_solution(g_t, snap, WTS))
+                assert_same_solution(ev.solution, served_in_full(
+                    g_t, fixed_topology_solution(g_t), snap, WTS))
             for anchor, tree in ev.solution.trees.items():
                 assert_same_order(next(orders), service_order(
                     g_t, tree, anchor, ev.solution.closed))

@@ -120,32 +120,14 @@ class TestSchedule:
                                           battery_kwh=1000.0)
         state.soc_kwh = 0.0
         plan = build_schedule(state, order, prof(order, {1: flat(0.0, 1)}),
-                              prof(order, {1: flat(200.0, 1)}),
-                              slot_minutes=30)
+                              prof(order, {1: flat(200.0, 1)}))
         win = dispatch_window(state, plan, prof(order, {1: flat(0.0)}),
                               prof(order, {1: flat(200.0)}))
         assert np.allclose(win.battery_kw, -200.0)
         assert state.soc_kwh == pytest.approx(200.0 * 0.5 * 0.95)
 
-    @pytest.mark.parametrize("slot_minutes", [0, -30])
-    def test_non_positive_slot_length_is_refused(self, slot_minutes):
-        _, order, state = chain_microgrid(1)
-        with pytest.raises(ValueError, match=f"slot length {slot_minutes} min"):
-            build_schedule(state, order, prof(order, {1: flat(100.0)}),
-                           prof(order, {1: flat(0.0)}),
-                           slot_minutes=slot_minutes)
-
 
 class TestDispatch:
-    @pytest.mark.parametrize("step_minutes", [0, -5])
-    def test_non_positive_step_length_is_refused(self, step_minutes):
-        _, order, state = chain_microgrid(1)
-        load, pv = prof(order, {1: flat(100.0)}), prof(order, {1: flat(0.0)})
-        plan = build_schedule(state, order, load, pv)
-        with pytest.raises(ValueError, match=f"step length {step_minutes} min"):
-            dispatch_window(state, plan, load, pv, step_minutes=step_minutes)
-        assert state.soc_kwh == 12000.0
-
     def test_actuals_equal_forecast_reproduces_the_plan(self):
         _, order, state = chain_microgrid(3, criticals={2},
                                           battery_kw=400.0,

@@ -4,7 +4,9 @@
 dispatcher as they were before dispatch went to one call per plan: one
 Python call per 30-minute slot, zone-keyed profiles, a prefix search that
 re-sums every candidate prefix and arrays filled cell by cell. They are kept
-verbatim (renamed, with their private helper) as the reference.
+verbatim (renamed, with their private helper) as the reference, except that
+a plan no longer carries its slot length: ``slot_window`` reads the fixed
+one.
 ``ems.build_schedule`` must commit the same prefixes, and one
 ``ems.dispatch_window`` call over a plan's slots must return, bit for bit,
 the arrays of the reference's slot windows stacked in order, their shed
@@ -22,8 +24,8 @@ from hypothesis import strategies as st
 
 from gridsplit import (GridFormingResource, MicrogridState, SwitchEdge,
                        ZoneGraph, ZoneNode, ems, service_order)
-from gridsplit.ems import (BALANCE_TOL, DispatchWindow, SchedulePlan,
-                           ServiceOrder, _settle)
+from gridsplit.ems import (BALANCE_TOL, SLOT_MINUTES, DispatchWindow,
+                           SchedulePlan, ServiceOrder, _settle)
 
 STEPS_PER_SLOT = 6
 ARRAYS = ("served_kw", "unserved_kw", "pv_used_kw", "committed", "energized",
@@ -77,7 +79,7 @@ def slot_schedule(state: MicrogridState, order: ServiceOrder,
                                        load_kw, pv_kw, s)
         _, _, soc, fuel = _settle(res, soc, fuel, hours, load_tot - pv_tot)
         committed.append(order.ranked[:k])
-    return SchedulePlan(order, slot_minutes, tuple(committed))
+    return SchedulePlan(order, tuple(committed))
 
 
 def slot_window(state: MicrogridState, plan: SchedulePlan, slot_index: int,
@@ -94,11 +96,11 @@ def slot_window(state: MicrogridState, plan: SchedulePlan, slot_index: int,
     """
     if not step_minutes > 0:
         raise ValueError(f"step length {step_minutes!r} min is not positive")
-    if plan.slot_minutes % step_minutes != 0:
+    if SLOT_MINUTES % step_minutes != 0:
         raise ValueError("slot length must be a multiple of the step length")
     order = plan.order
     res = state.resource
-    n_steps = plan.slot_minutes // step_minutes
+    n_steps = SLOT_MINUTES // step_minutes
     hours = step_minutes / 60.0
     zones = order.members
     col = {i: c for c, i in enumerate(zones)}

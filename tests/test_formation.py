@@ -15,6 +15,7 @@ from gridsplit import (
     enumerate_optimal,
     fixed_topology_solution,
     is_radial_forest,
+    served_in_full,
     solve_lp,
     solve_milp,
     warm_values_from_topology,
@@ -144,7 +145,7 @@ def test_symmetric_snapshot_with_ties_unavailable(scenario):
 
 def test_switch_change_penalty_prices_the_diff(scenario):
     g = scenario.graph
-    base = fixed_topology_solution(g, mksnap(g), WTS)
+    base = fixed_topology_solution(g)
     _, _, sol = solve(g, mksnap(g), prev=base, penalty=0.1)
     # moving from the default to the optimal forest toggles 4 switches
     assert sol.switch_change_term == pytest.approx(0.4, abs=1e-9)
@@ -154,7 +155,7 @@ def test_switch_change_penalty_prices_the_diff(scenario):
 @pytest.mark.parametrize("penalty", [0.0, 0.25, 1.5])
 def test_decode_prices_each_toggle_at_the_weight(scenario, penalty):
     g = scenario.graph
-    base = fixed_topology_solution(g, mksnap(g), WTS)
+    base = fixed_topology_solution(g)
     _, _, sol = solve(g, mksnap(g), prev=base, penalty=penalty)
     toggles = sum(on != base.switch_status[eid]
                   for eid, on in sol.switch_status.items())
@@ -220,7 +221,7 @@ def test_snapshot_rejects_a_pv_floor_above_the_available_pv(scenario):
 
 def test_large_penalty_freezes_the_topology(scenario):
     g = scenario.graph
-    base = fixed_topology_solution(g, mksnap(g), WTS)
+    base = fixed_topology_solution(g)
     _, _, sol = solve(g, mksnap(g), prev=base, penalty=10.0)
     assert closed_set(sol) == frozenset(range(1, 9))
     assert sol.switch_change_term == pytest.approx(0.0)
@@ -231,7 +232,7 @@ def test_warm_start_changes_nothing_but_work(scenario):
     snap = mksnap(g)
     prob = build_milp(g, snap, WTS)
     cold = solve_milp(prob.model)
-    base = fixed_topology_solution(g, snap, WTS)
+    base = fixed_topology_solution(g)
     warm_vals = warm_values_from_topology(
         prob, frozenset(range(1, 9)), base.assignment)
     warm = solve_milp(prob.model, warm_integer_values=warm_vals)
@@ -397,7 +398,8 @@ def test_decoded_assignment_matches_binary_argmax(scenario):
 
 
 def test_fixed_topology_on_the_fixture(scenario):
-    sol = fixed_topology_solution(scenario.graph, mksnap(scenario.graph), WTS)
+    g = scenario.graph
+    sol = served_in_full(g, fixed_topology_solution(g), mksnap(g), WTS)
     assert closed_set(sol) == frozenset(range(1, 9))
     assert sol.trees == {1: frozenset({1, 2, 3, 4, 5}),
                          7: frozenset({6, 7, 8, 9, 10})}
@@ -407,13 +409,26 @@ def test_fixed_topology_on_the_fixture(scenario):
     assert check.is_radial
 
 
+def test_a_snapshot_missing_a_zone_is_refused_by_both_pricings(scenario):
+    # the model and the default topology's pricing name the zone alike
+    g = scenario.graph
+    full = mksnap(g)
+    snap = FormationSnapshot(
+        0, {z: v for z, v in full.load_kw.items() if z != 10},
+        {z: v for z, v in full.pv_kw.items() if z != 10})
+    with pytest.raises(formation.ModelError, match="snapshot missing zone 10"):
+        build_milp(g, snap, WTS)
+    with pytest.raises(formation.ModelError, match="snapshot missing zone 10"):
+        served_in_full(g, fixed_topology_solution(g), snap, WTS)
+
+
 def test_fixed_topology_rejects_a_looped_default(scenario):
     g = scenario.graph
     extra = SwitchEdge(12, 2, 3, False, 6000.0)
     looped = ZoneGraph(g.nodes, g.edges + (extra,), g.resources,
                        g.faulted_edges, g.lateral_policies)
     with pytest.raises(InfeasibleTopology, match="loop"):
-        fixed_topology_solution(looped, mksnap(looped), WTS)
+        fixed_topology_solution(looped)
 
 
 def test_fixed_topology_single_feeder():
@@ -428,7 +443,7 @@ def test_fixed_topology_single_feeder():
 
 def test_fixed_topology_leaves_cut_zones_dark(scenario):
     g = scenario.graph.with_faulted(scenario.graph.faulted_edges | {4, 9})
-    sol = fixed_topology_solution(g, mksnap(g), WTS)
+    sol = served_in_full(g, fixed_topology_solution(g), mksnap(g), WTS)
     assert sol.assignment[5] is None
     assert sol.served_load_kw[5] == pytest.approx(0.0)
 

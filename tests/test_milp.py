@@ -67,6 +67,7 @@ def test_non_finite_model_fails_the_audit(coef, upper):
 
 @pytest.mark.parametrize("part", ["a", "b", "lower", "upper", "cost"])
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.blas_threads
 def test_solver_refuses_non_finite_data(part, value):
     # each array a cold LP is built from, refused when the system is built
     data = {"a": np.array([[1.0, 2.0]]), "b": np.array([4.0]),
@@ -107,6 +108,7 @@ def _one_column_lp():
                          np.array([0.0]), np.array([1.0]), np.array([-1.0]))
 
 
+@pytest.mark.blas_threads
 def test_audit_refuses_a_dual_infeasible_point():
     # x = 0 at its lower bound is primal feasible, but its reduced cost -1
     # says raising x lowers the objective: no optimum
@@ -120,6 +122,7 @@ def test_audit_refuses_a_dual_infeasible_point():
 
 @pytest.mark.parametrize("entry_check", [True, False],
                          ids=["at-entry", "in-the-audit"])
+@pytest.mark.blas_threads
 def test_resolve_from_a_dual_infeasible_basis_is_never_optimal(
         monkeypatch, entry_check):
     # the slack basis with x at its lower bound is primal feasible, so the
@@ -322,6 +325,7 @@ def _check_against_linprog(models):
     return checked
 
 
+@pytest.mark.blas_threads
 def test_lp_fuzz_matches_linprog():
     rng = np.random.default_rng(20240817)
     models = [_random_model(rng, with_integers=False) for _ in range(60)]
@@ -329,6 +333,7 @@ def test_lp_fuzz_matches_linprog():
     assert _check_against_linprog(models) >= 20
 
 
+@pytest.mark.blas_threads
 def test_lp_fuzz_matches_linprog_under_blands_rule(monkeypatch):
     # The fuzz draws with the cost of every other column zeroed: the slack
     # start basis is then dual degenerate, and with BLAND_AFTER = 0 the
@@ -405,6 +410,7 @@ def event_zero_model(scenario):
     return build_milp(g_t, snap, FormationWeights())
 
 
+@pytest.mark.blas_threads
 def test_dual_children_match_cold_solves(monkeypatch, event_zero_model):
     resolve = milp._Simplex.resolve
     current = {}
@@ -437,6 +443,7 @@ def test_dual_children_match_cold_solves(monkeypatch, event_zero_model):
 
 @pytest.mark.parametrize("first_fails", [False, True],
                          ids=["dual", "first-child-cold"])
+@pytest.mark.blas_threads
 def test_reused_entry_inverses_leave_every_search_bit_identical(
         monkeypatch, event_zero_model, first_fails):
     # the same searches with every re-solve refactorizing on entry; with
@@ -492,6 +499,7 @@ def _refactorized(sx, basis):
     return fresh.binv
 
 
+@pytest.mark.blas_threads
 def test_a_reused_entry_inverse_is_the_refactorization(monkeypatch,
                                                        event_zero_model):
     # whenever a re-solve starts from the inverse its system holds (a child
@@ -529,6 +537,7 @@ def test_a_reused_entry_inverse_is_the_refactorization(monkeypatch,
     assert reused.count("held") >= 4 and reused.count("sibling") >= 8
 
 
+@pytest.mark.blas_threads
 def test_an_audit_keeps_only_the_refactorization(monkeypatch, scenario):
     # an audit refactorizes unless the flag says the inverse it holds is
     # already the refactorization of its basis, as after a warm
@@ -664,6 +673,7 @@ def test_root_from_an_inner_integer_value_is_solved_cold(monkeypatch):
 # the fixed-integer LP basis carried from one LP, and one solve, to the next
 # ---------------------------------------------------------------------------
 
+@pytest.mark.blas_threads
 def test_warm_fixed_integer_lps_match_cold_solves(scenario, first_lps):
     # every fixed-integer LP of the fixture's flexible run that re-solves
     # warm from the carried basis (16 of its 21) reaches the cold LP's
@@ -710,6 +720,7 @@ def _key(rep):
 
 @pytest.mark.parametrize("kind", ["wrong-shape", "singular",
                                   "dual-infeasible"])
+@pytest.mark.blas_threads
 def test_a_bad_warm_basis_falls_back_cold(event_zero_model, first_lps, kind):
     model = event_zero_model.model
     cold = solve_milp(model)
@@ -725,6 +736,7 @@ def test_a_bad_warm_basis_falls_back_cold(event_zero_model, first_lps, kind):
     assert _key(rep) == _key(cold)
 
 
+@pytest.mark.blas_threads
 def test_a_warm_infeasible_fixed_integer_lp_is_not_solved_again(
         event_zero_model, first_lps):
     # the second start point's LP re-solves from the first one's basis and
@@ -896,6 +908,7 @@ def test_incumbent_source_without_an_incumbent():
 # basis refactorization through the structural nucleus
 # ---------------------------------------------------------------------------
 
+@pytest.mark.blas_threads
 class TestRefactor:
     """``_Simplex._refactor`` on bases set by hand. The system has 8 rows
     and 6 structurals; its columns are the structurals and one slack per

@@ -240,6 +240,7 @@ def test_a_pv_floor_beyond_the_battery_makes_the_tree_infeasible():
         is SolveStatus.INFEASIBLE
 
 
+@pytest.mark.blas_threads
 def test_a_one_source_ring_opens_a_switch_inside_its_microgrid(
         four_zone_ring, highs):
     # each radial forest of the ring leaves one switch open between two
@@ -258,6 +259,7 @@ def test_a_one_source_ring_opens_a_switch_inside_its_microgrid(
     assert highs(prob.model) == pytest.approx(4.0, abs=1e-6)
 
 
+@pytest.mark.blas_threads
 def test_two_ties_bypassing_both_roots_open_a_switch_inside_a_microgrid(highs):
     # feeders 1-2-3 and 4-5-6 under the grid-forming zones 1 and 4, joined
     # by the normally-open ties 2-5 (edge 5) and 3-6 (edge 6). Zone 4's

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import filecmp
 import hashlib
@@ -20,7 +21,7 @@ from gridsplit import (
     write_outputs,
 )
 from gridsplit.report import summary_from_file
-from gridsplit.scenario import _BLOCK_ROWS
+from gridsplit.scenario import _BLOCK_ROWS, _write_columns
 
 
 def two_zone_scenario(soc0=1.0, name="pair"):
@@ -197,17 +198,6 @@ SHORT_RUN_DIGESTS = {
         "fig7_connectivity.csv": "426245e9e8d7c3ec72adb609954bb2014405d1987305c6dc57d663fb3217d5f7",
         "fig8_percent_served.csv": "9bc1f45963bea184c20aa8cf3bfc697e20cd1eb44faf70a75b6f092d1b70eb55",
     },
-    # fixture, fixed, 2560 minutes at 160-minute formation steps: 512 steps
-    "512-steps": {
-        "summary.json": "ae9b53795811c35ba358e43f429653982a0b93562049999aea1caa0f150a97e8",
-        "trace.csv": "debc55a7bc6f1540353fea6f995faa5265473f2cec8321d39e180f2b64a961dd",
-        "microgrids.csv": "e10b77320f28628d3b3aea4fa22cd8074b26465ac0aa9639269f723ce254a97f",
-        "topology_changes.csv": NO_CHANGES,
-        "fig5_load_pv.csv": "c5f66e6576ece6d3eb0e5cf0897c430f1f46fcc3a6298ed631b7b2e49087345c",
-        "fig6_soc_fuel.csv": "cecf2b1c0d7f7836ae6d5805c7eed85f3d0e9e2102b74a0fb153c2ac952694a5",
-        "fig7_connectivity.csv": "e387beb6cfff2dc7f7fa98455d9b2c868bc64690920d3e7de373b716508fb5dd",
-        "fig8_percent_served.csv": "d485ff618d87221965e0fa5e6d7577491445d8c6fa0d3542351cfdb38534fc81",
-    },
 }
 PAIR_DIGESTS = {
     "summary.json": "cfd6041e0909bb35d8da61b051e539ee7c137a012ca5042cabfad649d10a7d1c",
@@ -219,8 +209,10 @@ PAIR_DIGESTS = {
     "fig7_connectivity.csv": "da07517dda9e4c2b111e64472553712055374a723a510d3a66c6cd8454ae1077",
     "fig8_percent_served.csv": "7d6e1ef2043b4f3d9620769daa2c1eb97b6df3cb351fc6a91d508d9ed3345110",
 }
-SHORT_TIMELINES = {"one-day": Timeline(total_minutes=1440),
-                   "512-steps": Timeline(2560, 160, 40, 5)}
+SHORT_TIMELINES = {"one-day": Timeline(total_minutes=1440)}
+# rows of the block writer's whole-blocks-only case: a run cannot have them
+# short of 64 formation steps (2,304 steps)
+WHOLE_BLOCKS = 2 * _BLOCK_ROWS
 
 
 def _digests(paths):
@@ -232,7 +224,7 @@ class TestPinnedBytes:
                                                  full_service_run):
         # one partial block; whole blocks only; whole blocks and a partial one
         assert full_service_run.n_steps < _BLOCK_ROWS
-        assert SHORT_TIMELINES["512-steps"].n_steps % _BLOCK_ROWS == 0
+        assert WHOLE_BLOCKS > _BLOCK_ROWS and WHOLE_BLOCKS % _BLOCK_ROWS == 0
         for n in (SHORT_TIMELINES["one-day"].n_steps, flex_run.n_steps):
             assert n > _BLOCK_ROWS and n % _BLOCK_ROWS
 
@@ -247,6 +239,32 @@ class TestPinnedBytes:
         assert r.n_steps < scenario.n_steps
         paths = write_outputs(r, tmp_path, emit_plots=True)
         assert _digests(paths) == SHORT_RUN_DIGESTS[label]
+
+    def test_whole_blocks_are_the_csv_writers_bytes(self, tmp_path):
+        # the trace's layout: a time column, then float, bool and int
+        # arrays interleaved column by column, then a 1-D group
+        rng = np.random.default_rng(7)
+        n = WHOLE_BLOCKS
+        time_min = np.arange(n) * 5.0
+        kw = rng.uniform(-1e3, 1e3, (n, 2))
+        on = rng.random((n, 2)) < 0.5
+        anchor = rng.integers(-1, 8, (n, 2))
+        soc = rng.uniform(0.0, 1e4, n)
+        header = ["time_min", "kw_1", "on_1", "anchor_1", "kw_2", "on_2",
+                  "anchor_2", "soc"]
+        _write_columns(tmp_path / "blocks.csv", header,
+                       [[time_min], [kw, on, anchor], [soc]])
+        with open(tmp_path / "rows.csv", "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(header)
+            for s in range(n):
+                w.writerow([time_min[s].item()]
+                           + [v for c in range(2)
+                              for v in (kw[s, c].item(), int(on[s, c]),
+                                        int(anchor[s, c]))]
+                           + [soc[s].item()])
+        assert (tmp_path / "blocks.csv").read_bytes() \
+            == (tmp_path / "rows.csv").read_bytes()
 
     def test_run_shorter_than_one_block(self, full_service_run, tmp_path):
         paths = write_outputs(full_service_run, tmp_path, emit_plots=True)
