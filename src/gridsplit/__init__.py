@@ -21,6 +21,7 @@ from .coordinator import (
 )
 from .ems import (
     MicrogridState,
+    PartitionOrder,
     ServiceOrder,
     build_schedule,
     dispatch_window,
@@ -89,6 +90,7 @@ __all__ = [
     "LateralPolicy",
     "MetricsSummary",
     "MicrogridState",
+    "PartitionOrder",
     "MilpModel",
     "ParseError",
     "RestorationRun",

@@ -8,7 +8,7 @@ node it belongs to, whatever zones come or go around it.
 The graph changes only when a fault starts or clears, so a run does the
 graph-level work once per fault set and reuses it at each later event of
 that set: the faulted graph, the partition model (flexible mode) or the
-default topology (fixed mode), and each microgrid's service order. An event
+default topology (fixed mode), and each partition's service orders. An event
 writes only its own data: the model's snapshot bounds, switch-change costs
 and offset, or the default topology's served load and price.
 """
@@ -22,7 +22,7 @@ from typing import ClassVar
 import numpy as np
 
 from .ems import (DISPATCH_STEP_MINUTES, SLOT_MINUTES, MicrogridState,
-                  ServiceOrder, build_schedule, dispatch_window,
+                  PartitionOrder, build_schedule, dispatch_window,
                   service_order)
 from .formation import (DecodeError, FormationProblem, FormationSnapshot,
                         FormationSolution, FormationWeights,
@@ -207,13 +207,13 @@ def solve_partition(prob: FormationProblem,
 @dataclass
 class _FaultSet:
     """The graph-level work of one fault set within one run, done once and
-    read at each later event of the set; a service order is added when a
-    partition of the set first needs it."""
+    read at each later event of the set; a partition's service orders are
+    added when the set first holds that partition."""
     graph: ZoneGraph
     problem: FormationProblem | None = None     # flexible mode: the model
     topology: FormationSolution | None = None   # fixed mode: the default
-    # (anchor, tree, closed switches) -> that microgrid's service order
-    orders: dict[tuple[int, frozenset[int], frozenset[int]], ServiceOrder] \
+    # (closed switches, (anchor, tree) pairs) -> that partition's orders
+    partitions: dict[tuple[frozenset[int], tuple], PartitionOrder] \
         = field(default_factory=dict)
 
 
@@ -237,7 +237,6 @@ def run(scenario: Scenario, mode: str = "flexible",
     g0 = scenario.graph
     zone_ids = tuple(sorted(n.id for n in g0.nodes))
     gfm_ids = tuple(g0.gfm_nodes)
-    zcol = {z: c for c, z in enumerate(zone_ids)}
     gcol = {j: c for c, j in enumerate(gfm_ids)}
     n_steps = tl.n_steps
     slots_per_event = FORMATION_STEP_MINUTES // SLOT_MINUTES
@@ -310,32 +309,32 @@ def run(scenario: Scenario, mode: str = "flexible",
 
         anchors = [sol.assignment[z] for z in zone_ids]
         assign_arr[s0:s1] = [-1 if a is None else a for a in anchors]
-        off = [c for c, a in enumerate(anchors) if a is None]
-        unserved[s0:s1, off] = load[s0:s1, off]
 
+        closed = sol.closed
+        key = (closed, tuple(sol.trees.items()))
+        part = fs.partitions.get(key)
+        if part is None:
+            part = fs.partitions[key] = PartitionOrder(zone_ids, tuple(
+                service_order(g_t, tree, anchor, closed)
+                for anchor, tree in sol.trees.items()))
         # (zones x slots) forecast slot means
         fl, fp = (a.reshape(len(zone_ids), slots_per_event, -1).mean(axis=2)
                   for a in forecast)
-        closed = sol.closed
-        for anchor, tree in sol.trees.items():
-            order = fs.orders.get((anchor, tree, closed))
-            if order is None:
-                order = fs.orders[anchor, tree, closed] = service_order(
-                    g_t, tree, anchor, closed)
-            zc = [zcol[z] for z in order.members]
-            plan = build_schedule(states[anchor], order, fl[zc].T, fp[zc].T)
-            win = dispatch_window(states[anchor], plan, load[s0:s1, zc],
-                                  pv[s0:s1, zc], blocked_first_step=blocked)
-            served[s0:s1, zc] = win.served_kw
-            unserved[s0:s1, zc] = win.unserved_kw
-            pv_used[s0:s1, zc] = win.pv_used_kw
-            committed[s0:s1, zc] = win.committed
-            energized[s0:s1, zc] = win.energized
-            gc = gcol[anchor]
-            battery[s0:s1, gc] = win.battery_kw
-            diesel[s0:s1, gc] = win.diesel_kw
-            soc[s0:s1, gc] = win.soc_kwh
-            fuel[s0:s1, gc] = win.fuel_kwh
+        mg_states = [states[o.gfm_node_id] for o in part.orders]
+        plans = [build_schedule(st, o, fl[c].T, fp[c].T)
+                 for st, o, c in zip(mg_states, part.orders, part.columns)]
+        win = dispatch_window(part, mg_states, plans, load[s0:s1], pv[s0:s1],
+                              blocked_first_step=blocked)
+        served[s0:s1] = win.served_kw
+        unserved[s0:s1] = win.unserved_kw
+        pv_used[s0:s1] = win.pv_used_kw
+        committed[s0:s1] = win.committed
+        energized[s0:s1] = win.energized
+        gc = [gcol[o.gfm_node_id] for o in part.orders]
+        battery[s0:s1, gc] = win.battery_kw
+        diesel[s0:s1, gc] = win.diesel_kw
+        soc[s0:s1, gc] = win.soc_kwh
+        fuel[s0:s1, gc] = win.fuel_kwh
 
         prev_sol = sol
 

@@ -245,26 +245,28 @@ class TestEventPath:
             == {tl.formation_step_minutes // tl.schedule_slot_minutes}
 
     @pytest.mark.parametrize("mode", ["flexible", "fixed"])
-    def test_one_dispatch_call_per_microgrid_and_event(self, scenario,
-                                                       monkeypatch, mode):
+    def test_one_dispatch_call_per_event(self, scenario, monkeypatch, mode):
         calls = []
 
-        def spy(state, plan, load, pv, **kwargs):
-            calls.append((plan.order.gfm_node_id, plan.order.members,
+        def spy(part, states, plans, load, pv, **kwargs):
+            calls.append(([(o.gfm_node_id, o.members) for o in part.orders],
+                          [p.order for p in plans] == list(part.orders),
                           load.shape, pv.shape))
-            return dispatch_window(state, plan, load, pv, **kwargs)
+            return dispatch_window(part, states, plans, load, pv, **kwargs)
 
         monkeypatch.setattr(coordinator, "dispatch_window", spy)
         tl = Timeline()
         r = run(scenario, mode, tl)
-        # each call dispatches all of one event's steps for one microgrid
+        # each call dispatches all of one event's steps for every microgrid,
+        # on the run's whole zone axis
         steps = tl.formation_step_minutes // tl.dispatch_step_minutes
-        assert [(anchor, members) for anchor, members, _, _ in calls] \
-            == [(anchor, tuple(sorted(tree))) for ev in r.events
-                for anchor, tree in ev.solution.trees.items()]
-        assert len(calls) == 2 * len(r.events)
-        for _, members, load_shape, pv_shape in calls:
-            assert load_shape == pv_shape == (steps, len(members))
+        assert [microgrids for microgrids, *_ in calls] \
+            == [[(anchor, tuple(sorted(tree)))
+                 for anchor, tree in ev.solution.trees.items()]
+                for ev in r.events]
+        for _, paired, load_shape, pv_shape in calls:
+            assert paired
+            assert load_shape == pv_shape == (steps, len(r.zone_ids))
 
     def test_pivot_budget_names_the_event_time(self, monkeypatch):
         calls = []

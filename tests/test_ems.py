@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from gridsplit import (
     GridFormingResource,
     MicrogridState,
+    PartitionOrder,
     SwitchEdge,
     ZoneGraph,
     ZoneNode,
@@ -44,6 +45,13 @@ def prof(order, table):
     return np.array([table[z] for z in order.members], dtype=float).T
 
 
+def lone_window(state, plan, load, pv, **kwargs):
+    """One microgrid's event: its plan dispatched on its own members' axis."""
+    order = plan.order
+    return dispatch_window(PartitionOrder(order.members, (order,)), [state],
+                           [plan], load, pv, **kwargs)
+
+
 class TestServiceOrder:
     def test_fixture_feeder_two_ranking(self, scenario):
         order = service_order(scenario.graph, {6, 7, 8, 9, 10}, 7,
@@ -77,9 +85,10 @@ class TestSchedule:
         assert all(c == (1,) for c in plan.committed)
         assert state.soc_kwh == 12000.0  # projections leave live state alone
         # 100 kW for five minutes is 25/3 kWh out of the battery each step
-        win = dispatch_window(state, plan, prof(order, {1: flat(100.0)}),
-                              prof(order, {1: flat(0.0)}))
-        assert np.allclose(win.soc_kwh, 12000.0 - 25.0 / 3.0 * np.arange(1, 7))
+        win = lone_window(state, plan, prof(order, {1: flat(100.0)}),
+                          prof(order, {1: flat(0.0)}))
+        assert np.allclose(win.soc_kwh[:, 0],
+                           12000.0 - 25.0 / 3.0 * np.arange(1, 7))
 
     def test_projected_energy_runs_out(self):
         # 100 kW for half an hour is 50 kWh a slot: 500 kWh lasts 10 slots
@@ -96,7 +105,7 @@ class TestSchedule:
         pv = prof(order, {1: flat(0.0), 2: flat(0.0)})
         plan = build_schedule(state, order, load, pv)
         assert all(c == () for c in plan.committed)
-        win = dispatch_window(state, plan, load, pv)
+        win = lone_window(state, plan, load, pv)
         assert np.all(win.served_kw == 0.0)
 
     def test_fixture_feeder_two_day_two_offpeak_full_commit(self, scenario):
@@ -121,8 +130,8 @@ class TestSchedule:
         state.soc_kwh = 0.0
         plan = build_schedule(state, order, prof(order, {1: flat(0.0, 1)}),
                               prof(order, {1: flat(200.0, 1)}))
-        win = dispatch_window(state, plan, prof(order, {1: flat(0.0)}),
-                              prof(order, {1: flat(200.0)}))
+        win = lone_window(state, plan, prof(order, {1: flat(0.0)}),
+                          prof(order, {1: flat(200.0)}))
         assert np.allclose(win.battery_kw, -200.0)
         assert state.soc_kwh == pytest.approx(200.0 * 0.5 * 0.95)
 
@@ -136,7 +145,7 @@ class TestDispatch:
         pv = {1: flat(10.0, 2), 2: flat(0.0, 2), 3: flat(25.0, 2)}
         plan = build_schedule(state, order, prof(order, loads),
                               prof(order, pv))
-        win = dispatch_window(
+        win = lone_window(
             state, plan,
             prof(order, {z: flat(loads[z][0]) for z in order.members}),
             prof(order, {z: flat(pv[z][0]) for z in order.members}))
@@ -149,12 +158,12 @@ class TestDispatch:
                                           battery_kwh=1000.0)
         plan = build_schedule(state, order, prof(order, {1: flat(0.0, 1)}),
                               prof(order, {1: flat(0.0, 1)}))
-        win = dispatch_window(state, plan, prof(order, {1: flat(0.0)}),
-                              prof(order, {1: flat(500.0)}))
+        win = lone_window(state, plan, prof(order, {1: flat(0.0)}),
+                          prof(order, {1: flat(500.0)}))
         assert np.all(win.pv_used_kw == 0.0)       # nowhere to put it
         assert np.all(win.soc_kwh == 1000.0)
         balance = (win.served_kw.sum(axis=1) - win.pv_used_kw.sum(axis=1)
-                   - win.battery_kw - win.diesel_kw)
+                   - win.battery_kw[:, 0] - win.diesel_kw[:, 0])
         assert np.all(np.abs(balance) <= BALANCE)
 
     def test_load_spike_sheds_the_lowest_rank_immediately(self):
@@ -164,8 +173,8 @@ class TestDispatch:
                               prof(order, {1: flat(50.0, 1), 2: flat(40.0, 1)}),
                               prof(order, {1: flat(0.0, 1), 2: flat(0.0, 1)}))
         actual_load = {1: flat(50.0), 2: [500.0] + flat(40.0, 5)}
-        win = dispatch_window(state, plan, prof(order, actual_load),
-                              prof(order, {1: flat(0.0), 2: flat(0.0)}))
+        win = lone_window(state, plan, prof(order, actual_load),
+                          prof(order, {1: flat(0.0), 2: flat(0.0)}))
         assert win.shed_zones == (2,)
         c1, c2 = 0, 1
         assert win.unserved_kw[0, c2] == pytest.approx(500.0)
@@ -179,10 +188,10 @@ class TestDispatch:
         plan = build_schedule(state, order,
                               prof(order, {1: flat(50.0, 1), 2: flat(40.0, 1)}),
                               prof(order, {1: flat(0.0, 1), 2: flat(0.0, 1)}))
-        win = dispatch_window(state, plan,
-                              prof(order, {1: flat(50.0), 2: flat(40.0)}),
-                              prof(order, {1: flat(0.0), 2: flat(0.0)}),
-                              blocked_first_step=frozenset({2}))
+        win = lone_window(state, plan,
+                          prof(order, {1: flat(50.0), 2: flat(40.0)}),
+                          prof(order, {1: flat(0.0), 2: flat(0.0)}),
+                          blocked_first_step=frozenset({2}))
         assert not win.committed[0, 1]
         assert win.unserved_kw[0, 1] == pytest.approx(40.0)
         assert win.committed[1:, 1].all()
@@ -196,7 +205,7 @@ class TestDispatch:
                                            3: flat(50.0, 1)}),
                               prof(order, {z: flat(0.0, 1) for z in (1, 2, 3)}))
         assert set(plan.committed[0]) == {1, 3}
-        win = dispatch_window(
+        win = lone_window(
             state, plan,
             prof(order, {1: flat(60.0), 2: flat(500.0), 3: flat(50.0)}),
             prof(order, {z: flat(0.0) for z in (1, 2, 3)}))
@@ -209,8 +218,8 @@ class TestDispatch:
         _, order, state = chain_microgrid(1)
         plan = build_schedule(state, order, prof(order, {1: flat(100.0, 1)}),
                               prof(order, {1: flat(0.0, 1)}))
-        dispatch_window(state, plan, prof(order, {1: flat(100.0)}),
-                        prof(order, {1: flat(0.0)}))
+        lone_window(state, plan, prof(order, {1: flat(100.0)}),
+                    prof(order, {1: flat(0.0)}))
         assert state.soc_kwh == pytest.approx(12000.0 - 50.0)
 
     def test_a_shed_zone_returns_at_the_next_slot(self):
@@ -222,8 +231,8 @@ class TestDispatch:
         assert plan.committed == ((1, 2), (1, 2))
         actual_load = {1: flat(50.0, 12),
                        2: [500.0] + flat(40.0, 6) + [500.0] + flat(40.0, 4)}
-        win = dispatch_window(state, plan, prof(order, actual_load),
-                              prof(order, {1: flat(0.0, 12), 2: flat(0.0, 12)}))
+        win = lone_window(state, plan, prof(order, actual_load),
+                          prof(order, {1: flat(0.0, 12), 2: flat(0.0, 12)}))
         # shed at the first step, off for the rest of the slot, back on at
         # the next slot's first step and shed again at its second
         assert win.shed_zones == (2, 2)
@@ -238,8 +247,8 @@ class TestDispatch:
         plan = build_schedule(state, order, prof(order, {1: flat(100.0, 2)}),
                               prof(order, {1: flat(0.0, 2)}))
         with pytest.raises(ValueError, match="whole number of at most 2"):
-            dispatch_window(state, plan, prof(order, {1: flat(100.0, n_steps)}),
-                            prof(order, {1: flat(0.0, n_steps)}))
+            lone_window(state, plan, prof(order, {1: flat(100.0, n_steps)}),
+                        prof(order, {1: flat(0.0, n_steps)}))
         assert state.soc_kwh == 12000.0
 
     def test_actuals_must_have_one_column_per_member(self):
@@ -247,10 +256,62 @@ class TestDispatch:
         plan = build_schedule(state, order,
                               prof(order, {1: flat(50.0, 1), 2: flat(40.0, 1)}),
                               prof(order, {1: flat(0.0, 1), 2: flat(0.0, 1)}))
-        with pytest.raises(ValueError, match="2 members"):
-            dispatch_window(state, plan, np.zeros((6, 1)), np.zeros((6, 2)))
+        with pytest.raises(ValueError, match="2 zones"):
+            lone_window(state, plan, np.zeros((6, 1)), np.zeros((6, 2)))
         with pytest.raises(ValueError, match="2 members"):
             build_schedule(state, order, np.zeros((1, 2)), np.zeros((2, 2)))
+
+
+class TestMicrogridState:
+    @pytest.mark.parametrize("fuel", [float("nan"), float("inf"),
+                                      float("-inf")])
+    def test_non_finite_fuel_is_refused(self, fuel):
+        _, _, state = chain_microgrid(1)
+        with pytest.raises(ValueError, match="fuel"):
+            MicrogridState(state.resource, 100.0, fuel)
+
+    def test_negative_fuel_is_refused(self):
+        _, _, state = chain_microgrid(1)
+        with pytest.raises(ValueError, match="fuel"):
+            MicrogridState(state.resource, 100.0, -1.0)
+
+
+class TestPartitionOrder:
+    def test_microgrids_must_be_disjoint_zones_of_the_axis(self, scenario):
+        left = service_order(scenario.graph, {1, 2}, 1, frozenset({1}))
+        right = service_order(scenario.graph, {6, 7}, 7, frozenset({5}))
+        with pytest.raises(ValueError, match="disjoint"):
+            PartitionOrder((1, 2, 3), (left, left))
+        with pytest.raises(ValueError, match="disjoint"):
+            PartitionOrder((1, 2, 3), (left, right))
+
+    def test_zones_in_no_microgrid_read_the_sentinel(self, scenario):
+        order = service_order(scenario.graph, {6, 7}, 7, frozenset({5}))
+        part = PartitionOrder((7, 3, 6), (order,))
+        assert part.owner.tolist() == [0, 1, 0]
+        assert part.position.tolist() == [0, 0, 1]
+        assert part.anchors.tolist() == [0]
+
+    def test_an_event_without_microgrids_serves_nothing(self):
+        load = np.arange(18.0).reshape(6, 3)
+        win = dispatch_window(PartitionOrder((1, 2, 3), ()), [], [], load,
+                              np.ones((6, 3)))
+        assert np.array_equal(win.unserved_kw, load)
+        assert not (win.served_kw.any() or win.pv_used_kw.any()
+                    or win.committed.any() or win.energized.any())
+        assert win.battery_kw.shape == (6, 0)
+
+    def test_states_and_plans_must_match_the_microgrids(self):
+        _, order, state = chain_microgrid(2)
+        plan = build_schedule(state, order, np.zeros((1, 2)),
+                              np.zeros((1, 2)))
+        part = PartitionOrder(order.members, (order,))
+        with pytest.raises(ValueError, match="one to one"):
+            dispatch_window(part, [], [plan], np.zeros((6, 2)),
+                            np.zeros((6, 2)))
+        with pytest.raises(ValueError, match="one to one"):
+            dispatch_window(part, [state], [], np.zeros((6, 2)),
+                            np.zeros((6, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -288,15 +349,15 @@ def test_dispatch_invariants_hold(case):
                           prof(order, {z: [float(np.mean(loads[z]))]
                                        for z in loads}),
                           prof(order, {z: [float(np.mean(pv[z]))] for z in pv}))
-    win = dispatch_window(state, plan, prof(order, loads), prof(order, pv))
+    win = lone_window(state, plan, prof(order, loads), prof(order, pv))
 
     balance = (win.served_kw.sum(axis=1) - win.pv_used_kw.sum(axis=1)
-               - win.battery_kw - win.diesel_kw)
+               - win.battery_kw[:, 0] - win.diesel_kw[:, 0])
     assert np.all(np.abs(balance) <= 1e-6)
 
     assert np.all(win.soc_kwh >= -1e-9)
     assert np.all(win.soc_kwh <= battery_kwh + 1e-9)
-    fuel_path = np.concatenate([[start_fuel], win.fuel_kwh])
+    fuel_path = np.concatenate([[start_fuel], win.fuel_kwh[:, 0]])
     assert np.all(np.diff(fuel_path) <= 1e-9)
     pv_in = np.array([pv[z] for z in order.members]).T
     assert np.all(win.pv_used_kw <= pv_in + 1e-6)
@@ -317,7 +378,7 @@ def test_critical_zones_outrank_noncritical_ones(case):
                           prof(order, {z: [float(np.mean(loads[z]))]
                                        for z in loads}),
                           prof(order, {z: [float(np.mean(pv[z]))] for z in pv}))
-    win = dispatch_window(state, plan, prof(order, loads), prof(order, pv))
+    win = lone_window(state, plan, prof(order, loads), prof(order, pv))
 
     rank = {z: r for r, z in enumerate(order.ranked)}
     col = {z: c for c, z in enumerate(order.members)}

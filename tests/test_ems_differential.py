@@ -1,16 +1,19 @@
-"""Differential test of the array dispatcher against the per-slot reference.
+"""Differential test of the event dispatcher against the per-slot reference.
 
 ``slot_schedule`` and ``slot_window`` below are the scheduler and the
 dispatcher as they were before dispatch went to one call per plan: one
-Python call per 30-minute slot, zone-keyed profiles, a prefix search that
-re-sums every candidate prefix and arrays filled cell by cell. They are kept
-verbatim (renamed, with their private helper) as the reference, except that
-a plan no longer carries its slot length: ``slot_window`` reads the fixed
-one.
+Python call per 30-minute slot and microgrid, zone-keyed profiles, a prefix
+search that re-sums every candidate prefix and arrays filled cell by cell.
+They are kept verbatim (renamed, with their private helpers, ``_settle``
+copied from ``gridsplit.ems`` so that a change to the rule under test does
+not move the reference with it), except that a plan no longer carries its
+slot length: ``slot_window`` reads the fixed one.
 ``ems.build_schedule`` must commit the same prefixes, and one
-``ems.dispatch_window`` call over a plan's slots must return, bit for bit,
-the arrays of the reference's slot windows stacked in order, their shed
-zones concatenated, and the same final storage state.
+``ems.dispatch_window`` call over a formation event's microgrids must
+return, bit for bit, each microgrid's reference slot windows stacked in
+order on its own columns of the event's zone axis, their shed zones
+concatenated microgrid after microgrid, and the same final storage states.
+Zones in no microgrid are unserved throughout.
 
 The example count comes from the hypothesis profile (``tests/conftest.py``):
 40 by default, 400 with ``HYPOTHESIS_PROFILE=ci``.
@@ -22,14 +25,16 @@ import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from gridsplit import (GridFormingResource, MicrogridState, SwitchEdge,
-                       ZoneGraph, ZoneNode, ems, service_order)
+from gridsplit import (GridFormingResource, MicrogridState, PartitionOrder,
+                       SwitchEdge, ZoneGraph, ZoneNode, ems, service_order)
 from gridsplit.ems import (BALANCE_TOL, SLOT_MINUTES, DispatchWindow,
-                           SchedulePlan, ServiceOrder, _settle)
+                           SchedulePlan, ServiceOrder)
 
 STEPS_PER_SLOT = 6
-ARRAYS = ("served_kw", "unserved_kw", "pv_used_kw", "committed", "energized",
-          "battery_kw", "diesel_kw", "soc_kwh", "fuel_kwh")
+SLOTS_PER_EVENT = 6
+ZONE_ARRAYS = ("served_kw", "unserved_kw", "pv_used_kw", "committed",
+               "energized")
+STORAGE_ARRAYS = ("battery_kw", "diesel_kw", "soc_kwh", "fuel_kwh")
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +59,27 @@ def _carried(res: GridFormingResource, soc: float, fuel: float, hours: float,
         if load - pv <= cap + BALANCE_TOL:
             return k, load, pv
     return 0, 0, 0
+
+
+def _settle(res: GridFormingResource, soc: float, fuel: float, hours: float,
+            net: float) -> tuple[float, float, float, float]:
+    """Cover a net load with the battery first, then diesel; store a surplus.
+
+    Returns battery power (discharge positive), diesel power and the state of
+    charge and fuel left after ``hours``. Charging is limited by battery
+    power and headroom.
+    """
+    if net >= 0:
+        bat = min(net, res.battery_power_kw, soc / hours)
+        die = min(net - bat, res.diesel_power_kw, fuel / hours)
+        soc -= bat * hours
+    else:
+        headroom = (res.battery_energy_kwh - soc) / (hours * res.battery_efficiency)
+        bat = -min(-net, res.battery_power_kw, headroom)
+        die = 0.0
+        soc += -bat * hours * res.battery_efficiency
+    fuel -= die * hours
+    return bat, die, min(max(soc, 0.0), res.battery_energy_kwh), max(fuel, 0.0)
 
 
 def slot_schedule(state: MicrogridState, order: ServiceOrder,
@@ -161,49 +187,80 @@ def slot_window(state: MicrogridState, plan: SchedulePlan, slot_index: int,
 
 
 # ---------------------------------------------------------------------------
-# random microgrids: a tree rooted at the grid-forming zone 1
+# random formation events: 1-4 microgrids, each a tree rooted at its
+# grid-forming zone, and zones in none, on one shuffled zone axis
 # ---------------------------------------------------------------------------
 
 kw = st.floats(0.0, 800.0)
 
 
 @st.composite
-def dispatch_case(draw):
-    n = draw(st.integers(1, 7))
+def microgrid(draw):
+    """Tree parents and criticals by local index 1..n (1 is grid-forming),
+    storage, initial state of charge and forecast bias."""
+    n = draw(st.integers(1, 10))   # numpy sums a row of 8 or more pairwise
     parents = [draw(st.integers(1, i - 1)) for i in range(2, n + 1)]
     criticals = draw(st.sets(st.integers(1, n), max_size=n))
-    resource = (draw(st.floats(10.0, 2000.0)), draw(st.floats(50.0, 8000.0)),
-                draw(st.floats(0.0, 1500.0)), draw(st.floats(0.0, 3000.0)))
-    soc0 = draw(st.floats(0.0, 1.0))
-    n_slots = draw(st.integers(1, 4))
-    n_planned = draw(st.integers(n_slots, n_slots + 1))
-    steps = n_slots * STEPS_PER_SLOT
-    load = np.array([draw(st.lists(kw, min_size=steps, max_size=steps))
-                     for _ in range(n)]).T
-    # whole dark steps, and zones without PV within lit ones
-    dark = draw(st.lists(st.booleans(), min_size=steps, max_size=steps))
-    pv = np.array([[0.0 if dark[t] else draw(st.one_of(st.just(0.0), kw))
-                    for _ in range(n)] for t in range(steps)])
+    # small stores too, which a window can empty or fill
+    resource = (draw(st.floats(10.0, 2000.0)),
+                draw(st.one_of(st.floats(5.0, 300.0), st.floats(5.0, 8000.0))),
+                draw(st.floats(0.0, 1500.0)),
+                draw(st.one_of(st.floats(0.0, 300.0), st.floats(0.0, 3000.0))))
     # the plan sees the slot means of actuals scaled by a forecast error,
     # so that dispatch sheds when the error is low
-    bias = draw(st.floats(0.3, 1.5))
-    blocked = draw(st.sets(st.integers(1, n), max_size=n))
-    return (n, parents, criticals, resource, soc0, n_planned, load, pv, bias,
-            blocked)
+    return (n, parents, criticals, resource, draw(st.floats(0.0, 1.0)),
+            draw(st.floats(0.3, 1.5)))
 
 
-def _microgrid(n, parents, criticals, resource):
-    nodes = tuple(ZoneNode(i, 1, i in criticals, 100.0, i == 1)
-                  for i in range(1, n + 1))
-    edges = tuple(SwitchEdge(i - 1, p, i, False, 1e6)
-                  for i, p in enumerate(parents, start=2))
-    battery_kw, battery_kwh, diesel_kw, fuel_kwh = resource
-    res = GridFormingResource(1, battery_kw, battery_kwh,
-                              diesel_power_kw=diesel_kw,
-                              diesel_fuel_kwh=fuel_kwh)
-    g = ZoneGraph(nodes, edges, (res,))
-    return res, service_order(g, set(range(1, n + 1)), 1,
-                              frozenset(e.id for e in edges))
+@st.composite
+def profile(draw, steps):
+    """One zone's profile: random, or near-constant, so that storage
+    empties, fills or runs out of fuel mid-window after a long regime."""
+    if draw(st.booleans()):
+        return draw(st.lists(kw, min_size=steps, max_size=steps))
+    base = draw(kw)
+    return [max(base + d, 0.0) for d in draw(st.lists(
+        st.floats(-1.0, 1.0), min_size=steps, max_size=steps))]
+
+
+@st.composite
+def event_case(draw):
+    grids = draw(st.lists(microgrid(), min_size=1, max_size=4))
+    n_zones = sum(g[0] for g in grids) + draw(st.integers(0, 3))
+    ids = draw(st.permutations(range(1, n_zones + 1)))   # microgrid members
+    axis = tuple(draw(st.permutations(ids)))             # the zone axis
+    n_slots = draw(st.integers(1, SLOTS_PER_EVENT))
+    n_planned = draw(st.integers(n_slots, n_slots + 1))
+    steps = n_slots * STEPS_PER_SLOT
+    load = np.array([draw(profile(steps)) for _ in axis]).T
+    # whole dark steps, and zones without PV within lit ones
+    dark = draw(st.lists(st.booleans(), min_size=steps, max_size=steps))
+    pv = np.array([draw(st.one_of(st.just([0.0] * steps), profile(steps)))
+                   for _ in axis]).T
+    pv[dark] = 0.0
+    blocked = draw(st.sets(st.sampled_from(axis), max_size=n_zones))
+    return grids, ids, axis, n_planned, load, pv, blocked
+
+
+def _microgrids(grids, ids):
+    """Each drawn microgrid's resource and service order, its zones the next
+    of ``ids``."""
+    out, start = [], 0
+    for n, parents, criticals, resource, *_ in grids:
+        zone = ids[start:start + n]      # local index i is zone[i - 1]
+        start += n
+        nodes = tuple(ZoneNode(z, 1, i in criticals, 100.0, i == 1)
+                      for i, z in enumerate(zone, start=1))
+        edges = tuple(SwitchEdge(i - 1, zone[p - 1], zone[i - 1], False, 1e6)
+                      for i, p in enumerate(parents, start=2))
+        battery_kw, battery_kwh, diesel_kw, fuel_kwh = resource
+        res = GridFormingResource(zone[0], battery_kw, battery_kwh,
+                                  diesel_power_kw=diesel_kw,
+                                  diesel_fuel_kwh=fuel_kwh)
+        g = ZoneGraph(nodes, edges, (res,))
+        out.append((res, service_order(g, set(zone), zone[0],
+                                       frozenset(e.id for e in edges))))
+    return out
 
 
 def _forecast(load, n_planned, bias):
@@ -215,51 +272,84 @@ def _forecast(load, n_planned, bias):
 
 
 def _check(case):
-    (n, parents, criticals, resource, soc0, n_planned, load, pv, bias,
-     blocked) = case
-    res, order = _microgrid(n, parents, criticals, resource)
-    soc = soc0 * res.battery_energy_kwh
-    ref = MicrogridState(res, soc, res.diesel_fuel_kwh)
-    new = MicrogridState(res, soc, res.diesel_fuel_kwh)
+    grids, ids, axis, n_planned, load, pv, blocked = case
+    mgs = _microgrids(grids, ids)
+    part = PartitionOrder(axis, tuple(order for _, order in mgs))
+    refs, news, plans, want = [], [], [], []
+    for (res, order), grid, cols in zip(mgs, grids, part.columns):
+        soc0, bias = grid[4:]
+        soc = soc0 * res.battery_energy_kwh
+        ref = MicrogridState(res, soc, res.diesel_fuel_kwh)
+        new = MicrogridState(res, soc, res.diesel_fuel_kwh)
+        fl = _forecast(load[:, cols], n_planned, bias)
+        fp = _forecast(pv[:, cols], n_planned, bias)
+        plan = ems.build_schedule(new, order, fl, fp)
+        col = dict(zip(order.members, cols))
+        ref_plan = slot_schedule(
+            ref, order, {z: fl[:, c] for c, z in enumerate(order.members)},
+            {z: fp[:, c] for c, z in enumerate(order.members)})
+        assert plan.committed == ref_plan.committed
+        windows = []
+        for s in range(len(load) // STEPS_PER_SLOT):
+            rows = slice(s * STEPS_PER_SLOT, (s + 1) * STEPS_PER_SLOT)
+            windows.append(slot_window(
+                ref, plan, s, {z: load[rows, c] for z, c in col.items()},
+                {z: pv[rows, c] for z, c in col.items()},
+                blocked_first_step=frozenset(blocked) if s == 0
+                else frozenset()))
+        refs.append(ref)
+        news.append(new)
+        plans.append(plan)
+        want.append(windows)
 
-    fl = _forecast(load, n_planned, bias)
-    fp = _forecast(pv, n_planned, bias)
-    plan = ems.build_schedule(new, order, fl, fp)
-    col = {z: c for c, z in enumerate(order.members)}
-    ref_plan = slot_schedule(ref, order, {z: fl[:, c] for z, c in col.items()},
-                             {z: fp[:, c] for z, c in col.items()})
-    assert plan.committed == ref_plan.committed
-
-    windows = []
-    for s in range(len(load) // STEPS_PER_SLOT):
-        rows = slice(s * STEPS_PER_SLOT, (s + 1) * STEPS_PER_SLOT)
-        windows.append(slot_window(
-            ref, plan, s, {z: load[rows, c] for z, c in col.items()},
-            {z: pv[rows, c] for z, c in col.items()},
-            blocked_first_step=frozenset(blocked) if s == 0 else frozenset()))
-    win = ems.dispatch_window(new, plan, load, pv,
+    win = ems.dispatch_window(part, news, plans, load, pv,
                               blocked_first_step=frozenset(blocked))
 
-    assert win.zones == order.members
-    for name in ARRAYS:
-        want = np.concatenate([getattr(w, name) for w in windows])
-        got = getattr(win, name)
-        assert got.dtype == want.dtype and np.array_equal(got, want), name
-    assert win.shed_zones == sum((w.shed_zones for w in windows), ())
-    assert new.soc_kwh == ref.soc_kwh
-    assert new.fuel_kwh == ref.fuel_kwh
+    assert win.zones == axis
+    for m, (windows, cols) in enumerate(zip(want, part.columns)):
+        for name in ZONE_ARRAYS:
+            expect = np.concatenate([getattr(w, name) for w in windows])
+            got = getattr(win, name)[:, cols]
+            assert got.dtype == expect.dtype and np.array_equal(got, expect), \
+                (m, name)
+        for name in STORAGE_ARRAYS:
+            expect = np.concatenate([getattr(w, name) for w in windows])
+            assert np.array_equal(getattr(win, name)[:, m], expect), (m, name)
+    assert win.battery_kw.shape == (len(load), len(mgs))
+    assert win.shed_zones == sum((w.shed_zones for windows in want
+                                  for w in windows), ())
+    for ref, new in zip(refs, news):
+        assert new.soc_kwh == ref.soc_kwh
+        assert new.fuel_kwh == ref.fuel_kwh
+    # zones in no microgrid
+    members = set(ids[:sum(grid[0] for grid in grids)])
+    off = [c for c, z in enumerate(axis) if z not in members]
+    assert np.array_equal(win.unserved_kw[:, off], load[:, off])
+    for name in ("served_kw", "pv_used_kw", "committed", "energized"):
+        assert not getattr(win, name)[:, off].any(), name
     return win
 
 
 # Zone 3 is blocked and ranks behind zone 2, which the first step sheds: the
 # second step's active set (zones 1 and 3) is not a priority prefix.
-NOT_A_PREFIX = (3, [1, 2], set(), (100.0, 12000.0, 0.0, 0.0), 1.0, 1,
+NOT_A_PREFIX = ([(3, [1, 2], set(), (100.0, 12000.0, 0.0, 0.0), 1.0, 0.1)],
+                (1, 2, 3), (1, 2, 3), 1,
                 np.array([[30.0, 500.0, 30.0]] + [[30.0, 40.0, 30.0]] * 5),
-                np.zeros((6, 3)), 0.1, {3})
+                np.zeros((6, 3)), {3})
+
+# Ten zones in a chain, all served with PV at every step: numpy sums a row of
+# 8 or more pairwise, so each microgrid's PV row sum depends on the memory
+# order of the columns it adds.
+TEN_ZONES = ([(10, list(range(1, 10)), set(), (2000.0, 8000.0, 0.0, 0.0),
+               0.5, 1.0)],
+             tuple(range(1, 11)), tuple(range(1, 11)), 1,
+             np.full((6, 10), 10.0),
+             (np.arange(60).reshape(6, 10) * 41 % 101) * 1.1, set())
 
 
-@given(dispatch_case())
+@given(event_case())
 @example(NOT_A_PREFIX)
+@example(TEN_ZONES)
 def test_one_call_matches_the_per_slot_dispatcher(case):
     _check(case)
 
