@@ -321,8 +321,9 @@ def run(scenario: Scenario, mode: str = "flexible",
         fl, fp = (a.reshape(len(zone_ids), slots_per_event, -1).mean(axis=2)
                   for a in forecast)
         mg_states = [states[o.gfm_node_id] for o in part.orders]
-        plans = [build_schedule(st, o, fl[c].T, fp[c].T)
-                 for st, o, c in zip(mg_states, part.orders, part.columns)]
+        plans = [build_schedule(st, o, load_sums, pv_sums)
+                 for st, o, load_sums, pv_sums in zip(
+                     mg_states, part.orders, *part.running_sums(fl.T, fp.T))]
         win = dispatch_window(part, mg_states, plans, load[s0:s1], pv[s0:s1],
                               blocked_first_step=blocked)
         served[s0:s1] = win.served_kw

@@ -7,13 +7,14 @@ plans, every microgrid of the event in one call, in 5-minute steps against
 actuals and, when both run out, sheds from the bottom of the priority order
 down to the longest prefix that still fits. Both settle each interval alike:
 battery first, diesel second, and a PV surplus charges the battery up to its
-power and headroom. The scheduler takes one microgrid's (slots x members)
-arrays; the dispatcher takes the event's (steps x zones) arrays on a run's
-zone axis, on which a ``PartitionOrder`` places each microgrid's service
-order. The prefix search reads running sums in priority order, and only the
-storage state is stepped in Python, one microgrid after another: served
-load, commitment, energized zones and PV shares are filled once per event as
-whole arrays on the zone axis.
+power and headroom. Both read one layout: a ``PartitionOrder`` places a
+partition's service orders on a run's zone axis and turns (rows x zones)
+load and PV, forecast slot means for the scheduler and actuals for the
+dispatcher, into running sums over each microgrid's zones in priority order,
+once per event. The prefix search reads those sums, and only the storage
+state is stepped in Python, one microgrid after another: served load,
+commitment, energized zones and PV shares are filled once per event as whole
+arrays on the zone axis.
 
 Zone priority: critical zones first, then electrical distance from the
 grid-forming node, then zone id. Energy accounting is construction-exact:
@@ -43,31 +44,11 @@ class TopologyMismatch(Exception):
 
 @dataclass(frozen=True)
 class ServiceOrder:
-    """Static per-topology service data: priority ranking and feed paths.
-
-    Its array forms are computed once, on first use, and read by every
-    plan and dispatch window of the order.
-    """
+    """Static per-topology service data: priority ranking and feed paths."""
     gfm_node_id: int
     members: tuple[int, ...]
     ranked: tuple[int, ...]
     path_zones: dict[int, frozenset[int]]  # zone -> zones feeding it, gfm excluded
-
-    @cached_property
-    def rank(self) -> np.ndarray:
-        """Column of each ranked zone in a (rows x members) profile array."""
-        col = {i: c for c, i in enumerate(self.members)}
-        return _read_only(np.array([col[i] for i in self.ranked], dtype=int))
-
-    @cached_property
-    def feeds(self) -> np.ndarray:
-        """(members x members) bool: each member's row marks the members
-        that feed it, the grid-forming zone excluded."""
-        col = {i: c for c, i in enumerate(self.members)}
-        feeds = np.zeros((len(col), len(col)), dtype=bool)
-        for i, path in self.path_zones.items():
-            feeds[col[i], [col[v] for v in path]] = True
-        return _read_only(feeds)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -101,8 +82,8 @@ class PartitionOrder:
     """Static per-partition service data: the service orders of one
     partition's microgrids, placed on a run's zone axis.
 
-    Its array forms are computed once, on first use, and read by every
-    dispatch of the partition.
+    Its array forms are computed once, on first use, and read by every plan
+    and dispatch of the partition.
     """
     zone_ids: tuple[int, ...]
     orders: tuple[ServiceOrder, ...]
@@ -114,10 +95,13 @@ class PartitionOrder:
             raise ValueError("microgrids must be disjoint sets of the zones")
 
     @cached_property
+    def _column(self) -> dict[int, int]:
+        return {z: c for c, z in enumerate(self.zone_ids)}
+
+    @cached_property
     def columns(self) -> tuple[np.ndarray, ...]:
         """Each microgrid's member columns on the zone axis, in member order."""
-        col = {z: c for c, z in enumerate(self.zone_ids)}
-        return tuple(_read_only(np.array([col[z] for z in o.members],
+        return tuple(_read_only(np.array([self._column[z] for z in o.members],
                                          dtype=int)) for o in self.orders)
 
     @cached_property
@@ -125,11 +109,10 @@ class PartitionOrder:
         """(microgrids x largest) int: row by row, each microgrid's member
         columns on the zone axis in priority order, padded with
         ``len(zone_ids)``."""
-        ranked = np.full((len(self.orders),
-                          max(map(len, self.columns), default=0)),
-                         len(self.zone_ids))
-        for row, c, o in zip(ranked, self.columns, self.orders):
-            row[:len(c)] = c[o.rank]
+        width = max((len(o.ranked) for o in self.orders), default=0)
+        ranked = np.full((len(self.orders), width), len(self.zone_ids))
+        for row, o in zip(ranked, self.orders):
+            row[:len(o.ranked)] = [self._column[z] for z in o.ranked]
         return _read_only(ranked)
 
     @cached_property
@@ -152,16 +135,43 @@ class PartitionOrder:
         row marks the members that feed it, the grid-forming zones
         excluded."""
         feeds = np.zeros((len(self.zone_ids),) * 2, dtype=bool)
-        for c, o in zip(self.columns, self.orders):
-            feeds[np.ix_(c, c)] = o.feeds
+        col = self._column
+        for o in self.orders:
+            for z, path in o.path_zones.items():
+                feeds[col[z], [col[v] for v in path]] = True
         return _read_only(feeds)
 
     @cached_property
     def anchors(self) -> np.ndarray:
         """The zone-axis column of each microgrid's grid-forming zone."""
-        col = {z: c for c, z in enumerate(self.zone_ids)}
-        return _read_only(np.array([col[o.gfm_node_id] for o in self.orders],
-                                   dtype=int))
+        return _read_only(np.array([self._column[o.gfm_node_id]
+                                    for o in self.orders], dtype=int))
+
+    def running_sums(self, load: np.ndarray, pv: np.ndarray,
+                     ) -> tuple[list[list[list[float]]], ...]:
+        """Running sums of load and of PV over each microgrid's zones in
+        priority order.
+
+        ``load`` and ``pv`` are (rows x zones) arrays, columns in
+        ``zone_ids`` order. Each of the two results holds one
+        (rows x members) nested list per microgrid, in ``orders`` order:
+        entry k of a row sums the row over the microgrid's first k + 1
+        ranked zones, left to right.
+        """
+        load = np.asarray(load, dtype=float)
+        pv = np.asarray(pv, dtype=float)
+        n_zones = len(self.zone_ids)
+        if load.ndim != 2 or load.shape[1] != n_zones \
+                or pv.shape != load.shape:
+            raise ValueError(f"load {load.shape} and PV {pv.shape} are not "
+                             f"(rows x {n_zones} zones) arrays")
+        # rows are padded out to the largest microgrid with a zero column,
+        # and the padding is cut off
+        padded = np.zeros((2, len(load), n_zones + 1))
+        padded[0, :, :-1], padded[1, :, :-1] = load, pv
+        sums = np.cumsum(padded[:, :, self.ranked], axis=-1)
+        return tuple([a[:, m, :len(o.ranked)].tolist()
+                      for m, o in enumerate(self.orders)] for a in sums)
 
 
 @dataclass
@@ -180,25 +190,6 @@ class MicrogridState:
                              f"non-negative amount")
         self.soc_kwh = min(max(self.soc_kwh, 0.0), cap)
         self.fuel_kwh = max(self.fuel_kwh, 0.0)
-
-
-def _member_profiles(order: ServiceOrder, load: np.ndarray,
-                     pv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Load and PV as float (rows x members) arrays, columns in member order."""
-    load = np.asarray(load, dtype=float)
-    pv = np.asarray(pv, dtype=float)
-    shape = (len(load), len(order.members))
-    if load.ndim != 2 or load.shape != shape or pv.shape != shape:
-        raise ValueError(f"load {load.shape} and PV {pv.shape} are not "
-                         f"(rows x {len(order.members)} members) arrays")
-    return load, pv
-
-
-def _running_sums(load: np.ndarray, pv: np.ndarray,
-                  rank: np.ndarray) -> list[list[list[float]]]:
-    """Row by row, running sums of load and of PV over the columns ``rank``,
-    left to right."""
-    return [np.cumsum(a[:, rank], axis=1).tolist() for a in (load, pv)]
 
 
 def _carried(res: GridFormingResource, soc: float, fuel: float, hours: float,
@@ -253,25 +244,31 @@ class SchedulePlan:
 
 
 def build_schedule(state: MicrogridState, order: ServiceOrder,
-                   load: np.ndarray, pv: np.ndarray) -> SchedulePlan:
+                   load_sums: Sequence[Sequence[float]],
+                   pv_sums: Sequence[Sequence[float]]) -> SchedulePlan:
     """Commit the largest feasible priority prefix in every slot.
 
-    ``load`` and ``pv`` are (slots x members) forecasts, columns in
-    ``order.members`` order. A prefix is feasible when its net deficit fits
-    under battery power, remaining energy, diesel power and remaining fuel
-    for the slot length. Energy is projected from slot to slot; the live
-    state is untouched.
+    ``load_sums`` and ``pv_sums`` are (slots x members) running sums of the
+    forecast over the zones of ``order.ranked``, as
+    ``PartitionOrder.running_sums`` returns them for this microgrid. A prefix
+    is feasible when its net deficit fits under battery power, remaining
+    energy, diesel power and remaining fuel for the slot length. Energy is
+    projected from slot to slot; the live state is untouched.
     """
-    load, pv = _member_profiles(order, load, pv)
+    n = len(order.ranked)
+    if len(pv_sums) != len(load_sums) \
+            or any(len(row) != n for rows in (load_sums, pv_sums)
+                   for row in rows):
+        raise ValueError(f"load and PV sums must be as many rows of {n} "
+                         f"members each")
     res = state.resource
     hours = SLOT_MINUTES / 60.0
     soc, fuel = state.soc_kwh, state.fuel_kwh
-    load_sums, pv_sums = _running_sums(load, pv, order.rank)
 
     committed: list[tuple[int, ...]] = []
-    for s in range(len(load)):
-        k, load_tot, pv_tot = _carried(res, soc, fuel, hours, load_sums[s],
-                                       pv_sums[s], len(order.ranked))
+    for load_row, pv_row in zip(load_sums, pv_sums):
+        k, load_tot, pv_tot = _carried(res, soc, fuel, hours, load_row,
+                                       pv_row, n)
         _, _, soc, fuel = _settle(res, soc, fuel, hours, load_tot - pv_tot)
         committed.append(order.ranked[:k])
     return SchedulePlan(order, tuple(committed))
@@ -311,12 +308,9 @@ def dispatch_window(part: PartitionOrder, states: Sequence[MicrogridState],
     (switching interval after a topology change). Zones in no microgrid are
     unserved throughout.
     """
+    load_running, pv_running = part.running_sums(load, pv)
     load = np.asarray(load, dtype=float)
     pv = np.asarray(pv, dtype=float)
-    n_zones = len(part.zone_ids)
-    if load.ndim != 2 or load.shape[1] != n_zones or pv.shape != load.shape:
-        raise ValueError(f"load {load.shape} and PV {pv.shape} are not "
-                         f"(rows x {n_zones} zones) arrays")
     if len(states) != len(part.orders) \
             or tuple(p.order for p in plans) != part.orders:
         raise ValueError("states and plans do not match the partition's "
@@ -329,13 +323,6 @@ def dispatch_window(part: PartitionOrder, states: Sequence[MicrogridState],
         raise ValueError(f"{n_steps} steps are not a whole number of at most "
                          f"{planned} slots of {per_slot} steps")
     hours = DISPATCH_STEP_MINUTES / 60.0
-
-    # running sums of load and PV over each microgrid's zones in priority
-    # order; the padding reads a zero column
-    padded = np.zeros((2, n_steps, n_zones + 1))
-    padded[0, :, :-1], padded[1, :, :-1] = load, pv
-    load_running, pv_running = np.cumsum(
-        padded[:, :, part.ranked], axis=-1).transpose(0, 2, 1, 3).tolist()
 
     # the sequential part, microgrid after microgrid: each step's carried
     # prefix and storage settlement; active sets are lists of priority

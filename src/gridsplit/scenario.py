@@ -86,6 +86,8 @@ class Scenario:
                     f"/fault_windows/{i}/edge_id: unknown edge {fw.edge_id}")
         if not 0 <= self.forecast_sigma < math.inf:
             raise ValidationError("/forecast_sigma: must be finite and non-negative")
+        if self.forecast_seed < 0:
+            raise ValidationError("/forecast_seed: must be non-negative")
         if self.step_minutes <= 0:
             raise ValidationError("/step_minutes: must be positive")
 

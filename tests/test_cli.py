@@ -136,6 +136,13 @@ class TestRun:
                      "--out", str(tmp_path / "o")]) == 2
         assert "/forecast_seed: expected" in capsys.readouterr().err
 
+    def test_negative_seed_fails_at_the_boundary(self, tmp_path, capsys):
+        # refused before the noisy forecast would draw from it
+        assert main(["run", "--scenario", "builtin:two-feeder",
+                     "--out", str(tmp_path / "o"), "--seed", "-1"]) == 2
+        assert "/forecast_seed: must be non-negative" \
+            in capsys.readouterr().err
+
     def test_no_grid_forming_resource(self, tmp_path, capsys):
         # the scenario is valid and the fixed baseline just leaves every
         # zone dark, but the formation model needs an anchor
@@ -334,6 +341,16 @@ class TestValidate:
         (tmp_path / "sc.json").write_text(json.dumps(doc))
         assert main(["validate", "--scenario", str(tmp_path / "sc.json")]) == 2
         assert "/resources/0: battery_soc0 7.0" in capsys.readouterr().err
+
+    def test_negative_noisy_seed(self, tmp_path, capsys):
+        sc = dataclasses.replace(fixture_two_feeder(), forecast_sigma=0.1)
+        save_scenario(sc, tmp_path / "sc.json")
+        doc = json.loads((tmp_path / "sc.json").read_text())
+        doc["forecast_seed"] = -1
+        (tmp_path / "sc.json").write_text(json.dumps(doc))
+        assert main(["validate", "--scenario", str(tmp_path / "sc.json")]) == 2
+        assert "/forecast_seed: must be non-negative" \
+            in capsys.readouterr().err
 
     def test_log_level_env(self, monkeypatch):
         monkeypatch.setenv("GRIDSPLIT_LOG", "DEBUG")

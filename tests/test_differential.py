@@ -24,9 +24,9 @@ snapshot and a previous partition: each event's problem derived from its
 fault set's build (``with_event``) must equal a fresh ``build_milp`` bit for
 bit, each event's pricing of its fault set's default topology
 (``served_in_full``) must equal the pricing of a fresh
-``fixed_topology_solution``, and a reused service order must equal a fresh
-one. The fixture's runs are checked
-the same way at each of their 16 events.
+``fixed_topology_solution``, and a reused partition order must equal a
+fresh one in its arrays and its running sums. The fixture's runs are
+checked the same way at each of their 16 events.
 
 The example count comes from the hypothesis profile (``tests/conftest.py``):
 40 by default, 400 with ``HYPOTHESIS_PROFILE=ci``.
@@ -46,6 +46,7 @@ from gridsplit import (
     GridFormingResource,
     InfeasibleTopology,
     LateralPolicy,
+    PartitionOrder,
     SolveStatus,
     SwitchEdge,
     Timeline,
@@ -281,11 +282,23 @@ def assert_same_solution(got, fresh):
     assert got == fresh and repr(got) == repr(fresh)
 
 
-def assert_same_order(got, fresh):
+def fresh_partition(g_t, zone_ids, sol):
+    """The partition order of ``sol``'s microgrids, built anew."""
+    return PartitionOrder(zone_ids, tuple(
+        service_order(g_t, tree, anchor, sol.closed)
+        for anchor, tree in sol.trees.items()))
+
+
+def assert_same_partition(got, fresh, load, pv):
+    """A reused partition order equals a fresh one: its service orders, its
+    arrays and its running sums of (rows x zones) ``load`` and ``pv``."""
     assert got == fresh
-    for arr in ("rank", "feeds"):
-        x, y = getattr(got, arr), getattr(fresh, arr)
-        assert x.dtype == y.dtype and np.array_equal(x, y), arr
+    arrays = [(name, getattr(got, name), getattr(fresh, name))
+              for name in ("ranked", "owner", "position", "feeds", "anchors")]
+    arrays += [("columns", x, y) for x, y in zip(got.columns, fresh.columns)]
+    for name, x, y in arrays:
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+    assert got.running_sums(load, pv) == fresh.running_sums(load, pv)
 
 
 @st.composite
@@ -320,10 +333,12 @@ def fault_window_events(draw):
 @given(fault_window_events())
 def test_a_fault_sets_graph_work_serves_each_of_its_events(case):
     g, events = case
-    built = {}     # fault set -> (its graph, its build, its default, orders)
+    zone_ids = tuple(sorted(n.id for n in g.nodes))
+    built = {}     # fault set -> (its graph, its build, its default, its
+                   # default's partition order)
     for faults, snap, prev in events:
         if faults in built:
-            g_t, prob, default, orders = built[faults]
+            g_t, prob, default, part = built[faults]
             if prob is not None:
                 prob = with_event(prob, snap, prev)
         else:
@@ -336,10 +351,9 @@ def test_a_fault_sets_graph_work_serves_each_of_its_events(case):
                 default = fixed_topology_solution(g_t)
             except InfeasibleTopology:
                 default = None
-            orders = {} if default is None else {
-                anchor: service_order(g_t, tree, anchor, default.closed)
-                for anchor, tree in default.trees.items()}
-            built[faults] = g_t, prob, default, orders
+            part = None if default is None \
+                else fresh_partition(g_t, zone_ids, default)
+            built[faults] = g_t, prob, default, part
         fresh_g = g.with_faulted(faults)     # no cached graph properties
         if prob is None:
             event("fault set without a model")
@@ -350,21 +364,21 @@ def test_a_fault_sets_graph_work_serves_each_of_its_events(case):
                 served_in_full(g_t, default, snap, WTS),
                 served_in_full(fresh_g, fixed_topology_solution(fresh_g),
                                snap, WTS))
-            for anchor, tree in default.trees.items():
-                assert_same_order(orders[anchor], service_order(
-                    fresh_g, tree, anchor, default.closed))
+            load, pv = (np.array([[t[z] for z in zone_ids]])
+                        for t in (snap.load_kw, snap.pv_kw))
+            assert_same_partition(part, fresh_partition(fresh_g, zone_ids,
+                                                        default), load, pv)
 
 
 def test_each_fixture_event_matches_its_fresh_graph_work(scenario,
                                                          coordinator_calls):
-    # decode sees each event's problem, build_schedule each microgrid's
-    # service order, in event order
+    # decode sees each event's problem, dispatch_window each event's
+    # partition order and actuals, in event order
     decoded = coordinator_calls("decode")
-    plans = coordinator_calls("build_schedule")
+    dispatched = iter(coordinator_calls("dispatch_window"))
     tl = Timeline()
     flex, fixed = run(scenario, "flexible", tl), run(scenario, "fixed", tl)
     assert len(decoded) == len(flex.events) == len(fixed.events) == 16
-    orders = iter(order for _, order, *_ in plans)
     for r in (flex, fixed):
         prev = None
         for k, ev in enumerate(r.events):
@@ -375,7 +389,7 @@ def test_each_fixture_event_matches_its_fresh_graph_work(scenario,
             else:
                 assert_same_solution(ev.solution, served_in_full(
                     g_t, fixed_topology_solution(g_t), snap, WTS))
-            for anchor, tree in ev.solution.trees.items():
-                assert_same_order(next(orders), service_order(
-                    g_t, tree, anchor, ev.solution.closed))
+            part, _, _, load, pv = next(dispatched)
+            assert_same_partition(part, fresh_partition(g_t, r.zone_ids,
+                                                        ev.solution), load, pv)
             prev = ev.solution

@@ -45,11 +45,22 @@ def prof(order, table):
     return np.array([table[z] for z in order.members], dtype=float).T
 
 
+def lone_part(order):
+    """One microgrid on its own members' axis."""
+    return PartitionOrder(order.members, (order,))
+
+
+def lone_plan(state, order, load, pv):
+    """One microgrid's plan from (slots x members) forecasts."""
+    (load_sums,), (pv_sums,) = lone_part(order).running_sums(load, pv)
+    return build_schedule(state, order, load_sums, pv_sums)
+
+
 def lone_window(state, plan, load, pv, **kwargs):
     """One microgrid's event: its plan dispatched on its own members' axis."""
     order = plan.order
-    return dispatch_window(PartitionOrder(order.members, (order,)), [state],
-                           [plan], load, pv, **kwargs)
+    return dispatch_window(lone_part(order), [state], [plan], load, pv,
+                           **kwargs)
 
 
 class TestServiceOrder:
@@ -80,8 +91,8 @@ class TestServiceOrder:
 class TestSchedule:
     def test_flat_load_draws_battery_linearly(self):
         _, order, state = chain_microgrid(1)
-        plan = build_schedule(state, order, prof(order, {1: flat(100.0, 48)}),
-                              prof(order, {1: flat(0.0, 48)}))
+        plan = lone_plan(state, order, prof(order, {1: flat(100.0, 48)}),
+                         prof(order, {1: flat(0.0, 48)}))
         assert all(c == (1,) for c in plan.committed)
         assert state.soc_kwh == 12000.0  # projections leave live state alone
         # 100 kW for five minutes is 25/3 kWh out of the battery each step
@@ -94,8 +105,8 @@ class TestSchedule:
         # 100 kW for half an hour is 50 kWh a slot: 500 kWh lasts 10 slots
         _, order, state = chain_microgrid(1, battery_kw=100.0,
                                           battery_kwh=500.0)
-        plan = build_schedule(state, order, prof(order, {1: flat(100.0, 12)}),
-                              prof(order, {1: flat(0.0, 12)}))
+        plan = lone_plan(state, order, prof(order, {1: flat(100.0, 12)}),
+                         prof(order, {1: flat(0.0, 12)}))
         assert plan.committed == ((1,),) * 10 + ((),) * 2
 
     def test_zero_resources_commits_nothing(self):
@@ -103,7 +114,7 @@ class TestSchedule:
         state.soc_kwh = 0.0
         load = prof(order, {1: flat(50.0), 2: flat(50.0)})
         pv = prof(order, {1: flat(0.0), 2: flat(0.0)})
-        plan = build_schedule(state, order, load, pv)
+        plan = lone_plan(state, order, load, pv)
         assert all(c == () for c in plan.committed)
         win = lone_window(state, plan, load, pv)
         assert np.all(win.served_kw == 0.0)
@@ -119,8 +130,8 @@ class TestSchedule:
                  for z in order.members}
         pv = {z: scenario.pv_kw[z][day2].reshape(48, 6).mean(axis=1)
               for z in order.members}
-        plan = build_schedule(state, order, prof(order, loads),
-                              prof(order, pv))
+        plan = lone_plan(state, order, prof(order, loads),
+                         prof(order, pv))
         for slot in range(0, 12):  # midnight to 06:00, low load
             assert set(plan.committed[slot]) == {6, 7, 8, 9, 10}
 
@@ -128,12 +139,20 @@ class TestSchedule:
         _, order, state = chain_microgrid(1, battery_kw=500.0,
                                           battery_kwh=1000.0)
         state.soc_kwh = 0.0
-        plan = build_schedule(state, order, prof(order, {1: flat(0.0, 1)}),
-                              prof(order, {1: flat(200.0, 1)}))
+        plan = lone_plan(state, order, prof(order, {1: flat(0.0, 1)}),
+                         prof(order, {1: flat(200.0, 1)}))
         win = lone_window(state, plan, prof(order, {1: flat(0.0)}),
                           prof(order, {1: flat(200.0)}))
         assert np.allclose(win.battery_kw, -200.0)
         assert state.soc_kwh == pytest.approx(200.0 * 0.5 * 0.95)
+
+    @pytest.mark.parametrize("rows", [[[0.0]], [[0.0, 0.0, 0.0]],
+                                      [[0.0, 0.0], [0.0]]])
+    def test_sums_must_have_one_entry_per_member(self, rows):
+        # a narrow row would read past its end, a ragged one in a late slot
+        _, order, state = chain_microgrid(2)
+        with pytest.raises(ValueError, match="2 members"):
+            build_schedule(state, order, rows, rows)
 
 
 class TestDispatch:
@@ -143,8 +162,8 @@ class TestDispatch:
                                           diesel_kw=100.0, fuel_kwh=500.0)
         loads = {1: flat(90.0, 2), 2: flat(80.0, 2), 3: flat(70.0, 2)}
         pv = {1: flat(10.0, 2), 2: flat(0.0, 2), 3: flat(25.0, 2)}
-        plan = build_schedule(state, order, prof(order, loads),
-                              prof(order, pv))
+        plan = lone_plan(state, order, prof(order, loads),
+                         prof(order, pv))
         win = lone_window(
             state, plan,
             prof(order, {z: flat(loads[z][0]) for z in order.members}),
@@ -156,8 +175,8 @@ class TestDispatch:
     def test_pv_spike_on_a_full_battery_curtails(self):
         _, order, state = chain_microgrid(1, battery_kw=500.0,
                                           battery_kwh=1000.0)
-        plan = build_schedule(state, order, prof(order, {1: flat(0.0, 1)}),
-                              prof(order, {1: flat(0.0, 1)}))
+        plan = lone_plan(state, order, prof(order, {1: flat(0.0, 1)}),
+                         prof(order, {1: flat(0.0, 1)}))
         win = lone_window(state, plan, prof(order, {1: flat(0.0)}),
                           prof(order, {1: flat(500.0)}))
         assert np.all(win.pv_used_kw == 0.0)       # nowhere to put it
@@ -169,9 +188,9 @@ class TestDispatch:
     def test_load_spike_sheds_the_lowest_rank_immediately(self):
         _, order, state = chain_microgrid(2, criticals={1},
                                           battery_kw=100.0)
-        plan = build_schedule(state, order,
-                              prof(order, {1: flat(50.0, 1), 2: flat(40.0, 1)}),
-                              prof(order, {1: flat(0.0, 1), 2: flat(0.0, 1)}))
+        plan = lone_plan(state, order,
+                         prof(order, {1: flat(50.0, 1), 2: flat(40.0, 1)}),
+                         prof(order, {1: flat(0.0, 1), 2: flat(0.0, 1)}))
         actual_load = {1: flat(50.0), 2: [500.0] + flat(40.0, 5)}
         win = lone_window(state, plan, prof(order, actual_load),
                           prof(order, {1: flat(0.0), 2: flat(0.0)}))
@@ -185,9 +204,9 @@ class TestDispatch:
 
     def test_blocked_zone_sits_out_exactly_one_step(self):
         _, order, state = chain_microgrid(2)
-        plan = build_schedule(state, order,
-                              prof(order, {1: flat(50.0, 1), 2: flat(40.0, 1)}),
-                              prof(order, {1: flat(0.0, 1), 2: flat(0.0, 1)}))
+        plan = lone_plan(state, order,
+                         prof(order, {1: flat(50.0, 1), 2: flat(40.0, 1)}),
+                         prof(order, {1: flat(0.0, 1), 2: flat(0.0, 1)}))
         win = lone_window(state, plan,
                           prof(order, {1: flat(50.0), 2: flat(40.0)}),
                           prof(order, {1: flat(0.0), 2: flat(0.0)}),
@@ -200,10 +219,10 @@ class TestDispatch:
         # zone 2 off (no capacity for it) while zone 3 beyond it is served
         _, order, state = chain_microgrid(3, criticals={3},
                                           battery_kw=120.0)
-        plan = build_schedule(state, order,
-                              prof(order, {1: flat(60.0, 1), 2: flat(500.0, 1),
-                                           3: flat(50.0, 1)}),
-                              prof(order, {z: flat(0.0, 1) for z in (1, 2, 3)}))
+        plan = lone_plan(state, order,
+                         prof(order, {1: flat(60.0, 1), 2: flat(500.0, 1),
+                                      3: flat(50.0, 1)}),
+                         prof(order, {z: flat(0.0, 1) for z in (1, 2, 3)}))
         assert set(plan.committed[0]) == {1, 3}
         win = lone_window(
             state, plan,
@@ -216,8 +235,8 @@ class TestDispatch:
 
     def test_dispatch_mutates_the_live_state(self):
         _, order, state = chain_microgrid(1)
-        plan = build_schedule(state, order, prof(order, {1: flat(100.0, 1)}),
-                              prof(order, {1: flat(0.0, 1)}))
+        plan = lone_plan(state, order, prof(order, {1: flat(100.0, 1)}),
+                         prof(order, {1: flat(0.0, 1)}))
         lone_window(state, plan, prof(order, {1: flat(100.0)}),
                     prof(order, {1: flat(0.0)}))
         assert state.soc_kwh == pytest.approx(12000.0 - 50.0)
@@ -225,9 +244,9 @@ class TestDispatch:
     def test_a_shed_zone_returns_at_the_next_slot(self):
         _, order, state = chain_microgrid(2, criticals={1},
                                           battery_kw=100.0)
-        plan = build_schedule(state, order,
-                              prof(order, {1: flat(50.0, 2), 2: flat(40.0, 2)}),
-                              prof(order, {1: flat(0.0, 2), 2: flat(0.0, 2)}))
+        plan = lone_plan(state, order,
+                         prof(order, {1: flat(50.0, 2), 2: flat(40.0, 2)}),
+                         prof(order, {1: flat(0.0, 2), 2: flat(0.0, 2)}))
         assert plan.committed == ((1, 2), (1, 2))
         actual_load = {1: flat(50.0, 12),
                        2: [500.0] + flat(40.0, 6) + [500.0] + flat(40.0, 4)}
@@ -244,8 +263,8 @@ class TestDispatch:
     @pytest.mark.parametrize("n_steps", [5, 7, 18])
     def test_actuals_must_cover_whole_planned_slots(self, n_steps):
         _, order, state = chain_microgrid(1)
-        plan = build_schedule(state, order, prof(order, {1: flat(100.0, 2)}),
-                              prof(order, {1: flat(0.0, 2)}))
+        plan = lone_plan(state, order, prof(order, {1: flat(100.0, 2)}),
+                         prof(order, {1: flat(0.0, 2)}))
         with pytest.raises(ValueError, match="whole number of at most 2"):
             lone_window(state, plan, prof(order, {1: flat(100.0, n_steps)}),
                         prof(order, {1: flat(0.0, n_steps)}))
@@ -253,9 +272,9 @@ class TestDispatch:
 
     def test_actuals_must_have_one_column_per_member(self):
         _, order, state = chain_microgrid(2)
-        plan = build_schedule(state, order,
-                              prof(order, {1: flat(50.0, 1), 2: flat(40.0, 1)}),
-                              prof(order, {1: flat(0.0, 1), 2: flat(0.0, 1)}))
+        plan = lone_plan(state, order,
+                         prof(order, {1: flat(50.0, 1), 2: flat(40.0, 1)}),
+                         prof(order, {1: flat(0.0, 1), 2: flat(0.0, 1)}))
         with pytest.raises(ValueError, match="2 zones"):
             lone_window(state, plan, np.zeros((6, 1)), np.zeros((6, 2)))
         with pytest.raises(ValueError, match="2 members"):
@@ -292,6 +311,24 @@ class TestPartitionOrder:
         assert part.position.tolist() == [0, 0, 1]
         assert part.anchors.tolist() == [0]
 
+    def test_running_sums_follow_each_priority_order(self, scenario):
+        left = service_order(scenario.graph, {1, 2}, 1, frozenset({1}))
+        right = service_order(scenario.graph, {6, 7}, 7, frozenset({5}))
+        assert (left.ranked, right.ranked) == ((2, 1), (7, 6))
+        part = PartitionOrder((7, 3, 2, 6, 1), (left, right))
+        load = np.array([[1.0, 10.0, 100.0, 1000.0, 10000.0]]) * [[1.0], [2.0]]
+        # each microgrid's rows, cut to its own two members; zone 3 is in
+        # neither
+        assert part.running_sums(load, 3 * load) == (
+            [[[100.0, 10100.0], [200.0, 20200.0]],
+             [[1.0, 1001.0], [2.0, 2002.0]]],
+            [[[300.0, 30300.0], [600.0, 60600.0]],
+             [[3.0, 3003.0], [6.0, 6006.0]]])
+        with pytest.raises(ValueError, match="5 zones"):
+            part.running_sums(load[:, :4], load[:, :4])
+        with pytest.raises(ValueError, match="5 zones"):
+            part.running_sums(load, load[:1])
+
     def test_an_event_without_microgrids_serves_nothing(self):
         load = np.arange(18.0).reshape(6, 3)
         win = dispatch_window(PartitionOrder((1, 2, 3), ()), [], [], load,
@@ -303,8 +340,8 @@ class TestPartitionOrder:
 
     def test_states_and_plans_must_match_the_microgrids(self):
         _, order, state = chain_microgrid(2)
-        plan = build_schedule(state, order, np.zeros((1, 2)),
-                              np.zeros((1, 2)))
+        plan = lone_plan(state, order, np.zeros((1, 2)),
+                         np.zeros((1, 2)))
         part = PartitionOrder(order.members, (order,))
         with pytest.raises(ValueError, match="one to one"):
             dispatch_window(part, [], [plan], np.zeros((6, 2)),
@@ -345,10 +382,10 @@ def test_dispatch_invariants_hold(case):
                                       diesel_kw, fuel)
     state.soc_kwh = soc0 * battery_kwh
     start_fuel = state.fuel_kwh
-    plan = build_schedule(state, order,
-                          prof(order, {z: [float(np.mean(loads[z]))]
-                                       for z in loads}),
-                          prof(order, {z: [float(np.mean(pv[z]))] for z in pv}))
+    plan = lone_plan(state, order,
+                     prof(order, {z: [float(np.mean(loads[z]))]
+                                  for z in loads}),
+                     prof(order, {z: [float(np.mean(pv[z]))] for z in pv}))
     win = lone_window(state, plan, prof(order, loads), prof(order, pv))
 
     balance = (win.served_kw.sum(axis=1) - win.pv_used_kw.sum(axis=1)
@@ -374,10 +411,10 @@ def test_critical_zones_outrank_noncritical_ones(case):
     g, order, state = chain_microgrid(n, criticals, battery_kw, battery_kwh,
                                       diesel_kw, fuel)
     state.soc_kwh = soc0 * battery_kwh
-    plan = build_schedule(state, order,
-                          prof(order, {z: [float(np.mean(loads[z]))]
-                                       for z in loads}),
-                          prof(order, {z: [float(np.mean(pv[z]))] for z in pv}))
+    plan = lone_plan(state, order,
+                     prof(order, {z: [float(np.mean(loads[z]))]
+                                  for z in loads}),
+                     prof(order, {z: [float(np.mean(pv[z]))] for z in pv}))
     win = lone_window(state, plan, prof(order, loads), prof(order, pv))
 
     rank = {z: r for r, z in enumerate(order.ranked)}

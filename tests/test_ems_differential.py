@@ -8,7 +8,9 @@ They are kept verbatim (renamed, with their private helpers, ``_settle``
 copied from ``gridsplit.ems`` so that a change to the rule under test does
 not move the reference with it), except that a plan no longer carries its
 slot length: ``slot_window`` reads the fixed one.
-``ems.build_schedule`` must commit the same prefixes, and one
+``ems.build_schedule``, reading each microgrid's share of one
+``PartitionOrder.running_sums`` call per event, must commit the same
+prefixes, and one
 ``ems.dispatch_window`` call over a formation event's microgrids must
 return, bit for bit, each microgrid's reference slot windows stacked in
 order on its own columns of the event's zone axis, their shed zones
@@ -275,19 +277,24 @@ def _check(case):
     grids, ids, axis, n_planned, load, pv, blocked = case
     mgs = _microgrids(grids, ids)
     part = PartitionOrder(axis, tuple(order for _, order in mgs))
+    # the event's forecast on the zone axis, each microgrid with its own
+    # bias, and the running sums of all its plans from one call
+    fl, fp = np.zeros((2, n_planned, len(axis)))
+    for grid, cols in zip(grids, part.columns):
+        fl[:, cols] = _forecast(load[:, cols], n_planned, grid[5])
+        fp[:, cols] = _forecast(pv[:, cols], n_planned, grid[5])
+    load_sums, pv_sums = part.running_sums(fl, fp)
     refs, news, plans, want = [], [], [], []
-    for (res, order), grid, cols in zip(mgs, grids, part.columns):
-        soc0, bias = grid[4:]
-        soc = soc0 * res.battery_energy_kwh
+    for (res, order), grid, cols, ls, ps in zip(mgs, grids, part.columns,
+                                                load_sums, pv_sums):
+        soc = grid[4] * res.battery_energy_kwh
         ref = MicrogridState(res, soc, res.diesel_fuel_kwh)
         new = MicrogridState(res, soc, res.diesel_fuel_kwh)
-        fl = _forecast(load[:, cols], n_planned, bias)
-        fp = _forecast(pv[:, cols], n_planned, bias)
-        plan = ems.build_schedule(new, order, fl, fp)
+        plan = ems.build_schedule(new, order, ls, ps)
         col = dict(zip(order.members, cols))
-        ref_plan = slot_schedule(
-            ref, order, {z: fl[:, c] for c, z in enumerate(order.members)},
-            {z: fp[:, c] for c, z in enumerate(order.members)})
+        ref_plan = slot_schedule(ref, order,
+                                 {z: fl[:, c] for z, c in col.items()},
+                                 {z: fp[:, c] for z, c in col.items()})
         assert plan.committed == ref_plan.committed
         windows = []
         for s in range(len(load) // STEPS_PER_SLOT):

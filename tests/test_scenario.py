@@ -246,6 +246,7 @@ class TestFileValidation:
          "/resources/1: diesel_fuel_kwh nan must be finite"),
         ((), "forecast_sigma", math.nan,
          "^/forecast_sigma: must be finite and non-negative"),
+        ((), "forecast_seed", -1, "^/forecast_seed: must be non-negative"),
         (("nodes", 0), "peak_load_kw", 10 ** 400,
          "/nodes/0/peak_load_kw: number out of range"),
         (("edges", 3), "flow_limit_kw", math.nan,
@@ -256,7 +257,8 @@ class TestFileValidation:
          "^/fault_windows/0: end_min 100 must exceed start_min 720$"),
     ], ids=["peak_load_kw", "battery_soc0", "battery_efficiency",
             "battery_power_kw", "battery_energy_kwh", "diesel_power_kw",
-            "diesel_fuel_kwh", "forecast_sigma", "integer-past-float",
+            "diesel_fuel_kwh", "forecast_sigma", "forecast_seed",
+            "integer-past-float",
             "flow_limit_kw-nan", "flow_limit_kw-inf", "fault_window-order"])
     def test_physical_field_range_checked(self, scenario, tmp_path, where,
                                           key, value, message):
