@@ -15,9 +15,9 @@ from .coordinator import (
     Timeline,
     TopologyDiff,
     diff_topologies,
+    formation_events,
     formation_inputs,
     run,
-    solve_partition,
 )
 from .ems import (
     MicrogridState,
@@ -115,6 +115,7 @@ __all__ = [
     "enumerate_optimal",
     "fixed_topology_solution",
     "fixture_two_feeder",
+    "formation_events",
     "formation_inputs",
     "is_radial_forest",
     "load_islands",
@@ -125,7 +126,6 @@ __all__ = [
     "service_order",
     "solve_lp",
     "solve_milp",
-    "solve_partition",
     "summarize",
     "warm_values_from_topology",
     "with_event",

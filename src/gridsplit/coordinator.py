@@ -5,18 +5,24 @@ schedule rebuilt at the same boundary on half-hour slots, and five-minute
 dispatch against the true profiles. Storage state follows the grid-forming
 node it belongs to, whatever zones come or go around it.
 
-The graph changes only when a fault starts or clears, so a run does the
-graph-level work once per fault set and reuses it at each later event of
-that set: the faulted graph, the partition model (flexible mode) or the
-default topology (fixed mode), and each partition's service orders. An event
-writes only its own data: the model's snapshot bounds, switch-change costs
-and offset, or the default topology's served load and price.
+A run has two halves. ``formation_events`` takes the partition decisions:
+no decision reads a storage state, so the whole partition sequence is a
+function of the scenario, the mode, the timeline and the weights. The graph
+changes only when a fault starts or clears, so it does the graph-level work
+once per fault set and reuses it at each later event of that set: the
+faulted graph and the partition model (flexible mode) or the default
+topology (fixed mode). An event writes only its own data: the model's
+snapshot bounds, switch-change costs and offset, or the default topology's
+served load and price. ``run`` then dispatches the events: it keeps the
+storage states and makes each distinct partition's service orders once per
+run.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -30,7 +36,6 @@ from .formation import (DecodeError, FormationProblem, FormationSnapshot,
                         fixed_topology_solution, served_in_full,
                         warm_values_from_topology, with_event)
 from .milp import SolveReport, SolverError, SolveStatus, solve_milp
-from .netmodel import ZoneGraph
 from .scenario import Scenario, ValidationError
 
 MODES = ("flexible", "fixed")
@@ -49,6 +54,9 @@ class Timeline:
     dispatch_step_minutes: ClassVar[int] = DISPATCH_STEP_MINUTES
 
     def __post_init__(self):
+        if type(self.total_minutes) is not int:
+            raise ValueError("total horizon must be an int number of minutes, "
+                             f"not {self.total_minutes!r}")
         if self.total_minutes <= 0:
             raise ValueError("total horizon must be positive")
         if self.total_minutes % FORMATION_STEP_MINUTES:
@@ -128,17 +136,6 @@ def _profiles(table: dict[int, np.ndarray], zone_ids: tuple[int, ...],
     return np.column_stack([table[z][:n_steps] for z in zone_ids])
 
 
-def _event_forecast(event_index: int, zone_ids: tuple[int, ...],
-                    forecast: tuple[dict[int, np.ndarray], dict[int, np.ndarray]],
-                    ) -> list[np.ndarray]:
-    """One event's steps of the load and PV forecasts as (zones x steps)
-    matrices: a mean along their contiguous last axis sums each zone's steps
-    as the mean of that zone's own profile slice does, bit for bit."""
-    n = FORMATION_STEP_MINUTES // DISPATCH_STEP_MINUTES
-    s0, s1 = event_index * n, (event_index + 1) * n
-    return [np.array([t[z][s0:s1] for z in zone_ids]) for t in forecast]
-
-
 def _faults(scenario: Scenario, event_index: int) -> frozenset[int]:
     """The edges faulted at one formation event."""
     t = event_index * FORMATION_STEP_MINUTES
@@ -146,10 +143,17 @@ def _faults(scenario: Scenario, event_index: int) -> frozenset[int]:
 
 
 def _snapshot(event_index: int, zone_ids: tuple[int, ...],
-              forecast: list[np.ndarray]) -> FormationSnapshot:
-    """Forecast-mean snapshot of one formation event."""
-    load, pv = (dict(zip(zone_ids, a.mean(axis=1).tolist()))
-                for a in forecast)
+              forecast: tuple[dict[int, np.ndarray], dict[int, np.ndarray]],
+              ) -> FormationSnapshot:
+    """Forecast-mean snapshot of one formation event. Each zone's steps are
+    a row of a (zones x steps) matrix: a mean along that contiguous last
+    axis sums them as the mean of the zone's own profile slice does, bit for
+    bit."""
+    n = FORMATION_STEP_MINUTES // DISPATCH_STEP_MINUTES
+    s0 = event_index * n
+    load, pv = (dict(zip(zone_ids, np.array(
+        [t[z][s0:s0 + n] for z in zone_ids]).mean(axis=1).tolist()))
+        for t in forecast)
     return FormationSnapshot(step_index=event_index, load_kw=load, pv_kw=pv)
 
 
@@ -173,48 +177,85 @@ def formation_inputs(scenario: Scenario, timeline: Timeline | None,
     """
     tl = timeline or Timeline()
     _check_scenario(scenario, tl)
+    if type(event_index) is not int:
+        raise ValueError(f"event index must be an int, not {event_index!r}")
     if not 0 <= event_index < tl.n_formation_events:
         raise ValueError(
             f"event index {event_index} outside 0..{tl.n_formation_events - 1}")
     zone_ids = tuple(sorted(n.id for n in scenario.graph.nodes))
-    forecast = _event_forecast(event_index, zone_ids, scenario.forecast())
     return (scenario.graph.with_faulted(_faults(scenario, event_index)),
-            _snapshot(event_index, zone_ids, forecast))
+            _snapshot(event_index, zone_ids, scenario.forecast()))
 
 
-def solve_partition(prob: FormationProblem,
-                    warm_basis: tuple[np.ndarray, np.ndarray] | None = None,
-                    ) -> tuple[SolveReport, FormationSolution]:
-    """Solve a built partition problem, warm from its previous partition,
-    and decode it; ``warm_basis`` (the previous event's
-    ``SolveReport.basis``) is the basis its fixed-integer LPs re-solve
-    from."""
-    prev, step = prob.prev, prob.snapshot.step_index
-    warm = None
-    if prev is not None:
-        warm = warm_values_from_topology(prob, prev.closed, prev.assignment)
-    rep = solve_milp(prob.model, warm_integer_values=warm,
-                     warm_basis=warm_basis)
-    if rep.status is SolveStatus.ITERATION_LIMIT:
-        raise SolverError(
-            f"partition solve of event {step} hit the pivot budget")
-    if rep.status is SolveStatus.INFEASIBLE:
-        raise InfeasibleTopology(
-            f"partition model of event {step} has no feasible point")
-    return rep, decode(prob, rep)
+def formation_events(scenario: Scenario, mode: str = "flexible",
+                     timeline: Timeline | None = None,
+                     weights: FormationWeights | None = None,
+                     ) -> Iterator[tuple[FormationEvent,
+                                         FormationProblem | None,
+                                         SolveReport | None]]:
+    """The formation half of ``run``: one partition decision per formation
+    event, yielded as ``(FormationEvent, FormationProblem, SolveReport)``.
 
+    ``flexible`` solves each event's partition model warm from the previous
+    partition and the previous event's basis; ``fixed`` prices the default
+    topology, and yields None for the problem and the report. No decision
+    reads the energy management, so the events are a function of the
+    scenario, the mode, the timeline and the weights alone.
+    """
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}")
+    tl = timeline or Timeline()
+    wts = weights or FormationWeights()
+    _check_scenario(scenario, tl)
+    zone_ids = tuple(sorted(n.id for n in scenario.graph.nodes))
+    fc = scenario.forecast()
+    # fault set -> its graph and its model (flexible) or default (fixed)
+    built: dict[frozenset[int], tuple] = {}
+    prev = basis = None
 
-@dataclass
-class _FaultSet:
-    """The graph-level work of one fault set within one run, done once and
-    read at each later event of the set; a partition's service orders are
-    added when the set first holds that partition."""
-    graph: ZoneGraph
-    problem: FormationProblem | None = None     # flexible mode: the model
-    topology: FormationSolution | None = None   # fixed mode: the default
-    # (closed switches, (anchor, tree) pairs) -> that partition's orders
-    partitions: dict[tuple[frozenset[int], tuple], PartitionOrder] \
-        = field(default_factory=dict)
+    for k in range(tl.n_formation_events):
+        t = k * FORMATION_STEP_MINUTES
+        snap = _snapshot(k, zone_ids, fc)
+        faults = _faults(scenario, k)
+        g_t, base = built.get(faults) \
+            or (scenario.graph.with_faulted(faults), None)
+
+        t0 = time.perf_counter()
+        prob = rep = None
+        if mode == "fixed":
+            if base is None:
+                base = fixed_topology_solution(g_t)
+            sol = served_in_full(g_t, base, snap, wts)
+        else:
+            if base is None:
+                prob = base = build_milp(g_t, snap, wts, prev=prev)
+            else:
+                prob = with_event(base, snap, prev)
+            try:
+                warm = None if prev is None else warm_values_from_topology(
+                    prob, prev.closed, prev.assignment)
+                rep = solve_milp(prob.model, warm_integer_values=warm,
+                                 warm_basis=basis)
+                if rep.status is SolveStatus.ITERATION_LIMIT:
+                    raise SolverError(
+                        f"partition solve of event {k} hit the pivot budget")
+                if rep.status is SolveStatus.INFEASIBLE:
+                    raise InfeasibleTopology(
+                        f"partition model of event {k} has no feasible point")
+                sol = decode(prob, rep)
+            except (SolverError, DecodeError) as exc:
+                raise type(exc)(f"t={t} min: {exc}") from exc
+            basis = rep.basis
+        wall = time.perf_counter() - t0
+        built[faults] = g_t, base
+
+        yield FormationEvent(
+            time_min=t, solution=sol, diff=diff_topologies(prev, sol),
+            faulted_edges=tuple(sorted(g_t.faulted_edges)),
+            node_count=rep.node_count if rep else 0,
+            lp_iterations=rep.lp_iterations if rep else 0,
+            wall_time_s=wall), prob, rep
+        prev = sol
 
 
 def run(scenario: Scenario, mode: str = "flexible",
@@ -225,15 +266,14 @@ def run(scenario: Scenario, mode: str = "flexible",
     ``flexible`` re-partitions at every formation boundary; ``fixed`` holds
     the normally-closed topology and only the storage scheduling runs. Both
     modes share the same forecasts, dispatch loop and accounting, so their
-    outputs are directly comparable.
+    outputs are directly comparable. The partitions come from
+    ``formation_events``; this pass dispatches them.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}")
-    tl = timeline or Timeline()
-    wts = weights or FormationWeights()
-    _check_scenario(scenario, tl)
-
     t_start = time.perf_counter()
+    tl = timeline or Timeline()
+    events = tuple(ev for ev, _, _ in
+                   formation_events(scenario, mode, tl, weights))
+
     g0 = scenario.graph
     zone_ids = tuple(sorted(n.id for n in g0.nodes))
     gfm_ids = tuple(g0.gfm_nodes)
@@ -245,106 +285,63 @@ def run(scenario: Scenario, mode: str = "flexible",
     # (steps x zones), like the run's arrays: pv is the run's PV potential
     load = _profiles(scenario.load_kw, zone_ids, n_steps)
     pv = _profiles(scenario.pv_kw, zone_ids, n_steps)
-    fc = scenario.forecast()
+    # (slots x zones) forecast slot means
+    fc_load, fc_pv = (_profiles(t, zone_ids, n_steps).reshape(
+        -1, SLOT_MINUTES // DISPATCH_STEP_MINUTES, len(zone_ids)).mean(axis=1)
+        for t in scenario.forecast())
 
-    served = np.zeros((n_steps, len(zone_ids)))
-    unserved = np.zeros_like(served)
-    pv_used = np.zeros_like(served)
-    committed = np.zeros(served.shape, dtype=bool)
-    energized = np.zeros(served.shape, dtype=bool)
-    assign_arr = np.full(served.shape, -1, dtype=int)
-    battery = np.zeros((n_steps, len(gfm_ids)))
-    diesel = np.zeros_like(battery)
-    soc = np.zeros_like(battery)
-    fuel = np.zeros_like(battery)
+    # filled one event window at a time: per zone, and per grid-forming zone
+    # on the columns of the window's microgrids
+    per_zone = {name: np.zeros((n_steps, len(zone_ids)), dtype=dtype)
+                for name, dtype in (("served_kw", float),
+                                    ("unserved_kw", float),
+                                    ("pv_used_kw", float),
+                                    ("committed", bool), ("energized", bool))}
+    per_gfm = {name: np.zeros((n_steps, len(gfm_ids)))
+               for name in ("battery_kw", "diesel_kw", "soc_kwh", "fuel_kwh")}
+    assign_arr = np.full((n_steps, len(zone_ids)), -1, dtype=int)
 
-    states = {}
-    for j in gfm_ids:
-        r = g0.resource_at(j)
-        states[j] = MicrogridState(r, r.battery_soc0 * r.battery_energy_kwh,
-                                   r.diesel_fuel_kwh)
+    states = {j: MicrogridState(r, r.battery_soc0 * r.battery_energy_kwh,
+                                r.diesel_fuel_kwh)
+              for j, r in zip(gfm_ids, map(g0.resource_at, gfm_ids))}
+    # (closed switches, (anchor, tree) pairs) -> that partition's orders; a
+    # closed switch is never faulted, so they hold under every fault set
+    partitions: dict[tuple[frozenset[int], tuple], PartitionOrder] = {}
 
-    events: list[FormationEvent] = []
-    prev_sol: FormationSolution | None = None
-    basis = None  # the last flexible event's SolveReport.basis
-    fault_sets: dict[frozenset[int], _FaultSet] = {}
-
-    for k in range(tl.n_formation_events):
-        t = k * FORMATION_STEP_MINUTES
-        forecast = _event_forecast(k, zone_ids, fc)
-        snap = _snapshot(k, zone_ids, forecast)
-        faults = _faults(scenario, k)
-        fs = fault_sets.get(faults)
-        if fs is None:
-            fs = fault_sets[faults] = _FaultSet(g0.with_faulted(faults))
-        g_t = fs.graph
-        s0 = t // DISPATCH_STEP_MINUTES
+    for ev in events:
+        sol = ev.solution
+        s0 = ev.time_min // DISPATCH_STEP_MINUTES
         s1 = s0 + steps_per_event
-
-        t0 = time.perf_counter()
-        if mode == "fixed":
-            if fs.topology is None:
-                fs.topology = fixed_topology_solution(g_t)
-            sol = served_in_full(g_t, fs.topology, snap, wts)
-            nodes = lp_iters = 0
-        else:
-            if fs.problem is None:
-                prob = fs.problem = build_milp(g_t, snap, wts, prev=prev_sol)
-            else:
-                prob = with_event(fs.problem, snap, prev_sol)
-            try:
-                rep, sol = solve_partition(prob, basis)
-            except (SolverError, DecodeError) as exc:
-                raise type(exc)(f"t={t} min: {exc}") from exc
-            nodes, lp_iters, basis = rep.node_count, rep.lp_iterations, rep.basis
-        wall = time.perf_counter() - t0
-
-        diff = diff_topologies(prev_sol, sol)
-        events.append(FormationEvent(
-            time_min=t, solution=sol, diff=diff,
-            faulted_edges=tuple(sorted(g_t.faulted_edges)),
-            node_count=nodes, lp_iterations=lp_iters, wall_time_s=wall))
-        blocked = frozenset(z for z, _old, new in diff.moved
+        blocked = frozenset(z for z, _old, new in ev.diff.moved
                             if new is not None)
 
         anchors = [sol.assignment[z] for z in zone_ids]
         assign_arr[s0:s1] = [-1 if a is None else a for a in anchors]
 
-        closed = sol.closed
-        key = (closed, tuple(sol.trees.items()))
-        part = fs.partitions.get(key)
+        key = (sol.closed, tuple(sol.trees.items()))
+        part = partitions.get(key)
         if part is None:
-            part = fs.partitions[key] = PartitionOrder(zone_ids, tuple(
-                service_order(g_t, tree, anchor, closed)
+            part = partitions[key] = PartitionOrder(zone_ids, tuple(
+                service_order(g0, tree, anchor, sol.closed)
                 for anchor, tree in sol.trees.items()))
-        # (zones x slots) forecast slot means
-        fl, fp = (a.reshape(len(zone_ids), slots_per_event, -1).mean(axis=2)
-                  for a in forecast)
+        q0 = ev.time_min // SLOT_MINUTES
+        q1 = q0 + slots_per_event
         mg_states = [states[o.gfm_node_id] for o in part.orders]
         plans = [build_schedule(st, o, load_sums, pv_sums)
                  for st, o, load_sums, pv_sums in zip(
-                     mg_states, part.orders, *part.running_sums(fl.T, fp.T))]
+                     mg_states, part.orders,
+                     *part.running_sums(fc_load[q0:q1], fc_pv[q0:q1]))]
         win = dispatch_window(part, mg_states, plans, load[s0:s1], pv[s0:s1],
                               blocked_first_step=blocked)
-        served[s0:s1] = win.served_kw
-        unserved[s0:s1] = win.unserved_kw
-        pv_used[s0:s1] = win.pv_used_kw
-        committed[s0:s1] = win.committed
-        energized[s0:s1] = win.energized
+        for name, a in per_zone.items():
+            a[s0:s1] = getattr(win, name)
         gc = [gcol[o.gfm_node_id] for o in part.orders]
-        battery[s0:s1, gc] = win.battery_kw
-        diesel[s0:s1, gc] = win.diesel_kw
-        soc[s0:s1, gc] = win.soc_kwh
-        fuel[s0:s1, gc] = win.fuel_kwh
-
-        prev_sol = sol
+        for name, a in per_gfm.items():
+            a[s0:s1, gc] = getattr(win, name)
 
     return RestorationRun(
         scenario=scenario, mode=mode, timeline=tl, zone_ids=zone_ids,
         gfm_ids=gfm_ids,
         time_min=np.arange(n_steps) * DISPATCH_STEP_MINUTES,
-        served_kw=served, unserved_kw=unserved, pv_potential_kw=pv,
-        pv_used_kw=pv_used, committed=committed, energized=energized,
-        assignment=assign_arr, battery_kw=battery, diesel_kw=diesel,
-        soc_kwh=soc, fuel_kwh=fuel, events=tuple(events),
-        wall_time_s=time.perf_counter() - t_start)
+        pv_potential_kw=pv, assignment=assign_arr, events=events,
+        wall_time_s=time.perf_counter() - t_start, **per_zone, **per_gfm)

@@ -13,16 +13,14 @@ from gridsplit import (
     FormationWeights,
     InfeasibleTopology,
     LateralPolicy,
-    Timeline,
     ZoneGraph,
     build_milp,
     decode,
     enumerate_optimal,
-    formation_inputs,
+    formation_events,
     is_radial_forest,
     run,
     solve_milp,
-    solve_partition,
     summarize,
     write_outputs,
 )
@@ -32,25 +30,16 @@ REL_TOL = 1e-6
 
 @pytest.fixture(scope="module")
 def formation_chain(scenario, flex_run):
-    """Replay the 16 flexible partition solves, keeping raw solver output.
+    """The 16 flexible partition solves, keeping raw solver output.
 
-    The coordinator discards column vectors after decoding; the raw values are
-    needed to inspect the product-linearization columns, so the chain is
-    replayed here through the coordinator's own solve path, with the same
-    inputs and penalty defaults: each event's problem is built, then solved
-    warm from the previous partition and from the basis the previous event
-    ended with, and decoded.
+    ``run`` keeps only the decoded partitions; the raw values are needed to
+    inspect the product-linearization columns, so the chain is read from the
+    formation half of the run, ``formation_events``, with the same inputs
+    and penalty defaults: each event's problem solved warm from the previous
+    partition and from the basis the previous event ended with, and decoded.
     """
-    tl = Timeline()
-    wts = FormationWeights()
-    chain = []
-    prev = basis = None
-    for k in range(tl.n_formation_events):
-        g_t, snap = formation_inputs(scenario, tl, k)
-        prob = build_milp(g_t, snap, wts, prev=prev)
-        rep, sol = solve_partition(prob, basis)
-        chain.append((g_t, prob, rep, sol))
-        prev, basis = sol, rep.basis
+    chain = [(prob.graph, prob, rep, ev.solution)
+             for ev, prob, rep in formation_events(scenario, "flexible")]
     # the replay must be the run the coordinator actually performed, down
     # to the search: the same nodes and pivots at every event
     assert len(chain) == len(flex_run.events)

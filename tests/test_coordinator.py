@@ -22,6 +22,7 @@ from gridsplit import (
     diff_topologies,
     dispatch_window,
     fixed_topology_solution,
+    formation_events,
     formation_inputs,
     run,
     solve_milp,
@@ -82,6 +83,12 @@ class TestTimeline:
             Timeline(total_minutes=2900)
         with pytest.raises(ValueError, match="must be positive"):
             Timeline(total_minutes=0)
+
+    @pytest.mark.parametrize("minutes", [2880.0, True, "2880"])
+    def test_horizon_is_an_int(self, minutes):
+        # a float horizon used to pass here and fail inside run as a slice
+        with pytest.raises(ValueError, match="must be an int number"):
+            Timeline(total_minutes=minutes)
 
     def test_only_the_horizon_is_settable(self):
         assert [f.name for f in dataclasses.fields(Timeline)] \
@@ -287,9 +294,10 @@ class TestEventPath:
 
 
 class TestFaultSetReuse:
-    """A run does the graph-level work once per fault set. The fixture's 16
-    events see two: edge 11 out throughout, and tie 9 too from 720 to 1620
-    minutes (events 4-8)."""
+    """A run does the graph-level work of its formation once per fault set,
+    and makes its service orders once per partition. The fixture's 16 events
+    see two fault sets: edge 11 out throughout, and tie 9 too from 720 to
+    1620 minutes (events 4-8)."""
 
     FAULT_SETS = [(11,), (9, 11)]
 
@@ -309,16 +317,19 @@ class TestFaultSetReuse:
         assert [tuple(sorted(g.faulted_edges)) for g, *_ in defaults] \
             == self.FAULT_SETS
 
-    @pytest.mark.parametrize("mode", ["flexible", "fixed"])
-    def test_one_service_order_per_fault_set_and_microgrid(
-            self, scenario, coordinator_calls, mode):
-        # each fault set holds one partition in the fixture, in either mode
+    @pytest.mark.parametrize("mode, partitions", [
+        ("flexible", [QUIET_CLOSED, FAULTED_CLOSED]),
+        # tie 9 is normally open: the default is one partition under both
+        ("fixed", [{1, 2, 3, 4, 5, 6, 7, 8}])], ids=["flexible", "fixed"])
+    def test_service_orders_once_per_partition(
+            self, scenario, coordinator_calls, mode, partitions):
+        # a run makes each distinct partition's orders once, on the
+        # scenario's graph: a closed switch is never a faulted one
         orders = coordinator_calls("service_order")
         run(scenario, mode)
-        assert [(tuple(sorted(g.faulted_edges)), anchor)
-                for g, _, anchor, _ in orders] \
-            == [(faults, anchor) for faults in self.FAULT_SETS
-                for anchor in (1, 7)]
+        assert all(g is scenario.graph for g, *_ in orders)
+        assert [(set(closed), anchor) for _, _, anchor, closed in orders] \
+            == [(closed, anchor) for closed in partitions for anchor in (1, 7)]
 
     def test_nothing_survives_between_runs(self, scenario, coordinator_calls):
         builds = coordinator_calls("build_milp")
@@ -327,7 +338,61 @@ class TestFaultSetReuse:
         for _ in range(2):
             run(scenario, "flexible")
             run(scenario, "fixed")
-        assert (len(builds), len(defaults), len(orders)) == (4, 4, 16)
+        assert (len(builds), len(defaults), len(orders)) == (4, 4, 12)
+
+
+class TestFormationEvents:
+    """The formation half of a run, on its own."""
+
+    @pytest.mark.parametrize("mode", ["flexible", "fixed"])
+    def test_reads_no_energy_management(self, scenario, coordinator_calls,
+                                        mode):
+        ems = [coordinator_calls(name) for name in
+               ("service_order", "build_schedule", "dispatch_window")]
+        yielded = list(formation_events(scenario, mode))
+        assert len(yielded) == 16
+        assert [len(calls) for calls in ems] == [0, 0, 0]
+        if mode == "fixed":
+            assert all(prob is None and rep is None
+                       for _, prob, rep in yielded)
+
+    @pytest.mark.parametrize("mode", ["flexible", "fixed"])
+    @pytest.mark.parametrize("sigma", [0.0, 0.1])
+    def test_the_run_dispatches_the_yielded_events(self, scenario, mode,
+                                                   sigma):
+        sc = dataclasses.replace(scenario, forecast_sigma=sigma,
+                                 forecast_seed=3)
+        yielded = [ev for ev, _, _ in formation_events(sc, mode)]
+        ran = run(sc, mode).events
+        assert len(ran) == len(yielded) == 16
+        for a, b in zip(ran, yielded):
+            assert dataclasses.replace(a, wall_time_s=0.0) \
+                == dataclasses.replace(b, wall_time_s=0.0)
+
+    @pytest.mark.parametrize("mode", ["flexible", "fixed"])
+    def test_the_dispatch_pass_forms_nothing(self, scenario, monkeypatch,
+                                             coordinator_calls, flex_run,
+                                             fixed_run, mode):
+        yielded = list(formation_events(scenario, mode))
+        monkeypatch.setattr(coordinator, "formation_events",
+                            lambda *args: iter(yielded))
+        formation = [coordinator_calls(name) for name in (
+            "build_milp", "with_event", "warm_values_from_topology",
+            "solve_milp", "decode", "fixed_topology_solution",
+            "served_in_full")]
+        r = run(scenario, mode)
+        assert [len(calls) for calls in formation] == [0] * 7
+        want = flex_run if mode == "flexible" else fixed_run
+        assert r.events == tuple(ev for ev, _, _ in yielded)
+        assert np.array_equal(r.served_kw, want.served_kw)
+        assert np.array_equal(r.soc_kwh, want.soc_kwh)
+
+    def test_checks_its_inputs_before_the_first_event(self, scenario):
+        with pytest.raises(ValueError, match="mode must be one of"):
+            next(formation_events(scenario, "adaptive"))
+        with pytest.raises(ValidationError, match="shorter than the timeline"):
+            next(formation_events(mirror_scenario(n_steps=36), "fixed",
+                                  Timeline(total_minutes=360)))
 
 
 class TestFormationInputs:
@@ -369,6 +434,12 @@ class TestFormationInputs:
             formation_inputs(scenario, None, 16)
         with pytest.raises(ValueError, match="outside"):
             formation_inputs(scenario, None, -1)
+
+    @pytest.mark.parametrize("index", [1.0, True, np.int64(1)])
+    def test_index_is_an_int(self, scenario, index):
+        # 1.0 used to fail as a slice index, True to give step_index True
+        with pytest.raises(ValueError, match="event index must be an int"):
+            formation_inputs(scenario, None, index)
 
 
 class TestMirrorScenario:

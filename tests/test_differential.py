@@ -368,6 +368,10 @@ def test_a_fault_sets_graph_work_serves_each_of_its_events(case):
                         for t in (snap.load_kw, snap.pv_kw))
             assert_same_partition(part, fresh_partition(fresh_g, zone_ids,
                                                         default), load, pv)
+            # a closed switch is never a faulted one, so the orders built on
+            # the unfaulted graph, as a run builds them, are the same
+            assert_same_partition(fresh_partition(g, zone_ids, default),
+                                  part, load, pv)
 
 
 def test_each_fixture_event_matches_its_fresh_graph_work(scenario,
